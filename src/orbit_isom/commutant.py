@@ -74,11 +74,9 @@ def commutant_center(generators, commutant: np.ndarray, *,
 
 @dataclass(frozen=True)
 class ComponentSubspace:
-    """One isotypic eigenspace: orthonormal basis columns plus the splitting
-    eigenvalue used for deterministic ordering."""
+    """One isotypic eigenspace, as orthonormal basis columns."""
 
     basis: np.ndarray  # (d, m) orthonormal columns
-    eigenvalue: float
 
     @property
     def dimension(self) -> int:
@@ -98,7 +96,8 @@ def isotypic_split(commutant: np.ndarray, generators, seed: int, *,
     generic coefficients and its eigenvalue clusters are the components.
     Clusters must be separated by more than GAP_TOL and internally tight;
     otherwise the draw is repeated with an advanced seed, up to
-    MAX_SPLIT_RETRIES times.
+    MAX_SPLIT_RETRIES times. The components come out in eigenvalue order,
+    which depends on the seed; equivariant_isometry_group orders them.
     """
     d = commutant.shape[1]
     center = commutant_center(generators, commutant, rank_tol=rank_tol)
@@ -126,15 +125,8 @@ def isotypic_split(commutant: np.ndarray, generators, seed: int, *,
         if not tight:
             continue
 
-        parts = [
-            ComponentSubspace(
-                basis=evecs[:, c[0]:c[-1] + 1].copy(),
-                eigenvalue=float(evals[c[0]]),
-            )
-            for c in clusters
-        ]
-        parts.sort(key=lambda p: (p.dimension, p.eigenvalue))
-        return parts
+        return [ComponentSubspace(basis=evecs[:, c[0]:c[-1] + 1].copy())
+                for c in clusters]
 
     raise IsotypicSeparationError(
         f"isotypic separation failed after {MAX_SPLIT_RETRIES} re-randomizations"
@@ -151,7 +143,6 @@ class IsotypicComponent:
     schur_type: str          # Real | Complex | Quaternionic
     fs_sum: float            # normalized indicator sum, within 1e-6 of n*nu
     commutant_dim: int       # commutant dimension restricted to the component
-    eigenvalue: float        # ordering key from the split
 
     @property
     def dimension(self) -> int:
@@ -239,7 +230,6 @@ def classify_component(subspace: ComponentSubspace, elements: np.ndarray,
         schur_type=schur,
         fs_sum=stored,
         commutant_dim=c,
-        eigenvalue=subspace.eigenvalue,
     )
 
 
@@ -338,11 +328,14 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
                                generators) -> EquivariantIsometryGroup:
     """Assemble the factor list and an orthonormal Lie algebra basis.
 
-    The Lie basis is grouped factor by factor; for U(n) and SO(2) factors the
+    Components are ordered by (dimension, Schur type, multiplicity,
+    irreducible dimension), which depends on the representation only. The
+    Lie basis is grouped factor by factor; for U(n) and SO(2) factors the
     first element of the factor's slice generates the central circle. Every
     element is exactly skew and commutes with the generators within 1e-8.
     """
-    components = tuple(components)
+    components = tuple(sorted(components, key=lambda c: (
+        c.dimension, c.schur_type, c.multiplicity, c.irreducible_dim)))
     d = commutant.shape[1] if commutant.size else (
         components[0].basis.shape[0] if components else 0)
     blocks: list[np.ndarray] = []

@@ -3,12 +3,13 @@
 The pipeline: split off the fixed subspace (it contributes a flat Euclidean
 factor and its full motion group), build the equivariant isometry group
 Isom_G(V)_0 = prod H_i over the isotypic components, then identify the kernel
-of the descent homomorphism p: Isom_G(V)_0 -> Isom(V/G)_0. When the orbit
-space has no boundary the kernel is exactly the set of central elements of G
-lying in the identity component, and that equality is verified as a hard
-check. With boundary present the kernel is searched over central candidates,
-per-factor centers and whole-factor probes, and reported as a verified lower
-bound.
+of the descent homomorphism p: Isom_G(V)_0 -> Isom(V/G)_0. For a finite G
+the kernel is computed exactly, with or without boundary: it is the set of
+central elements of G lying in the identity component. For a catalog action
+of a continuous group it is searched over the action's central circles,
+per-factor centers and whole-factor probes; without boundary the result is
+checked against the central circles as a hard check, and with boundary it
+is reported as a verified lower bound.
 """
 from __future__ import annotations
 
@@ -127,34 +128,15 @@ def center_in_component(center_elements, equiv: EquivariantIsometryGroup):
     return kept
 
 
-def _close_under_product(gens, dim: int, cap: int = 4096):
-    els = [np.eye(dim)]
-
-    def _known(m):
-        return any(num.max_abs(e - m) <= DEDUP_TOL for e in els)
-
-    queue = [np.eye(dim)]
-    gens = [np.asarray(g, dtype=float) for g in gens]
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            nxt = cur @ g
-            if not _known(nxt):
-                if len(els) >= cap:
-                    raise InternalCheckError(
-                        "discrete kernel closure exceeded the safety cap")
-                els.append(nxt)
-                queue.append(nxt)
-    return els
-
-
 @dataclass(frozen=True)
 class KernelDescription:
-    """ker(p) for p: Isom_G(V)_0 -> Isom(V/G)_0, as discovered by search.
+    """ker(p) for p: Isom_G(V)_0 -> Isom(V/G)_0.
 
-    finite_part is the group generated by the discrete orbit-trivial
-    candidates (always contains the identity); continuous_part lists the
-    lie-basis indices whose circle subgroups are orbit-trivial.
+    finite_part lists the elements of the kernel's finite part, a group that
+    always contains the identity: exactly Z(G) meet Isom_G(V)_0 for a finite
+    G, and the products of the orbit-trivial -I blocks found by the search
+    for a catalog action. continuous_part lists the lie-basis indices whose
+    circle subgroups are orbit-trivial (catalog actions only).
     """
 
     finite_part: tuple
@@ -162,7 +144,6 @@ class KernelDescription:
     contains_center_of_g: bool
     whole_factors: tuple        # factor indices entirely orbit-trivial
     factor_discrete: tuple      # factor indices whose -I block is in the kernel
-    central_part: tuple         # subgroup generated by in-component central elements
 
     @property
     def finite_order(self) -> int:
@@ -185,43 +166,48 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
                    sample_count: int = DEFAULT_SAMPLE_COUNT,
                    seed: int = DEFAULT_SEED,
                    density: int | None = None) -> KernelDescription:
-    """Search ker(p) over central candidates, factor centers, whole factors.
+    """ker(p): computed exactly for a finite G, searched for a catalog action.
 
-    Candidates: in-component central elements of a finite G (they must pass,
-    and failing one is an internal error); the central circle directions of
-    a catalog action; per factor, 5 random whole-factor probes, the center
-    circle generator for U(n)/SO(2) factors at t in {0.1, 0.37, 1.01}, and
-    the -I block for Sp(n) and even SO(n >= 4) factors. A circle passing at
-    some t and failing at others aborts as ambiguous. For finite G any
-    passing circle or whole factor is an internal error (the kernel of a
-    finite-group quotient is finite).
+    Finite G: the kernel is Z(G) meet Isom_G(V)_0, with or without boundary.
+    If z in Isom_G(V)_0 maps every orbit to itself, V is the union of the
+    subspaces ker(z - g) over the finitely many g in G; a vector space is no
+    finite union of proper subspaces, so z is some g, and it commutes with G.
+    No element is tested against the orbit oracle.
+
+    Catalog action: the central circle directions of the action must pass
+    the orbit test (failing one is an internal error); per factor, 5 random
+    whole-factor probes, the center circle generator for U(n)/SO(2) factors
+    at t in {0.1, 0.37, 1.01}, and the -I block for Sp(n) and even
+    SO(n >= 4) factors. A circle passing at some t and failing at others
+    aborts as ambiguous.
     """
-    finite = isinstance(ctx, FiniteGroupData)
     d = ctx.dimension
+    if isinstance(ctx, FiniteGroupData):
+        finite_part = center_in_component(center_of_group(ctx), equiv)
+        factor_discrete = []
+        for fi, factor in enumerate(equiv.factors):
+            z = _discrete_center_candidate(factor, equiv, d)
+            if z is not None and any(num.max_abs(z - k) <= DEDUP_TOL for k in finite_part):
+                factor_discrete.append(fi)
+        return KernelDescription(
+            finite_part=tuple(finite_part), continuous_part=(),
+            contains_center_of_g=True, whole_factors=(),
+            factor_discrete=tuple(factor_discrete))
 
-    central_gens: list = []
-    if finite:
-        center = center_of_group(ctx)
-        in_comp = center_in_component(center, equiv)
-        for z in in_comp:
-            if not orbit_equivalence_test(ctx, z, sample_count, seed, density=density):
+    for a in ctx.central_directions():
+        for t in CIRCLE_TEST_TIMES:
+            if not orbit_equivalence_test(ctx, num.expm(t * a), sample_count,
+                                          seed, density=density):
                 raise InternalCheckError(
-                    "a central element inside the identity component moved an "
-                    "orbit; the kernel must contain the in-component center")
-        central_gens = in_comp
-    else:
-        for a in ctx.central_directions():
-            for t in CIRCLE_TEST_TIMES:
-                if not orbit_equivalence_test(ctx, num.expm(t * a), sample_count,
-                                              seed, density=density):
-                    raise InternalCheckError(
-                        "a central circle of the action moved an orbit; the "
-                        "kernel must contain the center of the image")
+                    "a central circle of the action moved an orbit; the "
+                    "kernel must contain the center of the image")
 
     continuous: list[int] = []
     whole: list[int] = []
     factor_discrete: list[int] = []
-    extra_gens: list[np.ndarray] = []
+    # The -I blocks sit on distinct components, so they are commuting
+    # involutions and their group is the set of their 2^k subset products.
+    finite_part = [np.eye(d)]
     rng = np.random.default_rng([seed, 104729])
 
     for fi, factor in enumerate(equiv.factors):
@@ -239,10 +225,6 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
                 whole_ok = False
                 break
         if whole_ok:
-            if finite:
-                raise InternalCheckError(
-                    "whole-factor probes passed for a finite group; its "
-                    "quotient kernel must be finite")
             whole.append(fi)
             if factor.center_circle_index is not None:
                 continuous.append(factor.center_circle_index)
@@ -257,10 +239,6 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
                 for t in CIRCLE_TEST_TIMES
             ]
             if all(verdicts):
-                if finite:
-                    raise InternalCheckError(
-                        "an orbit-trivial circle passed for a finite group; "
-                        "its quotient kernel must be finite")
                 circle_in = True
                 continuous.append(factor.center_circle_index)
             elif any(verdicts):
@@ -273,43 +251,26 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
             if z is not None and orbit_equivalence_test(ctx, z, sample_count, seed,
                                                         density=density):
                 factor_discrete.append(fi)
-                extra_gens.append(z)
+                finite_part += [k @ z for k in finite_part]
 
-    finite_part = _close_under_product(list(central_gens) + extra_gens, d)
-    central_part = _close_under_product(list(central_gens), d)
     return KernelDescription(
         finite_part=tuple(finite_part),
         continuous_part=tuple(continuous),
         contains_center_of_g=True,
         whole_factors=tuple(whole),
         factor_discrete=tuple(factor_discrete),
-        central_part=tuple(central_part),
     )
 
 
-def _assert_boundary_free_kernel(kernel: KernelDescription, ctx,
+def _assert_boundary_free_kernel(kernel: KernelDescription, action: CatalogAction,
                                  equiv: EquivariantIsometryGroup) -> None:
-    """Hard check: without boundary the kernel equals the in-component center."""
-    if isinstance(ctx, FiniteGroupData):
-        if kernel.continuous_part or kernel.whole_factors:
-            raise InternalCheckError(
-                "boundary-free quotient of a finite group produced a "
-                "continuous kernel")
-        if len(kernel.finite_part) != len(kernel.central_part):
-            raise InternalCheckError(
-                "boundary-free kernel differs from the in-component center "
-                f"({len(kernel.finite_part)} vs {len(kernel.central_part)} elements)")
-        for m in kernel.finite_part:
-            if not any(num.max_abs(m - c) <= DEDUP_TOL for c in kernel.central_part):
-                raise InternalCheckError(
-                    "boundary-free kernel contains a non-central element")
-        return
-
+    """Hard check: without boundary the kernel of a catalog action is
+    exactly the central circles of the action's image."""
     if kernel.whole_factors or kernel.factor_discrete or len(kernel.finite_part) != 1:
         raise InternalCheckError(
             "boundary-free catalog quotient produced kernel parts beyond "
             "the central circles")
-    central = ctx.central_directions()
+    central = action.central_directions()
     if not central and kernel.continuous_part:
         raise InternalCheckError(
             "boundary-free catalog quotient has kernel circles but the "
@@ -502,10 +463,14 @@ def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
     return report
 
 
-def _kernel_method_text(boundary: bool) -> str:
+def _kernel_method_text(boundary: bool, finite: bool) -> str:
     if not boundary:
         return ("no boundary: the kernel equals the central elements inside "
                 "the identity component (verified exactly)")
+    if finite:
+        return ("boundary present: G is finite, so the kernel is exactly the "
+                "central elements inside the identity component (computed, "
+                "not searched)")
     return ("boundary present: kernel searched over central candidates, "
             "factor centers, and whole-factor probes; the result is a "
             "verified lower bound, not a completeness claim")
@@ -557,12 +522,11 @@ def _analyze_finite(label: str, spec: RepresentationSpec, *, seed: int,
     if split.complement_dim == 0:
         kernel = KernelDescription(
             finite_part=(np.eye(0),), continuous_part=(),
-            contains_center_of_g=True, whole_factors=(), factor_discrete=(),
-            central_part=(np.eye(0),))
+            contains_center_of_g=True, whole_factors=(), factor_discrete=())
         report = _build_report(
             euclidean_dim=euclidean_dim, equiv=None, kernel=kernel,
             boundary=False, formula=FORMULA_BOUNDARY_FREE,
-            kernel_method=_kernel_method_text(False), seed=seed,
+            kernel_method=_kernel_method_text(False, True), seed=seed,
             sample_count=sample_count, catalog=None, density=None)
         return AnalysisResult(
             source=label, split=split, context=None, ambient_group=group,
@@ -583,13 +547,10 @@ def _analyze_finite(label: str, spec: RepresentationSpec, *, seed: int,
     kernel = _stage("kernel", compute_kernel, equiv, reduced,
                     sample_count=sample_count, seed=seed)
     formula = FORMULA_SEARCH if boundary else FORMULA_BOUNDARY_FREE
-    if not boundary:
-        _stage("kernel-consistency", _assert_boundary_free_kernel,
-               kernel, reduced, equiv)
     report = _build_report(
         euclidean_dim=euclidean_dim, equiv=equiv, kernel=kernel,
         boundary=boundary, formula=formula,
-        kernel_method=_kernel_method_text(boundary), seed=seed,
+        kernel_method=_kernel_method_text(boundary, True), seed=seed,
         sample_count=sample_count, catalog=None, density=None)
     return AnalysisResult(
         source=label, split=split, context=reduced, ambient_group=group,
@@ -622,7 +583,7 @@ def _analyze_catalog(label: str, action: CatalogAction, *, seed: int,
                kernel, action, equiv)
     report = _build_report(
         euclidean_dim=0, equiv=equiv, kernel=kernel, boundary=boundary,
-        formula=formula, kernel_method=_kernel_method_text(boundary),
+        formula=formula, kernel_method=_kernel_method_text(boundary, False),
         seed=seed, sample_count=sample_count, catalog=action, density=density)
     return AnalysisResult(
         source=label, split=split, context=action, ambient_group=None,

@@ -24,6 +24,7 @@ from .catalog import get_action, trivial_action
 from .commutant import commutant_basis, sample_equivariant_isometry
 from .fixtures import FIXTURE_NAMES, fixture_document
 from .isom_quotient import (
+    _discrete_center_candidate,
     center_in_component,
     center_of_group,
     classify_irreducible,
@@ -33,7 +34,7 @@ from .isom_quotient import (
     verify_theorem_B,
 )
 from .lift_verify import descend_check, lift_rotation, quat_to_rotation, verify_hopf_metric
-from .orbit_geometry import sector_angle_estimate
+from .orbit_geometry import orbit_equivalence_test, sector_angle_estimate
 from .repr_model import FiniteGroupData
 
 LIFT_TOL = 1e-8
@@ -204,6 +205,13 @@ def _matched(element: np.ndarray, pool) -> bool:
 
 
 def _suite_kernel_center_laws(memo: _AnalysisMemo) -> SuiteResult:
+    """The kernel of a finite group equals its in-component center; the orbit
+    oracle checks it by the route that does not go through the structure
+    theory: every kernel element maps every orbit to itself, and every -I
+    block left out of the kernel moves some orbit. (Central elements outside
+    the identity component lie in G and map every orbit to itself, so the
+    oracle cannot reject them; only the comparison with the in-component
+    center keeps them out.)"""
     problems = []
     for name in FIXTURE_NAMES:
         result = memo.analysis(name)
@@ -215,33 +223,41 @@ def _suite_kernel_center_laws(memo: _AnalysisMemo) -> SuiteResult:
         ctx = result.context
         if not isinstance(ctx, FiniteGroupData) or ctx.dimension == 0:
             continue
+        kernel = result.kernel.finite_part
         center = center_of_group(ctx)
         in_component = center_in_component(center, result.equiv)
-        missing = [z for z in in_component
-                   if not _matched(z, result.kernel.finite_part)]
+        missing = [z for z in in_component if not _matched(z, kernel)]
         if missing:
             problems.append(
                 f"{name}: {len(missing)} central in-component elements not in kernel")
         if rep["kernel"]["containsCenterOfG"] is not (not missing):
             problems.append(f"{name}: containsCenterOfG flag inconsistent")
-        if not result.boundary:
-            # Boundary-free: the kernel must be exactly the in-component
-            # center, so every discovered kernel element must match the
-            # closure of the central elements.
-            extra = [k for k in result.kernel.finite_part
-                     if not _matched(k, result.kernel.central_part)]
-            if extra:
+        extra = [k for k in kernel if not _matched(k, in_component)]
+        if extra:
+            problems.append(
+                f"{name}: {len(extra)} kernel elements outside the in-component center")
+
+        def orbit_trivial(z):
+            return orbit_equivalence_test(ctx, z, memo.sample_count, memo.seed)
+
+        moving = [k for k in kernel if not orbit_trivial(k)]
+        if moving:
+            problems.append(f"{name}: {len(moving)} kernel elements move an orbit")
+        for factor in result.equiv.factors:
+            z = _discrete_center_candidate(factor, result.equiv, ctx.dimension)
+            if z is not None and not _matched(z, kernel) and orbit_trivial(z):
                 problems.append(
-                    f"{name}: kernel strictly larger than the center "
-                    f"on a boundary-free quotient")
-            if rep["formulaApplied"] != "proposition-4.1b":
-                problems.append(f"{name}: wrong formula tag")
+                    f"{name}: the -I block of {factor.name} fixes every orbit "
+                    f"but is not in the kernel")
+        if not result.boundary and rep["formulaApplied"] != "proposition-4.1b":
+            problems.append(f"{name}: wrong formula tag")
     return SuiteResult(
         "6-kernel-center-laws",
         not problems,
         "; ".join(problems) if problems else
-        "kernel contains the in-component center on all fixtures, equals it "
-        "when the quotient is boundary-free, and stays finite",
+        "on all fixtures the kernel is finite, holds exactly the in-component "
+        "center, and the orbit oracle passes each kernel element and fails "
+        "each -I block left out",
     )
 
 

@@ -50,8 +50,8 @@ def test_criterion_5_irreducible_trichotomy(memo):
 
 
 def test_criterion_6_kernel_center_laws(memo):
-    # kernel = in-component center when boundary-free, always contains it,
-    # and has no continuous directions on finite groups
+    # kernel = in-component center, confirmed by the orbit oracle (kernel
+    # elements pass, -I blocks left out fail), no continuous directions
     r = run_one(memo, "6-")
     assert r.passed, r.details
 

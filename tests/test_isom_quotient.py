@@ -1,11 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from conftest import rot2
 from orbit_isom import _numerics as num
+from orbit_isom import isom_quotient
 from orbit_isom.errors import ValidationError
-from orbit_isom.fixtures import fixture_document
+from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.isom_quotient import (
     center_of_group,
     classify_irreducible,
@@ -207,6 +211,36 @@ def test_seed_changes_recorded_not_results(memo):
     assert other.report["seed"] == 99
     for key in ("compactFactors", "kernel", "rank", "boundary", "formulaApplied"):
         assert other.report[key] == base[key]
+
+
+def test_factor_order_is_the_same_at_every_seed():
+    doc = fixture_document("c3xd4-r4")
+    orders = {
+        tuple(f["name"] for f in quotient_isometry_group(doc, seed=seed).report["compactFactors"])
+        for seed in range(12)
+    }
+    assert orders == {("U(1)", "SO(1)")}
+
+
+def test_finite_analyses_never_consult_the_oracle(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("a finite analysis ran an orbit equivalence test")
+
+    monkeypatch.setattr(isom_quotient, "orbit_equivalence_test", oracle)
+    for name in FIXTURE_NAMES:
+        rep = quotient_isometry_group(fixture_document(name)).report
+        assert rep["kernel"]["finiteOrder"] == EXPECTED[name]["kernel"][0]
+        assert [f["name"] for f in rep["compactFactors"]] \
+            == [f[0] for f in EXPECTED[name]["factors"]]
+        assert "exactly" in rep["notes"]["kernelMethod"]
+
+    # C_360 on C^3 with weights 1, 2, 3: all 360 elements are central.
+    gen = scipy.linalg.block_diag(*(rot2(2.0 * math.pi * w / 360) for w in (1, 2, 3)))
+    doc = {"dimension": 6, "kind": "finite",
+           "generators": [[[repr(float(v)) for v in row] for row in gen]]}
+    rep = quotient_isometry_group(doc).report
+    assert rep["kernel"]["finiteOrder"] == 360
+    assert [f["name"] for f in rep["compactFactors"]] == ["U(1)"] * 3
 
 
 def test_unknown_catalog_id_rejected():
