@@ -6,24 +6,42 @@ Three entries, keyed by id:
   so2xso3-r5        SO(2) x SO(3) acting blockwise on R^2 + R^3
   so2-tensor-so3-r6 SO(2) x SO(3) acting on R^2 (x) R^3
 
-Each action exposes three discretizations, tuned to their consumers:
+An action is data: one skew generator X_j per parameter axis, and the group
+element at parameters t is the product of one-parameter subgroups
+
+  g(t) = exp(t_1 X_1) ... exp(t_k X_k).
+
+Every generator satisfies X^3 = -X (its eigenvalues are 0 and +-i), so the
+exponential series collapses to the closed form
+
+  exp(t X) = I + sin(t) X + (1 - cos(t)) X^2,
+
+which ``CatalogAction`` checks at construction. The circle of SO(2) is
+exp(t J); SO(3) is reached through the Euler angles Rz(alpha) Ry(beta)
+Rz(gamma). Because X_j commutes with its own factor, the derivative
+d(g v)/dt_j = E_1 ... E_{j-1} X_j E_j ... E_k v (E_i = exp(t_i X_i)) is exact,
+and the quotient-metric minimizers take it as their gradient.
+
+Each action exposes three discretizations, tuned to their consumers; the
+first two are built from the generators, each in one batched product:
 
 * ``grid(density)``: a deterministic parameter grid with roughly ``density``
   elements total (density counts samples per compact 1-parameter subgroup;
   multi-parameter groups split the budget across axes). Used by the
   quotient-metric oracle; the chordal min-distance error is O(1/m).
-* ``fs_sample()``: a Haar quadrature (uniform grids on periodic angles,
-  Gauss-Legendre in cos(beta) for the SO(3) polar angle). Characters of g^2
-  are low-degree trigonometric polynomials, so indicator sums computed with
-  it are exact to roundoff.
+* ``fs_sample()``: a Haar quadrature, the tensor product of per-axis rules
+  (uniform nodes on periodic angles, Gauss-Legendre in cos(beta) for the
+  SO(3) polar angle). Characters of g^2 are low-degree trigonometric
+  polynomials, so indicator sums computed with it are exact to roundoff.
 * ``probe_generators()``: a few elements at generic angles whose generated
   subgroup is dense in the image of G; commuting with the probes is
-  equivalent to commuting with the whole group.
+  equivalent to commuting with the whole group. The probes, the central
+  directions and the genericity predicate are still written per action.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,6 +49,9 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_DENSITY = 2048
+# Skewness and X^3 = -X must hold to this absolute accuracy for the closed
+# form of exp(t X) to be exact to roundoff.
+GENERATOR_TOL = 1e-12
 
 
 def rot2(theta: float) -> np.ndarray:
@@ -58,11 +79,22 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ParamAxis:
     """One sampler parameter: [0, length), periodic unless it is a polar
-    angle (weight scales the share of the grid budget)."""
+    angle (weight scales the share of the grid budget; haar_nodes is the
+    size of the axis' Haar quadrature rule)."""
 
     length: float
     periodic: bool
     weight: float
+    haar_nodes: int
+
+    def haar_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, weights) integrating the axis' share of Haar measure:
+        uniform on a periodic angle, sin(t) dt / 2 on a polar one."""
+        if self.periodic:
+            nodes = np.arange(self.haar_nodes) * (self.length / self.haar_nodes)
+            return nodes, np.full(self.haar_nodes, 1.0 / self.haar_nodes)
+        u_nodes, u_weights = np.polynomial.legendre.leggauss(self.haar_nodes)
+        return np.arccos(u_nodes), u_weights / 2.0
 
 
 @dataclass(frozen=True)
@@ -73,22 +105,95 @@ class ActionMetadata:
     singular_isotropy_note: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalogAction:
-    """A continuous compact action with deterministic samplers."""
+    """A continuous compact action g(t) = exp(t_1 X_1) ... exp(t_k X_k),
+    given by one skew generator per parameter axis, with deterministic
+    samplers."""
 
     id: str
-    dimension: int
+    generators: tuple[np.ndarray, ...]
     axes: tuple[ParamAxis, ...]
-    element_fn: Callable[[np.ndarray], np.ndarray]
     probe_fn: Callable[[], tuple[np.ndarray, ...]]
     central_fn: Callable[[], tuple[np.ndarray, ...]]
-    haar_fn: Callable[[], tuple[np.ndarray, np.ndarray]]
     generic_fn: Callable[[np.ndarray], bool]
     metadata: ActionMetadata
+    # Rows 3j, 3j+1, 3j+2 hold I, X_j, X_j^2 flattened into column block j,
+    # so one product with the coefficients (1, sin t_j, 1 - cos t_j) of
+    # every axis gives all factors exp(t_j X_j) at once.
+    _basis: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        gens = tuple(np.array(x, dtype=float) for x in self.generators)
+        k = len(gens)
+        if k != len(self.axes):
+            raise ValidationError(f"{self.id}: {k} generators for {len(self.axes)} axes")
+        d = gens[0].shape[0]
+        basis = np.zeros((3 * k, k * d * d))
+        for j, x in enumerate(gens):
+            if x.shape != (d, d):
+                raise ValidationError(f"{self.id}: generator {j} is not {d}x{d}")
+            x2 = x @ x
+            if (np.abs(x + x.T).max() > GENERATOR_TOL
+                    or np.abs(x2 @ x + x).max() > GENERATOR_TOL):
+                raise ValidationError(
+                    f"{self.id}: generator {j} must be skew with X^3 = -X "
+                    f"(within {GENERATOR_TOL:.0e}), or exp(tX) has no closed form")
+            basis[3 * j:3 * j + 3, j * d * d:(j + 1) * d * d] = (
+                np.stack([np.eye(d), x, x2]).reshape(3, d * d))
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_basis", basis)
+
+    @property
+    def dimension(self) -> int:
+        return self.generators[0].shape[0]
+
+    def _factors(self, params) -> np.ndarray:
+        """(k, d, d) stack of E_j = exp(t_j X_j), from scalar sin/cos: the
+        single-element path runs hot inside the golden-section fallback."""
+        ts = np.asarray(params, dtype=float).tolist()
+        coeffs = [c for t in ts for c in (1.0, math.sin(t), 1.0 - math.cos(t))]
+        return np.dot(coeffs, self._basis).reshape((len(ts),) + self.generators[0].shape)
 
     def element(self, params) -> np.ndarray:
-        return self.element_fn(np.asarray(params, dtype=float))
+        factors = self._factors(params)
+        g = factors[0]
+        for j in range(1, len(factors)):
+            g = np.dot(g, factors[j])
+        return g
+
+    def elements(self, params: np.ndarray) -> np.ndarray:
+        """g(t) for every row of ``params`` (N, k), as one batched product
+        of (N, d, d) stacks."""
+        t = np.asarray(params, dtype=float)
+        n, k = t.shape
+        coeffs = np.stack([np.ones_like(t), np.sin(t), 1.0 - np.cos(t)], axis=-1)
+        factors = (coeffs.reshape(n, 3 * k) @ self._basis).reshape(
+            (n, k) + self.generators[0].shape)
+        out = factors[:, 0]
+        for j in range(1, k):
+            out = out @ factors[:, j]
+        return out
+
+    def apply_with_jacobian(self, params, v: np.ndarray):
+        """(g(t) v, exact d x k Jacobian of g(t) v in t).
+
+        Column j is E_1 ... E_{j-1} X_j E_j ... E_k v (X_j commutes with
+        E_j), from suffix vectors E_j ... E_k v and prefix products
+        E_1 ... E_{j-1}.
+        """
+        factors = self._factors(params)
+        k = len(factors)
+        suffix = [v] * (k + 1)
+        for j in range(k - 1, -1, -1):
+            suffix[j] = np.dot(factors[j], suffix[j + 1])
+        jac = np.empty((len(v), k))
+        jac[:, 0] = np.dot(self.generators[0], suffix[0])
+        prefix = factors[0]
+        for j in range(1, k):
+            jac[:, j] = np.dot(prefix, np.dot(self.generators[j], suffix[j]))
+            prefix = np.dot(prefix, factors[j])
+        return suffix[0], jac
 
     def grid_counts(self, density: int) -> tuple[int, ...]:
         weights = [ax.weight for ax in self.axes]
@@ -114,11 +219,9 @@ class CatalogAction:
                 axes_vals.append(np.arange(n) * (ax.length / n))
             else:
                 axes_vals.append(np.linspace(0.0, ax.length, n))
-        mesh = np.meshgrid(*axes_vals, indexing="ij")
-        params = np.stack([m.ravel() for m in mesh], axis=1)
-        elements = np.stack([self.element_fn(p) for p in params])
-        _GRID_CACHE[key] = (params, elements)
-        return params, elements
+        params = _mesh(axes_vals)
+        _GRID_CACHE[key] = (params, self.elements(params))
+        return _GRID_CACHE[key]
 
     def grid_spacings(self, density: int | None = None) -> np.ndarray:
         density = DEFAULT_DENSITY if density is None else int(density)
@@ -129,11 +232,13 @@ class CatalogAction:
         ])
 
     def fs_sample(self):
-        """(elements, weights) Haar quadrature for indicator sums."""
+        """(elements, weights) Haar quadrature for indicator sums: the
+        tensor product of the per-axis rules."""
         key = (self.id, "haar")
         cached = _GRID_CACHE.get(key)
         if cached is None:
-            cached = self.haar_fn()
+            nodes, weights = zip(*(ax.haar_rule() for ax in self.axes))
+            cached = (self.elements(_mesh(nodes)), _mesh(weights).prod(axis=1))
             _GRID_CACHE[key] = cached
         return cached
 
@@ -151,50 +256,28 @@ class CatalogAction:
 _GRID_CACHE: dict = {}
 
 
-def _periodic_nodes(n: int, length: float = 2.0 * math.pi) -> np.ndarray:
-    return np.arange(n) * (length / n)
+def _mesh(axes_vals) -> np.ndarray:
+    """All combinations of the per-axis values, first axis slowest, as rows."""
+    mesh = np.meshgrid(*axes_vals, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _so3_haar_nodes(n_per: int = 8, n_gl: int = 8):
-    """(weights, (alpha, beta, gamma) triples) for exact low-degree Haar
-    integration over SO(3): Haar = sin(beta) dalpha dbeta dgamma / (8 pi^2)."""
-    alphas = _periodic_nodes(n_per)
-    gammas = _periodic_nodes(n_per)
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(n_gl)
-    betas = np.arccos(u_nodes)
-    triples = []
-    weights = []
-    for a in alphas:
-        for b, wb in zip(betas, u_weights):
-            for g in gammas:
-                triples.append((a, b, g))
-                weights.append(wb / 2.0 / (n_per * n_per))
-    return np.array(weights), np.array(triples)
-
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+# Rz(t) = exp(t L_z) and Ry(t) = exp(t L_y) in R^3.
+_LZ = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_LY = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+_I2, _I3 = np.eye(2), np.eye(3)
+_Z2, _Z3 = np.zeros((2, 2)), np.zeros((3, 3))
 
 # ---------------------------------------------------------------- hopf-u1-r4
 
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def _hopf_element(params: np.ndarray) -> np.ndarray:
-    r = rot2(params[0])
-    return _block_diag(r, r)
-
 
 def _hopf_probes():
-    return (_hopf_element(np.array([1.0])), _hopf_element(np.array([2.3])))
+    return tuple(_block_diag(rot2(t), rot2(t)) for t in (1.0, 2.3))
 
 
 def _hopf_central():
     return (_block_diag(_J2, _J2),)
-
-
-def _hopf_haar():
-    thetas = _periodic_nodes(64)
-    elements = np.stack([_hopf_element(np.array([t])) for t in thetas])
-    weights = np.full(len(thetas), 1.0 / len(thetas))
-    return elements, weights
 
 
 def _hopf_generic(x: np.ndarray) -> bool:
@@ -202,10 +285,6 @@ def _hopf_generic(x: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------- so2xso3-r5
-
-def _block_element(params: np.ndarray) -> np.ndarray:
-    return _block_diag(rot2(params[0]), so3_zyz(params[1], params[2], params[3]))
-
 
 def _block_probes():
     return (
@@ -219,28 +298,11 @@ def _block_central():
     return (_block_diag(_J2, np.zeros((3, 3))),)
 
 
-def _block_haar():
-    n_phi = 8
-    phis = _periodic_nodes(n_phi)
-    w3, triples = _so3_haar_nodes()
-    elements = []
-    weights = []
-    for phi in phis:
-        for w, (a, b, g) in zip(w3, triples):
-            elements.append(_block_element(np.array([phi, a, b, g])))
-            weights.append(w / n_phi)
-    return np.stack(elements), np.array(weights)
-
-
 def _block_generic(x: np.ndarray) -> bool:
     return bool(min(np.linalg.norm(x[:2]), np.linalg.norm(x[2:])) > 0.05 * np.linalg.norm(x))
 
 
 # --------------------------------------------------------- so2-tensor-so3-r6
-
-def _tensor_element(params: np.ndarray) -> np.ndarray:
-    return np.kron(rot2(params[0]), so3_zyz(params[1], params[2], params[3]))
-
 
 def _tensor_probes():
     return (
@@ -254,19 +316,6 @@ def _tensor_central():
     return (np.kron(_J2, np.eye(3)),)
 
 
-def _tensor_haar():
-    n_phi = 8
-    phis = _periodic_nodes(n_phi)
-    w3, triples = _so3_haar_nodes()
-    elements = []
-    weights = []
-    for phi in phis:
-        for w, (a, b, g) in zip(w3, triples):
-            elements.append(_tensor_element(np.array([phi, a, b, g])))
-            weights.append(w / n_phi)
-    return np.stack(elements), np.array(weights)
-
-
 def _tensor_generic(x: np.ndarray) -> bool:
     # Points on the two boundary rays have a rank-1 (resp. equal-singular-
     # value) 2x3 coordinate matrix; stay away from both strata.
@@ -276,22 +325,21 @@ def _tensor_generic(x: np.ndarray) -> bool:
     return bool(s[1] > 0.03 * scale and (s[0] - s[1]) > 0.03 * scale)
 
 
+# (phi, alpha, beta, gamma): the SO(2) angle, then Euler angles of SO(3).
 _FOUR_AXES = (
-    ParamAxis(2.0 * math.pi, True, 1.0),
-    ParamAxis(2.0 * math.pi, True, 1.0),
-    ParamAxis(math.pi, False, 0.5),
-    ParamAxis(2.0 * math.pi, True, 1.0),
+    ParamAxis(2.0 * math.pi, True, 1.0, 8),
+    ParamAxis(2.0 * math.pi, True, 1.0, 8),
+    ParamAxis(math.pi, False, 0.5, 8),
+    ParamAxis(2.0 * math.pi, True, 1.0, 8),
 )
 
 CATALOG: dict[str, CatalogAction] = {
     "hopf-u1-r4": CatalogAction(
         id="hopf-u1-r4",
-        dimension=4,
-        axes=(ParamAxis(2.0 * math.pi, True, 1.0),),
-        element_fn=_hopf_element,
+        generators=(_block_diag(_J2, _J2),),
+        axes=(ParamAxis(2.0 * math.pi, True, 1.0, 64),),
         probe_fn=_hopf_probes,
         central_fn=_hopf_central,
-        haar_fn=_hopf_haar,
         generic_fn=_hopf_generic,
         metadata=ActionMetadata(
             has_boundary=False,
@@ -302,12 +350,11 @@ CATALOG: dict[str, CatalogAction] = {
     ),
     "so2xso3-r5": CatalogAction(
         id="so2xso3-r5",
-        dimension=5,
+        generators=(_block_diag(_J2, _Z3), _block_diag(_Z2, _LZ),
+                    _block_diag(_Z2, _LY), _block_diag(_Z2, _LZ)),
         axes=_FOUR_AXES,
-        element_fn=_block_element,
         probe_fn=_block_probes,
         central_fn=_block_central,
-        haar_fn=_block_haar,
         generic_fn=_block_generic,
         metadata=ActionMetadata(
             has_boundary=True,
@@ -321,12 +368,11 @@ CATALOG: dict[str, CatalogAction] = {
     ),
     "so2-tensor-so3-r6": CatalogAction(
         id="so2-tensor-so3-r6",
-        dimension=6,
+        generators=(np.kron(_J2, _I3), np.kron(_I2, _LZ),
+                    np.kron(_I2, _LY), np.kron(_I2, _LZ)),
         axes=_FOUR_AXES,
-        element_fn=_tensor_element,
         probe_fn=_tensor_probes,
         central_fn=_tensor_central,
-        haar_fn=_tensor_haar,
         generic_fn=_tensor_generic,
         metadata=ActionMetadata(
             has_boundary=True,
@@ -373,26 +419,17 @@ def trivial_action(dimension: int) -> CatalogAction:
 
     Not a catalog entry (no id lookup); it exists so the sector-angle
     estimator has a known-exact test case: for dimension 2 the sphere
-    quotient is the whole circle, whose half-diameter is pi.
+    quotient is the whole circle, whose half-diameter is pi. Its one
+    generator is zero, so every element is the identity.
     """
     if dimension < 1:
         raise ValidationError("trivial_action needs dimension >= 1")
-    eye = np.eye(dimension)
-
-    def element(params: np.ndarray) -> np.ndarray:
-        return eye
-
-    def haar():
-        return eye[None, :, :], np.array([1.0])
-
     return CatalogAction(
         id=f"trivial-r{dimension}",
-        dimension=dimension,
-        axes=(ParamAxis(2.0 * math.pi, True, 1.0),),
-        element_fn=element,
+        generators=(np.zeros((dimension, dimension)),),
+        axes=(ParamAxis(2.0 * math.pi, True, 1.0, 1),),
         probe_fn=tuple,
         central_fn=tuple,
-        haar_fn=haar,
         generic_fn=lambda x: bool(np.linalg.norm(x) > 1e-6),
         metadata=ActionMetadata(
             has_boundary=False,

@@ -4,10 +4,11 @@ The quotient distance between orbits is d(Gx, Gy) = min_g ||x - g y||. For
 finite groups the minimum is exact over the enumerated elements. For catalog
 actions it is approximated from below-in-parameters / above-in-value: a
 coarse deterministic grid pass (density m elements, chordal error O(1/m))
-followed by local refinement over the sampler parameters (quasi-Newton with
-central-difference gradients, golden-section coordinate sweeps as fallback).
-Refined values always upper-bound the true distance, since they are minima
-over a finite subset of the group.
+followed by local refinement over the sampler parameters (L-BFGS-B with the
+exact gradient from the action's one-parameter-subgroup Jacobian,
+golden-section coordinate sweeps as fallback). Refined values always
+upper-bound the true distance, since they are minima over a finite subset of
+the group.
 
 Boundary detection for finite groups looks for a hyperplane reflection: an
 element whose fixed subspace has dimension exactly dim V - 1, equivalently
@@ -62,27 +63,24 @@ def _same_context(a: Context, b: Context) -> bool:
     return False
 
 
-def _catalog_refine(action: CatalogAction, f, p0: np.ndarray, density: int | None,
-                    *, rounds: int, sweeps: int, stop: float | None,
-                    square: bool) -> float:
+def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray,
+                    density: int | None, *, rounds: int, sweeps: int,
+                    stop: float | None) -> float:
     """Local refinement of f over the sampler parameters from a grid start.
 
-    A quasi-Newton stage with central-difference gradients runs first; it
+    A quasi-Newton stage runs first on ``cost``, which returns the value and
+    exact gradient of a smooth cost with the same minimizers as f; it
     tracks the curved ridges where axis-aligned sweeps zigzag (Euler angles
-    near a polar degeneracy couple two axes). Norm-type costs set ``square``
-    so the smooth stage sees a differentiable function at a true zero.
-    Golden-section coordinate sweeps remain as a derivative-free fallback
-    (``rounds`` of them, spans halving per round).
+    near a polar degeneracy couple two axes). Golden-section coordinate
+    sweeps on f remain as a derivative-free fallback (``rounds`` of them,
+    spans halving per round).
     """
     spans0 = action.grid_spacings(density)
     p = np.array(p0, dtype=float)
     best = f(p)
-    cost = (lambda q: f(np.asarray(q)) ** 2) if square else (lambda q: f(np.asarray(q)))
-    res = _opt.minimize(cost, p, method="L-BFGS-B", jac="3-point",
+    res = _opt.minimize(cost, p, method="L-BFGS-B", jac=True,
                         options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 300})
-    val = float(res.fun)
-    if square:
-        val = math.sqrt(max(val, 0.0))
+    val = f(res.x)
     if val < best:
         best = val
         p = np.asarray(res.x, dtype=float)
@@ -97,6 +95,15 @@ def _catalog_refine(action: CatalogAction, f, p0: np.ndarray, density: int | Non
         if stop is not None and best <= stop:
             break
     return best
+
+
+def _neg_dot_cost(action: CatalogAction, a: np.ndarray, b: np.ndarray):
+    """p -> (-a^T g(p) b, its exact gradient -a^T J)."""
+    def cost(p):
+        gb, jac = action.apply_with_jacobian(p, b)
+        return -float(a @ gb), -(a @ jac)
+
+    return cost
 
 
 def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray,
@@ -122,9 +129,15 @@ def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     def f(p):
         return float(np.linalg.norm(a - action.element(p) @ b))
 
-    refined = _catalog_refine(action, f, params[i], density,
-                              rounds=rounds, sweeps=sweeps, stop=stop,
-                              square=True)
+    def squared(p):
+        # ||a - g b||^2 is smooth at a true zero, where the norm is not;
+        # its gradient is -2 r^T J with r = a - g b.
+        gb, jac = action.apply_with_jacobian(p, b)
+        r = a - gb
+        return float(r @ r), -2.0 * (r @ jac)
+
+    refined = _catalog_refine(action, f, squared, params[i], density,
+                              rounds=rounds, sweeps=sweeps, stop=stop)
     return min(grid_best, refined)
 
 
@@ -141,9 +154,8 @@ def _catalog_max_dot(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     def f(p):
         return -float(a @ (action.element(p) @ b))
 
-    refined = -_catalog_refine(action, f, params[i], density,
-                               rounds=rounds, sweeps=sweeps, stop=None,
-                               square=False)
+    refined = -_catalog_refine(action, f, _neg_dot_cost(action, a, b), params[i],
+                               density, rounds=rounds, sweeps=sweeps, stop=None)
     return max(grid_best, refined)
 
 
@@ -237,6 +249,11 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
         raise ValidationError("candidate shape does not match context dimension")
     if num.orthogonality_residual(candidate) > 1e-8:
         raise ValidationError("candidate is not orthogonal")
+    if isinstance(ctx, CatalogAction):
+        # A true zero of the distance can sit anywhere inside a grid cell,
+        # so the skip-refinement cutoff must dominate the cell diagonal
+        # (unit vectors give Lipschitz constant about 1 per parameter).
+        cell = float(np.linalg.norm(ctx.grid_spacings(density)))
     rng = np.random.default_rng([seed])
     for _ in range(sample_count):
         x = sample_generic_point(ctx, rng)
@@ -244,11 +261,6 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
         if isinstance(ctx, FiniteGroupData):
             dist = float(np.linalg.norm(y[None, :] - ctx.elements @ x, axis=1).min())
         else:
-            # A true zero of the distance can sit anywhere inside a grid
-            # cell, so the skip-refinement cutoff must dominate the cell
-            # diagonal (unit vectors give Lipschitz constant about 1 per
-            # parameter).
-            cell = float(np.linalg.norm(ctx.grid_spacings(density)))
             dist = _catalog_min_norm(
                 ctx, y, x, density, refine=True,
                 rounds=4, sweeps=8,
@@ -288,9 +300,6 @@ def _refined_sphere_distance(action: CatalogAction, a: np.ndarray, b: np.ndarray
     maximizer instead of the grid argmax; a stale basin then under-resolves
     the maximum, so warm-started values need periodic cold re-grounding.
     """
-    def f(p):
-        return -float(a @ (action.element(p) @ b))
-
     if start is None:
         params, els = action.grid(density)
         dots = (els @ b) @ a
@@ -299,12 +308,12 @@ def _refined_sphere_distance(action: CatalogAction, a: np.ndarray, b: np.ndarray
         base = float(dots[i])
     else:
         p0 = np.asarray(start, dtype=float)
-        base = -f(p0)
+        base = float(a @ (action.element(p0) @ b))
     # Tolerances sized for the arccos: a dot resolved to ~1e-10 puts the
     # angle within ~1e-9/sin(theta). Tighter settings never terminate at
     # strata pairs, where the maximizer is a whole subgroup and the
     # gradient cannot vanish along it.
-    res = _opt.minimize(f, p0, method="L-BFGS-B", jac="3-point",
+    res = _opt.minimize(_neg_dot_cost(action, a, b), p0, method="L-BFGS-B", jac=True,
                         options={"gtol": 1e-8, "ftol": 1e-12, "maxiter": 150})
     if -float(res.fun) >= base:
         best, p_best = -float(res.fun), np.asarray(res.x, dtype=float)

@@ -1,0 +1,117 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbit_isom.catalog import (
+    CatalogAction,
+    ParamAxis,
+    _block_diag,
+    get_action,
+    rot2,
+    so3_zyz,
+    trivial_action,
+)
+from orbit_isom.errors import ValidationError
+
+# Each action's elements written out as explicit rotation matrices: rot2,
+# Euler-angle rotations of R^3, block sums and Kronecker products.
+REFERENCE = {
+    "hopf-u1-r4": lambda p: _block_diag(rot2(p[0]), rot2(p[0])),
+    "so2xso3-r5": lambda p: _block_diag(rot2(p[0]), so3_zyz(*p[1:])),
+    "so2-tensor-so3-r6": lambda p: np.kron(rot2(p[0]), so3_zyz(*p[1:])),
+    "trivial-r3": lambda p: np.eye(3),
+}
+
+
+def action_of(action_id):
+    return trivial_action(3) if action_id == "trivial-r3" else get_action(action_id)
+
+
+angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def action_and_params(draw, rows=1):
+    action_id = draw(st.sampled_from(sorted(REFERENCE)))
+    k = len(action_of(action_id).axes)
+    params = draw(st.lists(st.lists(angles, min_size=k, max_size=k),
+                           min_size=rows, max_size=rows))
+    return action_id, np.array(params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(action_and_params())
+def test_element_matches_the_explicit_formulas(case):
+    action_id, params = case
+    got = action_of(action_id).element(params[0])
+    assert np.abs(got - REFERENCE[action_id](params[0])).max() <= 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(action_and_params(rows=7))
+def test_batched_elements_equal_single_elements(case):
+    action_id, params = case
+    action = action_of(action_id)
+    batch = action.elements(params)
+    single = np.stack([action.element(p) for p in params])
+    # np.sin/np.cos may round differently from math.sin/math.cos in the
+    # last place; everything else is the same arithmetic.
+    assert np.abs(batch - single).max() <= 4 * np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(action_and_params(), st.lists(st.floats(-2.0, 2.0, allow_nan=False),
+                                     min_size=6, max_size=6))
+def test_jacobian_matches_central_differences(case, vec):
+    action_id, params = case
+    action = action_of(action_id)
+    p = params[0]
+    v = np.array(vec[:action.dimension])
+    gv, jac = action.apply_with_jacobian(p, v)
+    assert np.abs(gv - action.element(p) @ v).max() <= 1e-14
+    h = 1e-5
+    for j, e in enumerate(np.eye(len(p))):
+        diff = (action.element(p + h * e) @ v - action.element(p - h * e) @ v) / (2 * h)
+        assert np.abs(jac[:, j] - diff).max() <= 1e-7
+
+
+def test_grid_holds_the_identity_and_quadrature_weights_sum_to_one():
+    for action_id in ("hopf-u1-r4", "so2xso3-r5", "so2-tensor-so3-r6"):
+        action = get_action(action_id)
+        params, elements = action.grid(256)
+        assert not params[0].any()
+        assert np.array_equal(elements[0], np.eye(action.dimension))
+        haar, weights = action.fs_sample()
+        assert len(haar) == len(weights) == math.prod(ax.haar_nodes for ax in action.axes)
+        assert abs(weights.sum() - 1.0) < 1e-14
+
+
+def _one_axis_action(generator):
+    return CatalogAction(
+        id="test", generators=(generator,),
+        axes=(ParamAxis(2.0 * math.pi, True, 1.0, 8),),
+        probe_fn=tuple, central_fn=tuple, generic_fn=lambda x: True,
+        metadata=trivial_action(2).metadata)
+
+
+@pytest.mark.parametrize("generator", [
+    2.0 * np.array([[0.0, -1.0], [1.0, 0.0]]),     # skew, but X^3 = -4X
+    np.array([[0.0, -2.0], [0.5, 0.0]]),           # X^3 = -X, but not skew
+    np.array([[0.0, -1.0], [1.0 + 1e-11, 0.0]]),   # skew only to 1e-11
+])
+def test_generator_without_the_closed_form_is_rejected(generator):
+    with pytest.raises(ValidationError):
+        _one_axis_action(generator)
+
+
+def test_unit_circle_generator_is_accepted():
+    action = _one_axis_action(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert np.abs(action.element([0.4]) - rot2(0.4)).max() <= 1e-15
+
+
+def test_wrong_parameter_count_is_rejected():
+    with pytest.raises(ValueError):
+        get_action("so2xso3-r5").element([0.1, 0.2])

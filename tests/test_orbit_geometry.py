@@ -97,6 +97,37 @@ def test_catalog_same_orbit_distance(action_id):
         assert d < 1e-9
 
 
+def _hopf_distance(x, y):
+    # R^4 = C^2 with the circle acting by e^{it}: |x - e^{it} y|^2 is
+    # smallest when e^{it} <x, y>_C is real and positive.
+    inner = complex(x[0], x[1]).conjugate() * complex(y[0], y[1]) \
+        + complex(x[2], x[3]).conjugate() * complex(y[2], y[3])
+    return math.sqrt(max(x @ x + y @ y - 2.0 * abs(inner), 0.0))
+
+
+def _block_distance(x, y):
+    # each block's orbit is the sphere through the point
+    return math.hypot(np.linalg.norm(x[:2]) - np.linalg.norm(y[:2]),
+                      np.linalg.norm(x[2:]) - np.linalg.norm(y[2:]))
+
+
+@pytest.mark.parametrize("action_id,closed_form", [
+    ("hopf-u1-r4", _hopf_distance),
+    ("so2xso3-r5", _block_distance),
+])
+def test_catalog_distance_matches_closed_form(action_id, closed_form):
+    # nonzero distances: an inexact gradient stops the refinement short of
+    # the minimum and leaves the value too large
+    action = get_action(action_id)
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        x, y = rng.standard_normal((2, action.dimension))
+        d = quotient_distance(QuotientPoint(x, action), QuotientPoint(y, action))
+        want = closed_form(x, y)
+        assert want > 0.1
+        assert abs(d - want) < 1e-9
+
+
 def test_trivial_action_distance_is_euclidean():
     action = trivial_action(3)
     rng = np.random.default_rng(8)
