@@ -173,8 +173,8 @@ def classify_component(subspace: ComponentSubspace, elements: np.ndarray,
     """
     basis = subspace.basis
     m = basis.shape[1]
-    squares = np.einsum("nij,njk->nik", elements, elements)
-    raw = float(np.einsum("n,ia,nij,ja->", weights, basis, squares, basis))
+    mean_square = np.tensordot(weights, elements @ elements, axes=1)
+    raw = float(np.sum(basis * (mean_square @ basis)))
     c = _restricted_commutant_dim(basis, commutant)
 
     nearest = round(raw)

@@ -245,10 +245,7 @@ def normalizer_check(group: FiniteGroupData, f: np.ndarray) -> bool:
     f = np.asarray(f, dtype=float)
     if num.orthogonality_residual(f) > 1e-9:
         raise ValidationError("normalizer_check expects an orthogonal matrix")
-    for g in group.elements:
-        if group.find(f @ g @ f.T) is None:
-            return False
-    return True
+    return bool(np.all(group.lookup(f @ group.elements @ f.T) >= 0))
 
 
 _SECTOR_ACTIONS = ("so2xso3-r5", "so2-tensor-so3-r6")

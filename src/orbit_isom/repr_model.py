@@ -4,15 +4,16 @@ splitting off of trivial factors.
 A representation is given by orthogonal generator matrices acting on R^d (or
 by a catalog id for the built-in continuous actions). Finite groups are
 enumerated by breadth-first closure under right multiplication by the
-generators, with grid-hash deduplication: entries are rounded to a 1e-6 grid
-for hashing and candidate matches are verified within 1e-8 in max norm. Two
-distinct stored elements closer than 10x the verify tolerance abort the run.
+generators, a chunk of queued elements at a time. Deduplication goes through
+a sorted projection-key index: each matrix is keyed by its inner product with
+a fixed unit matrix, candidates are the stored matrices whose keys lie within
+d times the guard band, and a candidate matches within 1e-8 in max norm. Two
+elements closer than 10x the match tolerance abort the run.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -29,11 +30,11 @@ DEFAULT_SEED = 0
 
 DEDUP_TOL = 1e-8
 DEDUP_GUARD = 10.0
-DEDUP_GRID = 1e-6
-# Fractional distance from a grid midpoint below which the alternate rounding
-# is probed too (covers drift across cell boundaries).
-_BOUNDARY_BAND = 0.02
-_MAX_FLIP_PROBES = 10
+# The dedup key's projection comes from a constant seed, not the user's: it
+# decides which elements get compared, never a verdict.
+_KEY_SEED = 4
+# Queued elements whose products with the generators are formed at once.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -153,78 +154,99 @@ def load_spec(path: str) -> RepresentationSpec:
     return parse_spec(text)
 
 
-class _DedupTable:
-    """Grid-hash index over a growing list of matrices.
+def _window_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All (row, column) pairs with lo[row] <= column < hi[row]."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(lo)), counts)
+    starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return rows, starts + np.arange(len(rows))
 
-    Keys are the entries rounded to the 1e-6 grid. Lookups probe the
-    alternate rounding of entries that sit near a cell midpoint, so copies of
-    one element that straddle a boundary still collide; beyond
-    2**_MAX_FLIP_PROBES boundary entries we fall back to a linear scan.
+
+def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise verdict for two (n, d, d) stacks: True within DEDUP_TOL in max
+    norm, False beyond DEDUP_GUARD * DEDUP_TOL; raises in between."""
+    dist = np.abs(a - b).max(axis=(1, 2), initial=0.0)
+    ambiguous = (dist > DEDUP_TOL) & (dist <= DEDUP_GUARD * DEDUP_TOL)
+    if np.any(ambiguous):
+        raise DedupAmbiguityError(
+            f"two elements at max-norm distance {dist[ambiguous].min():.3e}, inside "
+            f"({DEDUP_TOL:.0e}, {DEDUP_GUARD * DEDUP_TOL:.0e}]: "
+            "dedup tolerance misconfiguration"
+        )
+    return dist <= DEDUP_TOL
+
+
+class _KeyIndex:
+    """Sorted projection-key index over a growing stack of d x d matrices.
+
+    The key of A is k(A) = <W, A> for a fixed W with ||W||_F = 1, so that
+    |k(A) - k(B)| <= ||W||_1 ||A - B||_max <= d ||A - B||_max. A lookup
+    compares a matrix with every stored one whose key lies within
+    d * DEDUP_GUARD * DEDUP_TOL of its own, which includes every stored
+    matrix inside the guard band: W decides which matrices get compared,
+    never a verdict. The stored matrices must be pairwise farther apart than
+    the guard band, so a lookup matches at most one.
     """
 
-    def __init__(self) -> None:
-        self._buckets: dict[bytes, list[int]] = {}
-        self._mats: list[np.ndarray] = []
+    def __init__(self, mats: np.ndarray) -> None:
+        """Index the (n, d, d) stack ``mats``, which must hold no duplicates."""
+        d = mats.shape[1]
+        w = np.random.default_rng(_KEY_SEED).standard_normal(d * d)
+        self._w = w / np.linalg.norm(w)
+        self._radius = d * DEDUP_GUARD * DEDUP_TOL
+        self._size = 0
+        self._mats = np.empty((0, d, d))
+        self._keys = np.empty(0)  # ascending
+        self._order = np.empty(0, dtype=np.intp)  # stored index of each key
+        if not np.all(self.first_occurrences(mats)):
+            raise DedupAmbiguityError("duplicate element in the input list")
+        self.add(mats)
 
-    def __len__(self) -> int:
-        return len(self._mats)
+    @property
+    def elements(self) -> np.ndarray:
+        return self._mats[:self._size]
 
-    @staticmethod
-    def _keys_for(mat: np.ndarray) -> list[bytes]:
-        q = mat / DEDUP_GRID
-        base = np.rint(q)
-        frac = q - base
-        flips = np.argwhere(np.abs(np.abs(frac) - 0.5) < _BOUNDARY_BAND)
-        base = base.astype(np.int64)
-        keys = [base.tobytes()]
-        if len(flips) == 0:
-            return keys
-        if len(flips) > _MAX_FLIP_PROBES:
-            return []  # signal: caller must linear-scan
-        for r in range(1, len(flips) + 1):
-            for subset in combinations(range(len(flips)), r):
-                alt = base.copy()
-                for s in subset:
-                    i, j = flips[s]
-                    alt[i, j] += 1 if frac[i, j] > 0 else -1
-                keys.append(alt.tobytes())
-        return keys
+    def _key(self, mats: np.ndarray) -> np.ndarray:
+        return mats.reshape(len(mats), self._w.size) @ self._w
 
-    def _check(self, candidate: np.ndarray, idx: int) -> bool:
-        dist = num.max_abs(candidate - self._mats[idx])
-        if dist <= DEDUP_TOL:
-            return True
-        if dist <= DEDUP_GUARD * DEDUP_TOL:
-            raise DedupAmbiguityError(
-                f"two elements at max-norm distance {dist:.3e}, inside "
-                f"({DEDUP_TOL:.0e}, {DEDUP_GUARD * DEDUP_TOL:.0e}]: "
-                "dedup tolerance misconfiguration"
-            )
-        return False
+    def lookup(self, mats: np.ndarray) -> np.ndarray:
+        """Stored index matching each matrix of the stack, or -1."""
+        keys = self._key(mats)
+        lo = np.searchsorted(self._keys, keys - self._radius, "left")
+        hi = np.searchsorted(self._keys, keys + self._radius, "right")
+        rows, cols = _window_pairs(lo, hi)
+        stored = self._order[cols]
+        same = _same(mats[rows], self._mats[stored])
+        found = np.full(len(mats), -1)
+        found[rows[same]] = stored[same]
+        return found
 
-    def find(self, candidate: np.ndarray) -> int | None:
-        keys = self._keys_for(candidate)
-        if not keys:
-            for idx in range(len(self._mats)):
-                if self._check(candidate, idx):
-                    return idx
-            return None
-        seen: set[int] = set()
-        for key in keys:
-            for idx in self._buckets.get(key, ()):
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                if self._check(candidate, idx):
-                    return idx
-        return None
+    def first_occurrences(self, mats: np.ndarray) -> np.ndarray:
+        """Mask of the matrices of the stack that match no earlier one."""
+        keys = self._key(mats)
+        order = np.argsort(keys, kind="stable")
+        ascending = keys[order]
+        hi = np.searchsorted(ascending, ascending + self._radius, "right")
+        rows, cols = _window_pairs(np.arange(1, len(mats) + 1), hi)
+        a, b = order[rows], order[cols]
+        first = np.ones(len(mats), dtype=bool)
+        first[np.maximum(a, b)[_same(mats[a], mats[b])]] = False
+        return first
 
-    def insert(self, mat: np.ndarray) -> int:
-        idx = len(self._mats)
-        self._mats.append(mat)
-        base = np.rint(mat / DEDUP_GRID).astype(np.int64).tobytes()
-        self._buckets.setdefault(base, []).append(idx)
-        return idx
+    def add(self, mats: np.ndarray) -> None:
+        """Append matrices that match no stored one and no other one added."""
+        keys = self._key(mats)
+        size = self._size + len(mats)
+        if size > len(self._mats):
+            grown = np.empty((max(size, 2 * len(self._mats)),) + self._mats.shape[1:])
+            grown[:self._size] = self.elements
+            self._mats = grown
+        self._mats[self._size:size] = mats
+        ascending = np.argsort(keys)
+        at = np.searchsorted(self._keys, keys[ascending])
+        self._keys = np.insert(self._keys, at, keys[ascending])
+        self._order = np.insert(self._order, at, np.arange(self._size, size)[ascending])
+        self._size = size
 
 
 @dataclass
@@ -241,7 +263,7 @@ class FiniteGroupData:
     identity_index: int
     cayley_closed: bool
     generators: tuple[np.ndarray, ...]
-    _table: _DedupTable = field(repr=False)
+    _index: _KeyIndex = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -251,49 +273,33 @@ class FiniteGroupData:
     def dimension(self) -> int:
         return int(self.elements.shape[1])
 
+    def lookup(self, mats: np.ndarray) -> np.ndarray:
+        """Index of the stored element matching each matrix of an (n, d, d)
+        stack within dedup tolerance, or -1."""
+        return self._index.lookup(np.asarray(mats, dtype=float))
+
     def find(self, mat: np.ndarray) -> int | None:
         """Index of the stored element matching ``mat`` within dedup
         tolerance, or None."""
-        return self._table.find(np.asarray(mat, dtype=float))
-
-    def verify_closure(self, n_pairs: int, seed: int) -> float:
-        """Spot-check: products of random element pairs match stored
-        elements. Returns the max deviation over the sampled pairs."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_pairs):
-            i, j = rng.integers(0, self.order, size=2)
-            prod = self.elements[i] @ self.elements[j]
-            idx = self.find(prod)
-            if idx is None:
-                raise DedupAmbiguityError(
-                    "closure spot-check found a product matching no element"
-                )
-            worst = max(worst, num.max_abs(prod - self.elements[idx]))
-        return worst
+        idx = int(self.lookup(np.asarray(mat, dtype=float)[None])[0])
+        return None if idx < 0 else idx
 
     @classmethod
     def from_elements(cls, elements, generators=(), identity_index: int | None = None,
                       cayley_closed: bool = True) -> "FiniteGroupData":
         """Index a list of matrices known to form a group (e.g. a restricted
         copy of an enumerated group)."""
-        elements = np.asarray(elements, dtype=float)
-        table = _DedupTable()
-        for mat in elements:
-            if table.find(mat) is not None:
-                raise DedupAmbiguityError("duplicate element in from_elements input")
-            table.insert(mat)
+        index = _KeyIndex(np.asarray(elements, dtype=float))
         if identity_index is None:
-            eye = np.eye(elements.shape[1])
-            identity_index = table.find(eye)
-            if identity_index is None:
+            identity_index = int(index.lookup(np.eye(index.elements.shape[1])[None])[0])
+            if identity_index < 0:
                 raise ValidationError("element list does not contain the identity")
         return cls(
-            elements=elements,
+            elements=index.elements,
             identity_index=identity_index,
             cayley_closed=cayley_closed,
             generators=tuple(np.asarray(g, dtype=float) for g in generators),
-            _table=table,
+            _index=index,
         )
 
 
@@ -301,42 +307,43 @@ def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
     """Breadth-first closure of the generators under multiplication.
 
     Deterministic: the queue is FIFO and generators are applied in listed
-    order, so element indices depend only on the spec. Raises
-    GroupSizeCapError when the closure exceeds groupSizeCap and
-    DedupAmbiguityError when two elements land in the dedup guard band.
+    order, so element indices depend only on the spec. The queue is worked
+    off in chunks of consecutive elements: all products of a chunk with the
+    generators come from one batched product in (element, generator) order,
+    are looked up together, deduplicated among themselves with the first
+    occurrence kept, and appended in that order, which is exactly the
+    element-by-element insertion order. Raises GroupSizeCapError iff the
+    order exceeds groupSizeCap and DedupAmbiguityError when a product lands
+    in the guard band of a stored element or of another product.
     """
     if spec.kind != "finite":
         raise ValidationError("enumerate_group requires kind=finite")
-    d = spec.dimension
-    table = _DedupTable()
-    elements: list[np.ndarray] = [np.eye(d)]
-    table.insert(elements[0])
+    gens = np.array(spec.generators)
+    index = _KeyIndex(np.eye(spec.dimension)[None])
     head = 0
-    while head < len(elements):
-        current = elements[head]
-        head += 1
-        for gen in spec.generators:
-            prod = current @ gen
-            if table.find(prod) is None:
-                if len(elements) >= spec.group_size_cap:
-                    raise GroupSizeCapError(
-                        f"group closure exceeded groupSizeCap={spec.group_size_cap}"
-                    )
-                table.insert(prod)
-                elements.append(prod)
+    while head < index.elements.shape[0]:
+        chunk = index.elements[head:head + _CHUNK]
+        head += len(chunk)
+        prods = np.matmul(chunk[:, None], gens[None]).reshape((-1,) + gens.shape[1:])
+        new = (index.lookup(prods) < 0) & index.first_occurrences(prods)
+        if index.elements.shape[0] + np.count_nonzero(new) > spec.group_size_cap:
+            raise GroupSizeCapError(
+                f"group closure exceeded groupSizeCap={spec.group_size_cap}"
+            )
+        index.add(prods[new])
 
-    stack = np.array(elements)
-    worst = max(num.orthogonality_residual(g) for g in stack)
-    if worst > DEDUP_TOL:
+    stack = index.elements
+    drift = np.abs(np.matmul(stack.transpose(0, 2, 1), stack) - np.eye(spec.dimension)).max()
+    if drift > DEDUP_TOL:
         raise ValidationError(
-            f"enumerated element drifted from orthogonality: {worst:.3e} > {DEDUP_TOL:.0e}"
+            f"enumerated element drifted from orthogonality: {drift:.3e} > {DEDUP_TOL:.0e}"
         )
     return FiniteGroupData(
         elements=stack,
         identity_index=0,
         cayley_closed=True,
         generators=spec.generators,
-        _table=table,
+        _index=index,
     )
 
 

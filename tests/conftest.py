@@ -27,3 +27,41 @@ def finite_group():
 def rot2(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def spec_of(generators, dimension, **extra):
+    """Finite spec of the generators, entries written as exact decimals."""
+    doc = {
+        "dimension": dimension,
+        "kind": "finite",
+        "generators": [[[repr(float(v)) for v in row] for row in g]
+                       for g in generators],
+    }
+    doc.update(extra)
+    return parse_spec(doc)
+
+
+def signed_permutations(n):
+    """Generators of the signed-permutation group B_n (order 2^n n!)."""
+    swap = np.eye(n)[[1, 0] + list(range(2, n))]
+    cycle = np.roll(np.eye(n), 1, axis=0)
+    flip = np.eye(n)
+    flip[0, 0] = -1.0
+    return [swap, cycle, flip]
+
+
+def cyclic_weights(n, weights):
+    """Generator of C_n on C^k rotating block j by 2 pi weights[j] / n."""
+    k = len(weights)
+    g = np.zeros((2 * k, 2 * k))
+    for j, w in enumerate(weights):
+        g[2 * j:2 * j + 2, 2 * j:2 * j + 2] = rot2(2.0 * np.pi * w / n)
+    return g
+
+
+def in_random_basis(generators, seed):
+    """The generators conjugated by a Haar-random orthogonal matrix."""
+    d = generators[0].shape[0]
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    return [q @ g @ q.T for g in generators]

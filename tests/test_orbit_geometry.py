@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rot2
+from conftest import cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of
 from orbit_isom.catalog import get_action, trivial_action
 from orbit_isom.errors import KernelAmbiguityError, ValidationError
-from orbit_isom.fixtures import fixture_document
+from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.orbit_geometry import (
     QuotientPoint,
     has_boundary,
@@ -214,3 +214,26 @@ def test_sector_estimate_converges_from_below():
 
 def test_sector_estimate_trivial_plane():
     assert abs(sector_angle_estimate(trivial_action(2), 400, 0) - math.pi) < 1e-2
+
+
+def full_svd_boundary(group):
+    """has_boundary's rank rule applied to every element."""
+    diffs = group.elements - np.eye(group.dimension)
+    ranks = (np.linalg.svd(diffs, compute_uv=False) > 1e-7).sum(axis=1)
+    return bool(np.any(ranks == 1))
+
+
+BOUNDARY_CASES = {
+    **{name: parse_spec(fixture_document(name)).generators for name in FIXTURE_NAMES},
+    **{f"{name}@random-basis": in_random_basis(parse_spec(fixture_document(name)).generators, 7)
+       for name in ("c5", "d4", "q8", "c3-fix", "c3xd4-r4")},
+    **{f"B{n}": in_random_basis(signed_permutations(n), n) for n in (3, 4, 5)},
+    **{f"C{n}": in_random_basis([cyclic_weights(n, (1, 2, 3))], n) for n in (24, 60)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+def test_has_boundary_agrees_with_the_full_rank_test(name):
+    generators = BOUNDARY_CASES[name]
+    group = enumerate_group(spec_of(generators, len(generators[0])))
+    assert has_boundary(group) is full_svd_boundary(group)

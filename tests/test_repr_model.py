@@ -3,28 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rot2
+from conftest import cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of
 from orbit_isom.errors import DedupAmbiguityError, GroupSizeCapError, ValidationError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.repr_model import (
+    DEDUP_TOL,
+    FiniteGroupData,
     enumerate_group,
     fixed_subspace,
     load_spec,
     parse_spec,
     restrict_group,
 )
-
-
-def spec_of(generators, dimension, **extra):
-    doc = {
-        "dimension": dimension,
-        "kind": "finite",
-        "generators": [[[repr(float(v)) for v in row] for row in g]
-                       for g in generators],
-    }
-    doc.update(extra)
-    return parse_spec(doc)
 
 
 EXPECTED_ORDERS = {
@@ -89,6 +82,59 @@ def test_dedup_ambiguity_band():
     theta = 2.0 * math.pi / 3.0
     with pytest.raises(DedupAmbiguityError):
         enumerate_group(spec_of([rot2(theta), rot2(theta + 3e-8)], 2))
+
+
+@pytest.mark.parametrize("generators", [[rot2(2.0 * math.pi / 64)], signed_permutations(5)],
+                         ids=["C64", "B5"])
+def test_group_size_cap_admits_exactly_the_order(generators):
+    order = enumerate_group(spec_of(generators, len(generators[0]))).order
+    assert enumerate_group(spec_of(generators, len(generators[0]),
+                                   groupSizeCap=order)).order == order
+    with pytest.raises(GroupSizeCapError):
+        enumerate_group(spec_of(generators, len(generators[0]), groupSizeCap=order - 1))
+
+
+def test_from_elements_rejects_a_copy_across_a_rounding_boundary():
+    # 7.47e-6 and 7.53e-6 round to different 1e-6 cells, yet sit 6e-8 apart:
+    # inside the guard band, so neither equal nor safely distinct
+    a = -np.eye(2)
+    a[0, 1] = (7 + 0.47) * 1e-6
+    copy = a.copy()
+    copy[0, 1] += 6e-8
+    with pytest.raises(DedupAmbiguityError):
+        FiniteGroupData.from_elements([np.eye(2), a, copy])
+
+
+def naive_closure(generators):
+    """Sequential BFS; each product is compared with every stored element."""
+    elements = [np.eye(len(generators[0]))]
+    head = 0
+    while head < len(elements):
+        current = elements[head]
+        head += 1
+        for g in generators:
+            prod = current @ g
+            if np.abs(np.array(elements) - prod).max(axis=(1, 2)).min() > DEDUP_TOL:
+                elements.append(prod)
+    return np.array(elements)
+
+
+CLOSURE_CASES = {
+    **{name: parse_spec(fixture_document(name)).generators for name in FIXTURE_NAMES},
+    **{f"C{n}": [cyclic_weights(n, (1, 2))] for n in (2, 5, 12, 24)},
+    "B3": signed_permutations(3),
+    "B4": signed_permutations(4),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CLOSURE_CASES)), st.integers(0, 2**32 - 1))
+def test_enumeration_matches_a_naive_closure_in_a_random_basis(name, seed):
+    generators = in_random_basis(CLOSURE_CASES[name], seed)
+    group = enumerate_group(spec_of(generators, len(generators[0])))
+    naive = naive_closure(spec_of(generators, len(generators[0])).generators)
+    assert group.elements.shape == naive.shape
+    assert np.abs(group.elements - naive).max() <= 4 * np.finfo(float).eps
 
 
 def test_dedup_identifies_drifted_copy():
