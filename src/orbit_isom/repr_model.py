@@ -184,7 +184,8 @@ class _KeyIndex:
     compares a matrix with every stored one whose key lies within
     d * DEDUP_GUARD * DEDUP_TOL of its own, which includes every stored
     matrix inside the guard band: W decides which matrices get compared,
-    never a verdict. The stored matrices must be pairwise farther apart than
+    never a verdict. (||W||_1 reaches d only when all entries of W have one
+    magnitude, so the window also absorbs the roundoff of the keys.) The stored matrices must be pairwise farther apart than
     the guard band, so a lookup matches at most one.
     """
 
