@@ -150,7 +150,8 @@ class CatalogAction:
 
     def _factors(self, params) -> np.ndarray:
         """(k, d, d) stack of E_j = exp(t_j X_j), from scalar sin/cos: the
-        single-element path runs hot inside the golden-section fallback."""
+        single-element path, run by ``apply_with_jacobian`` once per L-BFGS-B
+        evaluation."""
         ts = np.asarray(params, dtype=float).tolist()
         coeffs = [c for t in ts for c in (1.0, math.sin(t), 1.0 - math.cos(t))]
         return np.dot(coeffs, self._basis).reshape((len(ts),) + self.generators[0].shape)

@@ -4,11 +4,11 @@ The quotient distance between orbits is d(Gx, Gy) = min_g ||x - g y||. For
 finite groups the minimum is exact over the enumerated elements. For catalog
 actions it is approximated from below-in-parameters / above-in-value: a
 coarse deterministic grid pass (density m elements, chordal error O(1/m))
-followed by local refinement over the sampler parameters (L-BFGS-B with the
-exact gradient from the action's one-parameter-subgroup Jacobian,
-golden-section coordinate sweeps as fallback). Refined values always
-upper-bound the true distance, since they are minima over a finite subset of
-the group.
+followed by local refinement over the sampler parameters: L-BFGS-B with the
+exact gradient from the action's one-parameter-subgroup Jacobian, and
+golden-section coordinate sweeps only when L-BFGS-B reports no convergence.
+Refined values always upper-bound the true distance, since they are minima
+over a finite subset of the group.
 
 Boundary detection for finite groups looks for a hyperplane reflection: an
 element whose fixed subspace has dimension exactly dim V - 1, equivalently
@@ -44,15 +44,11 @@ class QuotientPoint:
     def __post_init__(self):
         rep = np.asarray(self.representative, dtype=float)
         object.__setattr__(self, "representative", rep)
-        d = _dimension(self.context)
+        d = self.context.dimension
         if rep.shape != (d,):
             raise ValidationError(
                 f"point has shape {rep.shape}, context dimension is {d}"
             )
-
-
-def _dimension(ctx: Context) -> int:
-    return ctx.dimension
 
 
 def _same_context(a: Context, b: Context) -> bool:
@@ -71,9 +67,11 @@ def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray,
     A quasi-Newton stage runs first on ``cost``, which returns the value and
     exact gradient of a smooth cost with the same minimizers as f; it
     tracks the curved ridges where axis-aligned sweeps zigzag (Euler angles
-    near a polar degeneracy couple two axes). Golden-section coordinate
-    sweeps on f remain as a derivative-free fallback (``rounds`` of them,
-    spans halving per round).
+    near a polar degeneracy couple two axes). It returns as soon as
+    L-BFGS-B reports convergence or the value reaches ``stop``; only an
+    unconverged run (e.g. an abnormal line-search exit) falls through to
+    derivative-free golden-section coordinate sweeps on f (``rounds`` of
+    them, spans halving per round).
     """
     spans0 = action.grid_spacings(density)
     p = np.array(p0, dtype=float)
@@ -84,7 +82,7 @@ def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray,
     if val < best:
         best = val
         p = np.asarray(res.x, dtype=float)
-    if stop is not None and best <= stop:
+    if res.success or (stop is not None and best <= stop):
         return best
     for r in range(rounds):
         p, val = num.coordinate_descent(
@@ -221,7 +219,7 @@ def sample_generic_point(ctx: Context, rng: np.random.Generator,
     less than GENERIC_MIN_MOVE. Catalog case: rejected while the action's
     genericity predicate fails (points too close to singular strata).
     """
-    d = _dimension(ctx)
+    d = ctx.dimension
     for _ in range(max_tries):
         x = num.random_unit_vector(rng, d)
         if isinstance(ctx, FiniteGroupData):
@@ -246,7 +244,7 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
     (tolerance boundary); anything larger is a clean failure.
     """
     candidate = np.asarray(candidate, dtype=float)
-    d = _dimension(ctx)
+    d = ctx.dimension
     if candidate.shape != (d, d):
         raise ValidationError("candidate shape does not match context dimension")
     if num.orthogonality_residual(candidate) > 1e-8:
@@ -282,14 +280,19 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
 
 def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
                       density: int | None, chunk: int = 256) -> np.ndarray:
+    """max over the grid of a_p^T g_n b_p for every pair p.
+
+    a^T g b = <a b^T, g>_F, so each chunk is one product of its flattened
+    outer products (chunk, d^2) with the flattened grid (d^2, N).
+    """
     _, els = action.grid(density)
+    flat = els.reshape(len(els), -1).T
     out = np.empty(len(a_pts))
     for start in range(0, len(a_pts), chunk):
         asl = a_pts[start:start + chunk]
         bsl = b_pts[start:start + chunk]
-        gb = np.einsum("nij,pj->pni", els, bsl)
-        dots = np.einsum("pni,pi->pn", gb, asl)
-        out[start:start + chunk] = dots.max(axis=1)
+        outer = (asl[:, :, None] * bsl[:, None, :]).reshape(len(asl), -1)
+        out[start:start + chunk] = (outer @ flat).max(axis=1)
     return out
 
 

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from conftest import cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of
+from orbit_isom import orbit_geometry
 from orbit_isom.catalog import get_action, trivial_action
 from orbit_isom.errors import KernelAmbiguityError, ValidationError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.orbit_geometry import (
     QuotientPoint,
+    _batched_max_dots,
     has_boundary,
     orbit_equivalence_test,
     quotient_distance,
@@ -111,14 +114,44 @@ def _block_distance(x, y):
                       np.linalg.norm(x[2:]) - np.linalg.norm(y[2:]))
 
 
+def _tensor_distance(x, y):
+    # R^2 (x) R^3 as 2 x 3 matrices, g X = A X B^T: the orbit of X is fixed
+    # by its singular values, and max <X, A Y B^T> = sum sigma_i tau_i (the
+    # free third axis of R^3 absorbs any determinant sign)
+    sx = np.linalg.svd(x.reshape(2, 3), compute_uv=False)
+    sy = np.linalg.svd(y.reshape(2, 3), compute_uv=False)
+    return math.sqrt(max(x @ x + y @ y - 2.0 * float(sx @ sy), 0.0))
+
+
+def _record_refinements(monkeypatch):
+    """Log each L-BFGS-B run's ``success`` and count fallback calls after it."""
+    log = []
+    minimize, descend = orbit_geometry._opt.minimize, orbit_geometry.num.coordinate_descent
+
+    def recording_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        log.append([bool(res.success), 0])
+        return res
+
+    def counting_descent(*args, **kwargs):
+        log[-1][1] += 1
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(orbit_geometry._opt, "minimize", recording_minimize)
+    monkeypatch.setattr(orbit_geometry.num, "coordinate_descent", counting_descent)
+    return log
+
+
 @pytest.mark.parametrize("action_id,closed_form", [
     ("hopf-u1-r4", _hopf_distance),
     ("so2xso3-r5", _block_distance),
+    ("so2-tensor-so3-r6", _tensor_distance),
 ])
-def test_catalog_distance_matches_closed_form(action_id, closed_form):
+def test_catalog_distance_matches_closed_form(action_id, closed_form, monkeypatch):
     # nonzero distances: an inexact gradient stops the refinement short of
     # the minimum and leaves the value too large
     action = get_action(action_id)
+    log = _record_refinements(monkeypatch)
     rng = np.random.default_rng(12)
     for _ in range(10):
         x, y = rng.standard_normal((2, action.dimension))
@@ -126,6 +159,28 @@ def test_catalog_distance_matches_closed_form(action_id, closed_form):
         want = closed_form(x, y)
         assert want > 0.1
         assert abs(d - want) < 1e-9
+    # one L-BFGS-B run per distance; the golden-section fallback follows
+    # exactly the runs that did not converge
+    assert len(log) == 10
+    for converged, fallback_calls in log:
+        assert (fallback_calls > 0) == (not converged)
+
+
+def test_unconverged_refinement_falls_back_to_golden_sections(monkeypatch):
+    def stalled(fun, x0, **_):
+        return OptimizeResult(x=np.array(x0, dtype=float), fun=fun(x0)[0],
+                              success=False, status=2, nit=0, nfev=1)
+
+    monkeypatch.setattr(orbit_geometry._opt, "minimize", stalled)
+    log = _record_refinements(monkeypatch)
+    action = get_action("hopf-u1-r4")
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, action.dimension))
+        d = quotient_distance(QuotientPoint(x, action), QuotientPoint(y, action))
+        assert abs(d - _hopf_distance(x, y)) < 1e-9
+    assert len(log) == 5
+    assert all(not converged and fallback_calls > 0 for converged, fallback_calls in log)
 
 
 def test_trivial_action_distance_is_euclidean():
@@ -210,6 +265,22 @@ def test_sector_estimate_converges_from_below():
     for est in estimates:
         assert est <= target + 1e-4
         assert est >= target - 5e-3
+
+
+@pytest.mark.parametrize("action", [get_action("hopf-u1-r4"), get_action("so2xso3-r5"),
+                                    get_action("so2-tensor-so3-r6"), trivial_action(3)],
+                         ids=lambda action: action.id)
+@pytest.mark.parametrize("pairs", [1, 255, 256, 257, 600])
+@pytest.mark.parametrize("density", [None, 1000])
+def test_batched_max_dots_match_the_per_pair_maximum(action, pairs, density):
+    # pair counts straddle the 256-pair chunk edges; the default grids are
+    # closed under g -> g^T, the odd-count Euler grid of density 1000 is
+    # not, so there a b a^T outer product in place of a b^T shows
+    rng = np.random.default_rng(pairs)
+    a_pts, b_pts = rng.standard_normal((2, pairs, action.dimension))
+    _, els = action.grid(density)
+    want = np.array([((els @ b) @ a).max() for a, b in zip(a_pts, b_pts)])
+    assert np.max(np.abs(_batched_max_dots(action, a_pts, b_pts, density) - want)) < 1e-13
 
 
 def test_sector_estimate_trivial_plane():
