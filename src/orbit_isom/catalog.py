@@ -122,6 +122,9 @@ class CatalogAction:
     # so one product with the coefficients (1, sin t_j, 1 - cos t_j) of
     # every axis gives all factors exp(t_j X_j) at once.
     _basis: np.ndarray = field(init=False, repr=False)
+    # Grids and the Haar quadrature, per instance: they follow from the
+    # generators, which two actions sharing an id need not share.
+    _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         gens = tuple(np.array(x, dtype=float) for x in self.generators)
@@ -206,11 +209,10 @@ class CatalogAction:
         """(params (N, k), elements (N, d, d)) for the coarse search grid.
 
         Periodic axes use endpoint-excluded uniform grids that include 0, so
-        the identity is always on the grid. Cached per (id, density).
+        the identity is always on the grid. Cached per density.
         """
         density = DEFAULT_DENSITY if density is None else int(density)
-        key = (self.id, density)
-        cached = _GRID_CACHE.get(key)
+        cached = self._cache.get(density)
         if cached is not None:
             return cached
         counts = self.grid_counts(density)
@@ -221,8 +223,8 @@ class CatalogAction:
             else:
                 axes_vals.append(np.linspace(0.0, ax.length, n))
         params = _mesh(axes_vals)
-        _GRID_CACHE[key] = (params, self.elements(params))
-        return _GRID_CACHE[key]
+        self._cache[density] = (params, self.elements(params))
+        return self._cache[density]
 
     def grid_spacings(self, density: int | None = None) -> np.ndarray:
         density = DEFAULT_DENSITY if density is None else int(density)
@@ -235,12 +237,11 @@ class CatalogAction:
     def fs_sample(self):
         """(elements, weights) Haar quadrature for indicator sums: the
         tensor product of the per-axis rules."""
-        key = (self.id, "haar")
-        cached = _GRID_CACHE.get(key)
+        cached = self._cache.get("haar")
         if cached is None:
             nodes, weights = zip(*(ax.haar_rule() for ax in self.axes))
             cached = (self.elements(_mesh(nodes)), _mesh(weights).prod(axis=1))
-            _GRID_CACHE[key] = cached
+            self._cache["haar"] = cached
         return cached
 
     def probe_generators(self) -> tuple[np.ndarray, ...]:
@@ -252,9 +253,6 @@ class CatalogAction:
 
     def is_generic(self, x: np.ndarray) -> bool:
         return self.generic_fn(np.asarray(x, dtype=float))
-
-
-_GRID_CACHE: dict = {}
 
 
 def _mesh(axes_vals) -> np.ndarray:

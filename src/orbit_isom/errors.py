@@ -44,8 +44,10 @@ class TypeInconsistencyError(AmbiguityError):
 
 
 class KernelAmbiguityError(AmbiguityError):
-    """A kernel candidate passed orbit-triviality at some probe parameters
-    and failed at others beyond tolerance."""
+    """The descent kernel cannot be resolved without guessing: an orbit
+    distance fell inside the guard band, the kernel algebra changed
+    dimension as generic points were added, or it is no sum of whole
+    factors and center circles, so the report cannot express it."""
 
 
 class InternalCheckError(OrbitIsomError):

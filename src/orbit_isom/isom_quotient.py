@@ -6,10 +6,11 @@ Isom_G(V)_0 = prod H_i over the isotypic components, then identify the kernel
 of the descent homomorphism p: Isom_G(V)_0 -> Isom(V/G)_0. For a finite G
 the kernel is computed exactly, with or without boundary: it is the set of
 central elements of G lying in the identity component. For a catalog action
-of a continuous group it is searched over the action's central circles,
-per-factor centers and whole-factor probes; without boundary the result is
-checked against the central circles as a hard check, and with boundary it
-is reported as a verified lower bound.
+of a continuous group its identity component is computed from its Lie
+algebra, the equivariant directions tangent to every orbit, a linear system
+over generic points; only the -I blocks outside it are tested against the
+orbit oracle. Without boundary the result is checked against the central
+circles of the action as a hard check (Proposition 4.1b).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .commutant import (
     isotypic_split,
 )
 from .errors import InternalCheckError, KernelAmbiguityError, OrbitIsomError, ValidationError
-from .orbit_geometry import has_boundary, orbit_equivalence_test
+from .orbit_geometry import has_boundary, orbit_equivalence_test, sample_generic_point
 from .repr_model import (
     DEDUP_TOL,
     DEFAULT_SEED,
@@ -46,9 +47,10 @@ from .repr_model import (
 )
 
 DEFAULT_SAMPLE_COUNT = 200
-CIRCLE_TEST_TIMES = (0.1, 0.37, 1.01)
-WHOLE_FACTOR_PROBES = 5
 CENTRAL_TOL = 1e-8
+# Absolute rank floor of the kernel-algebra systems, whose rows have unit
+# scale; the RANK_GUARD band above it aborts instead of guessing.
+KERNEL_RANK_FLOOR = 1e-9
 
 FORMULA_BOUNDARY_FREE = "proposition-4.1b"
 FORMULA_SEARCH = "central-kernel-search"
@@ -134,9 +136,10 @@ class KernelDescription:
 
     finite_part lists the elements of the kernel's finite part, a group that
     always contains the identity: exactly Z(G) meet Isom_G(V)_0 for a finite
-    G, and the products of the orbit-trivial -I blocks found by the search
-    for a catalog action. continuous_part lists the lie-basis indices whose
-    circle subgroups are orbit-trivial (catalog actions only).
+    G, and the products of the orbit-trivial -I blocks for a catalog action.
+    continuous_part lists the center-circle lie-basis indices inside the
+    kernel algebra (catalog actions only); with the whole factors they span
+    it exactly.
     """
 
     finite_part: tuple
@@ -162,11 +165,53 @@ def _discrete_center_candidate(factor, equiv: EquivariantIsometryGroup,
     return None
 
 
+def kernel_algebra(equiv: EquivariantIsometryGroup, action: CatalogAction,
+                   seed: int = DEFAULT_SEED):
+    """Lie(ker p)_0 as (null, complement): orthonormal coefficient columns
+    over ``equiv.lie_basis`` spanning the kernel algebra and its complement.
+
+    X in Lie H descends trivially iff X x lies in the orbit tangent space
+    g.x for every x, and generic x suffice. With N_x the orthonormal normal
+    space of the orbit (the null space of [X_j x]^T), the condition reads
+    N_x^T [A_i x]_i c = 0 on the coefficients c, one block of rows per
+    point. Points are unit vectors and the bases orthonormal, so the rows
+    have unit scale and the ranks take the absolute floor KERNEL_RANK_FLOOR.
+    The null space of d stacked points must survive d more.
+    """
+    gens = np.stack(action.generators)
+    basis = equiv.lie_basis
+    d = action.dimension
+    rng = np.random.default_rng([seed, 104729])
+    rows = []
+    dims = []
+    for _ in range(2):
+        for _ in range(d):
+            x = sample_generic_point(action, rng)
+            normal, _ = num.nullspace(gens @ x, rank_tol=KERNEL_RANK_FLOOR,
+                                      what="orbit tangent space")
+            rows.append(normal.T @ (basis @ x).T)
+        null, complement = num.nullspace(np.vstack(rows), rank_tol=KERNEL_RANK_FLOOR,
+                                         what="kernel algebra")
+        dims.append(null.shape[1])
+    if dims[0] != dims[1]:
+        raise KernelAmbiguityError(
+            f"kernel algebra dimension unstable: {dims[0]} from {d} generic "
+            f"points, {dims[1]} from {2 * d}")
+    return null, complement
+
+
+def _in_kernel_algebra(complement: np.ndarray, coeffs: np.ndarray) -> bool:
+    """Whether the coefficient vectors (columns) lie in the kernel algebra:
+    their component along the complement is roundoff or aborts in-band."""
+    off = float(np.linalg.norm(complement.T @ coeffs))
+    return num.split_spectrum(np.array([off]), CENTRAL_TOL, "kernel membership") == 0
+
+
 def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
                    sample_count: int = DEFAULT_SAMPLE_COUNT,
                    seed: int = DEFAULT_SEED,
                    density: int | None = None) -> KernelDescription:
-    """ker(p): computed exactly for a finite G, searched for a catalog action.
+    """ker(p), computed for a finite G and for a catalog action.
 
     Finite G: the kernel is Z(G) meet Isom_G(V)_0, with or without boundary.
     If z in Isom_G(V)_0 maps every orbit to itself, V is the union of the
@@ -174,12 +219,13 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
     finite union of proper subspaces, so z is some g, and it commutes with G.
     No element is tested against the orbit oracle.
 
-    Catalog action: the central circle directions of the action must pass
-    the orbit test (failing one is an internal error); per factor, 5 random
-    whole-factor probes, the center circle generator for U(n)/SO(2) factors
-    at t in {0.1, 0.37, 1.01}, and the -I block for Sp(n) and even
-    SO(n >= 4) factors. A circle passing at some t and failing at others
-    aborts as ambiguous.
+    Catalog action: the identity component comes from ``kernel_algebra``.
+    A factor is whole when its Lie slice lies in that algebra, and a center
+    circle is in when its generator does; the algebra must be exactly the
+    whole factors plus those circles (anything else, such as a diagonal
+    subtorus, aborts as ambiguous), and must hold every central direction
+    of the action. Only the -I blocks of Sp(n) and even SO(n >= 4) factors
+    that are neither whole nor circle-in go to the orbit oracle.
     """
     d = ctx.dimension
     if isinstance(ctx, FiniteGroupData):
@@ -194,64 +240,54 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
             contains_center_of_g=True, whole_factors=(),
             factor_discrete=tuple(factor_discrete))
 
-    for a in ctx.central_directions():
-        for t in CIRCLE_TEST_TIMES:
-            if not orbit_equivalence_test(ctx, num.expm(t * a), sample_count,
-                                          seed, density=density):
-                raise InternalCheckError(
-                    "a central circle of the action moved an orbit; the "
-                    "kernel must contain the center of the image")
-
+    null, complement = kernel_algebra(equiv, ctx, seed)
+    eye = np.eye(equiv.lie_basis.shape[0])
     continuous: list[int] = []
     whole: list[int] = []
     factor_discrete: list[int] = []
     # The -I blocks sit on distinct components, so they are commuting
     # involutions and their group is the set of their 2^k subset products.
     finite_part = [np.eye(d)]
-    rng = np.random.default_rng([seed, 104729])
+    explained: list[int] = []  # lie-basis indices of whole factors and circles
 
     for fi, factor in enumerate(equiv.factors):
         if factor.dim == 0:
-            continue  # SO(1): trivial factor, nothing to test
-        sub = equiv.factor_lie_basis(factor)
-
-        whole_ok = True
-        for _ in range(WHOLE_FACTOR_PROBES):
-            coeff = rng.standard_normal(factor.dim)
-            coeff /= np.linalg.norm(coeff)
-            probe = num.expm(np.tensordot(coeff, sub, axes=1))
-            if not orbit_equivalence_test(ctx, probe, sample_count, seed,
-                                          density=density):
-                whole_ok = False
-                break
-        if whole_ok:
+            continue  # SO(1): trivial factor
+        circle = factor.center_circle_index
+        if _in_kernel_algebra(complement, eye[:, factor.lie_start:factor.lie_stop]):
             whole.append(fi)
-            if factor.center_circle_index is not None:
-                continuous.append(factor.center_circle_index)
+            explained += range(factor.lie_start, factor.lie_stop)
+            if circle is not None:
+                continuous.append(circle)
             continue
+        if circle is not None and _in_kernel_algebra(complement, eye[:, circle]):
+            continuous.append(circle)
+            explained.append(circle)
+            continue
+        z = _discrete_center_candidate(factor, equiv, d)
+        if z is not None and orbit_equivalence_test(ctx, z, sample_count, seed,
+                                                    density=density):
+            factor_discrete.append(fi)
+            finite_part += [k @ z for k in finite_part]
 
-        circle_in = False
-        if factor.center_circle_index is not None:
-            a = equiv.lie_basis[factor.center_circle_index]
-            verdicts = [
-                orbit_equivalence_test(ctx, num.expm(t * a), sample_count, seed,
-                                       density=density)
-                for t in CIRCLE_TEST_TIMES
-            ]
-            if all(verdicts):
-                circle_in = True
-                continuous.append(factor.center_circle_index)
-            elif any(verdicts):
-                raise KernelAmbiguityError(
-                    f"kernel resolution ambiguous: the center circle of "
-                    f"{factor.name} passes at some test angles and fails at others")
+    if null.shape[1] != len(explained):
+        residual = null - eye[:, explained] @ null[explained]
+        touched = [f"{f.name} (factor {fi})" for fi, f in enumerate(equiv.factors)
+                   if num.max_abs(residual[f.lie_start:f.lie_stop]) > CENTRAL_TOL]
+        raise KernelAmbiguityError(
+            f"the kernel algebra has {null.shape[1] - len(explained)} direction(s) "
+            f"beyond whole factors and center circles (residual "
+            f"{np.linalg.norm(residual):.3e} on {', '.join(touched)}); the "
+            f"report cannot express it")
 
-        if not circle_in:
-            z = _discrete_center_candidate(factor, equiv, d)
-            if z is not None and orbit_equivalence_test(ctx, z, sample_count, seed,
-                                                        density=density):
-                factor_discrete.append(fi)
-                finite_part += [k @ z for k in finite_part]
+    for a in ctx.central_directions():
+        a = np.asarray(a, dtype=float) / num.frobenius(a)
+        coeffs = np.einsum("kij,ij->k", equiv.lie_basis, a)
+        off_h = num.max_abs(a - np.tensordot(coeffs, equiv.lie_basis, axes=1))
+        if off_h > CENTRAL_TOL or not _in_kernel_algebra(complement, coeffs):
+            raise InternalCheckError(
+                "a central circle of the action is outside the computed "
+                "kernel algebra; the kernel must contain the center of the image")
 
     return KernelDescription(
         finite_part=tuple(finite_part),
@@ -265,36 +301,22 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
 def _assert_boundary_free_kernel(kernel: KernelDescription, action: CatalogAction,
                                  equiv: EquivariantIsometryGroup) -> None:
     """Hard check: without boundary the kernel of a catalog action is
-    exactly the central circles of the action's image."""
+    exactly the central circles of the action's image (Proposition 4.1b).
+    ``compute_kernel`` has put every central direction in the kernel; this
+    checks that the kernel holds nothing else."""
     if kernel.whole_factors or kernel.factor_discrete or len(kernel.finite_part) != 1:
         raise InternalCheckError(
             "boundary-free catalog quotient produced kernel parts beyond "
             "the central circles")
-    central = action.central_directions()
-    if not central and kernel.continuous_part:
-        raise InternalCheckError(
-            "boundary-free catalog quotient has kernel circles but the "
-            "action image has no central circle")
-    if not kernel.continuous_part and central:
-        raise InternalCheckError(
-            "the central circle of the action is missing from the kernel")
-    if central:
-        span = num.span_basis(np.stack([np.asarray(a, float) for a in central]))
-        kernel_dirs = np.stack([equiv.lie_basis[i] for i in kernel.continuous_part])
-        kspan = num.span_basis(kernel_dirs)
-        for a in kernel_dirs:
-            coeffs = np.einsum("kij,ij->k", span, a)
-            proj = np.tensordot(coeffs, span, axes=1)
-            if num.max_abs(a - proj) > CENTRAL_TOL:
-                raise InternalCheckError(
-                    "a kernel circle is not central in the image despite the "
-                    "quotient having no boundary")
-        for a in span:
-            coeffs = np.einsum("kij,ij->k", kspan, a)
-            proj = np.tensordot(coeffs, kspan, axes=1)
-            if num.max_abs(a - proj) > CENTRAL_TOL:
-                raise InternalCheckError(
-                    "a central circle of the image is missing from the kernel")
+    d = action.dimension
+    span = num.span_basis(np.asarray(action.central_directions(), dtype=float).reshape(-1, d, d))
+    for i in kernel.continuous_part:
+        a = equiv.lie_basis[i]
+        proj = np.tensordot(np.einsum("kij,ij->k", span, a), span, axes=1)
+        if num.max_abs(a - proj) > CENTRAL_TOL:
+            raise InternalCheckError(
+                "a kernel circle is not central in the image despite the "
+                "quotient having no boundary")
 
 
 _FACTOR_NAME_RE = re.compile(r"^(SO|U|Sp)\((\d+)\)$")
@@ -471,9 +493,10 @@ def _kernel_method_text(boundary: bool, finite: bool) -> str:
         return ("boundary present: G is finite, so the kernel is exactly the "
                 "central elements inside the identity component (computed, "
                 "not searched)")
-    return ("boundary present: kernel searched over central candidates, "
-            "factor centers, and whole-factor probes; the result is a "
-            "verified lower bound, not a completeness claim")
+    return ("boundary present: the kernel's identity component is computed "
+            "from its Lie algebra (equivariant directions tangent to every "
+            "orbit at generic points), not searched; only -I blocks outside "
+            "it are tested against the orbit oracle")
 
 
 def _resolve_source(source):

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _opt
 
 from . import _numerics as num
 from .catalog import CatalogAction
@@ -51,12 +50,15 @@ class QuotientPoint:
             )
 
 
-def _same_context(a: Context, b: Context) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, CatalogAction) and isinstance(b, CatalogAction):
-        return a.id == b.id
-    return False
+def _minimize(cost, p0: np.ndarray, **options):
+    """L-BFGS-B on ``cost``, which returns the value and exact gradient.
+
+    scipy.optimize is imported on the first refinement rather than with
+    the package: analyses that refine nothing never load it.
+    """
+    from scipy import optimize
+
+    return optimize.minimize(cost, p0, method="L-BFGS-B", jac=True, options=options)
 
 
 def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray,
@@ -76,8 +78,7 @@ def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray,
     spans0 = action.grid_spacings(density)
     p = np.array(p0, dtype=float)
     best = f(p)
-    res = _opt.minimize(cost, p, method="L-BFGS-B", jac=True,
-                        options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 300})
+    res = _minimize(cost, p, gtol=1e-12, ftol=1e-16, maxiter=300)
     val = f(res.x)
     if val < best:
         best = val
@@ -163,7 +164,9 @@ def quotient_distance(a: QuotientPoint, b: QuotientPoint, *,
 
     Exact for finite contexts; grid + refinement for catalog contexts.
     """
-    if not _same_context(a.context, b.context):
+    # Contexts compare by identity: two actions may share an id and differ
+    # in their generators.
+    if a.context is not b.context:
         raise ValidationError("quotient_distance: points live in different contexts")
     ctx = a.context
     x, y = a.representative, b.representative
@@ -318,8 +321,7 @@ def _refined_sphere_distance(action: CatalogAction, a: np.ndarray, b: np.ndarray
     # angle within ~1e-9/sin(theta). Tighter settings never terminate at
     # strata pairs, where the maximizer is a whole subgroup and the
     # gradient cannot vanish along it.
-    res = _opt.minimize(_neg_dot_cost(action, a, b), p0, method="L-BFGS-B", jac=True,
-                        options={"gtol": 1e-8, "ftol": 1e-12, "maxiter": 150})
+    res = _minimize(_neg_dot_cost(action, a, b), p0, gtol=1e-8, ftol=1e-12, maxiter=150)
     if -float(res.fun) >= base:
         best, p_best = -float(res.fun), np.asarray(res.x, dtype=float)
     else:

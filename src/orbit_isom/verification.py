@@ -43,6 +43,8 @@ SECTOR_TOL = 1e-2
 HOPF_METRIC_TOL = 1e-3
 HOPF_BUDGET_SECONDS = 30.0
 SECTOR_BUDGET_SECONDS = 60.0
+CATALOG_LABELS = ("catalog:hopf-u1-r4", "catalog:so2xso3-r5", "catalog:so2-tensor-so3-r6")
+CIRCLE_TEST_TIMES = (0.1, 0.37, 1.01)
 
 _SCHUR_WEIGHT = {"Real": 1, "Complex": 2, "Quaternionic": 4}
 _SKEW_DIM = {
@@ -204,6 +206,42 @@ def _matched(element: np.ndarray, pool) -> bool:
     return any(num.max_abs(element - other) <= 1e-8 for other in pool)
 
 
+def _catalog_kernel_problems(label: str, memo: _AnalysisMemo) -> list[str]:
+    """The orbit oracle against a catalog kernel computed from its Lie
+    algebra: each kernel circle fixes every orbit at several angles, a
+    random element of each whole factor does, and a random element of each
+    factor outside the kernel does not."""
+    result = memo.analysis(label)
+    ctx, equiv, kernel = result.context, result.equiv, result.kernel
+    rng = np.random.default_rng([memo.seed, 104729])
+
+    def orbit_trivial(z):
+        return orbit_equivalence_test(ctx, z, memo.sample_count, memo.seed)
+
+    problems = []
+    for i in kernel.continuous_part:
+        if not all(orbit_trivial(num.expm(t * equiv.lie_basis[i])) for t in CIRCLE_TEST_TIMES):
+            problems.append(f"{label}: kernel circle {i} moves an orbit")
+    for fi, factor in enumerate(equiv.factors):
+        if factor.dim == 0:
+            continue
+        coeff = num.random_unit_vector(rng, factor.dim)
+        whole = fi in kernel.whole_factors
+        if (not whole and factor.dim > 1
+                and factor.center_circle_index in kernel.continuous_part):
+            # The slice starts with the center circle; a probe near a kernel
+            # circle would move orbits by too little to fail cleanly.
+            coeff[0] = 0.0
+            coeff /= np.linalg.norm(coeff)
+        probe = num.expm(np.tensordot(coeff, equiv.factor_lie_basis(factor), axes=1))
+        if orbit_trivial(probe) != whole:
+            problems.append(
+                f"{label}: a random element of {factor.name} "
+                + ("moves an orbit, but the factor is in the kernel" if whole else
+                   "fixes every orbit, but the factor is not in the kernel"))
+    return problems
+
+
 def _suite_kernel_center_laws(memo: _AnalysisMemo) -> SuiteResult:
     """The kernel of a finite group equals its in-component center; the orbit
     oracle checks it by the route that does not go through the structure
@@ -211,7 +249,8 @@ def _suite_kernel_center_laws(memo: _AnalysisMemo) -> SuiteResult:
     block left out of the kernel moves some orbit. (Central elements outside
     the identity component lie in G and map every orbit to itself, so the
     oracle cannot reject them; only the comparison with the in-component
-    center keeps them out.)"""
+    center keeps them out.) The catalog kernels, computed from their Lie
+    algebra, get the same oracle cross-check."""
     problems = []
     for name in FIXTURE_NAMES:
         result = memo.analysis(name)
@@ -251,13 +290,16 @@ def _suite_kernel_center_laws(memo: _AnalysisMemo) -> SuiteResult:
                     f"but is not in the kernel")
         if not result.boundary and rep["formulaApplied"] != "proposition-4.1b":
             problems.append(f"{name}: wrong formula tag")
+    for label in CATALOG_LABELS:
+        problems += _catalog_kernel_problems(label, memo)
     return SuiteResult(
         "6-kernel-center-laws",
         not problems,
         "; ".join(problems) if problems else
         "on all fixtures the kernel is finite, holds exactly the in-component "
         "center, and the orbit oracle passes each kernel element and fails "
-        "each -I block left out",
+        "each -I block left out; on the catalog actions it passes each kernel "
+        "circle and whole factor and fails each factor outside the kernel",
     )
 
 
@@ -300,9 +342,7 @@ def _expected_skew_dim(rep: dict) -> int:
 
 
 def _suite_structural(memo: _AnalysisMemo) -> SuiteResult:
-    labels = list(FIXTURE_NAMES) + [
-        "catalog:hopf-u1-r4", "catalog:so2xso3-r5", "catalog:so2-tensor-so3-r6",
-    ]
+    labels = list(FIXTURE_NAMES) + list(CATALOG_LABELS)
     problems = []
     for label in labels:
         result = memo.analysis(label)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from orbit_isom.catalog import (
     trivial_action,
 )
 from orbit_isom.errors import ValidationError
+from orbit_isom.orbit_geometry import QuotientPoint, quotient_distance
 
 # Each action's elements written out as explicit rotation matrices: rot2,
 # Euler-angle rotations of R^3, block sums and Kronecker products.
@@ -87,6 +89,30 @@ def test_grid_holds_the_identity_and_quadrature_weights_sum_to_one():
         haar, weights = action.fs_sample()
         assert len(haar) == len(weights) == math.prod(ax.haar_nodes for ax in action.axes)
         assert abs(weights.sum() - 1.0) < 1e-14
+
+
+def test_actions_sharing_an_id_keep_their_own_grids():
+    # Grids and quadratures are cached per instance: a copy under the same
+    # id with conjugated generators must not reuse the original's.
+    hopf = get_action("hopf-u1-r4")
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    moved = dataclasses.replace(hopf, generators=tuple(q @ x @ q.T for x in hopf.generators))
+    assert moved.id == hopf.id
+    hopf_params, hopf_elements = hopf.grid()
+    hopf_haar, _ = hopf.fs_sample()
+    params, elements = moved.grid()
+    assert np.array_equal(params, hopf_params)
+    assert np.abs(elements - moved.elements(params)).max() <= 1e-15
+    assert np.abs(elements - q @ hopf_elements @ q.T).max() <= 1e-13
+    assert np.abs(moved.fs_sample()[0] - q @ hopf_haar @ q.T).max() <= 1e-13
+
+    x = np.random.default_rng(6).standard_normal(4)
+    y = moved.element(params[100]) @ x
+    assert quotient_distance(QuotientPoint(x, moved), QuotientPoint(y, moved),
+                             refine=False) <= 1e-14
+    # Contexts compare by identity, not by id.
+    with pytest.raises(ValidationError):
+        quotient_distance(QuotientPoint(x, hopf), QuotientPoint(y, moved))
 
 
 def _one_axis_action(generator):

@@ -1,14 +1,21 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import orbit_isom
 from conftest import rot2
 from orbit_isom import _numerics as num
 from orbit_isom import isom_quotient
-from orbit_isom.errors import ValidationError
+from orbit_isom.catalog import ActionMetadata, CatalogAction, ParamAxis, get_action
+from orbit_isom.errors import InternalCheckError, KernelAmbiguityError, ValidationError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.isom_quotient import (
     center_of_group,
@@ -241,6 +248,132 @@ def test_finite_analyses_never_consult_the_oracle(monkeypatch):
     rep = quotient_isometry_group(doc).report
     assert rep["kernel"]["finiteOrder"] == 360
     assert [f["name"] for f in rep["compactFactors"]] == ["U(1)"] * 3
+
+
+CATALOG_IDS = ("hopf-u1-r4", "so2xso3-r5", "so2-tensor-so3-r6")
+
+
+def _without_seed(report):
+    return report_json({k: v for k, v in report.items() if k != "seed"})
+
+
+@pytest.mark.parametrize("action_id", CATALOG_IDS)
+def test_catalog_reports_do_not_depend_on_the_seed(action_id):
+    reports = {_without_seed(quotient_isometry_group(f"catalog:{action_id}", seed=seed).report)
+               for seed in range(8)}
+    assert len(reports) == 1
+
+
+def _conjugated(action, q):
+    """The action in the basis q: generators, probes and central directions
+    conjugated, the genericity predicate read back in the old basis."""
+    return CatalogAction(
+        id=f"{action.id}@conjugated",
+        generators=tuple(q @ x @ q.T for x in action.generators),
+        axes=action.axes,
+        probe_fn=lambda: tuple(q @ p @ q.T for p in action.probe_generators()),
+        central_fn=lambda: tuple(q @ a @ q.T for a in action.central_directions()),
+        generic_fn=lambda x: action.is_generic(q.T @ x),
+        metadata=action.metadata,
+    )
+
+
+@pytest.mark.parametrize("action_id", CATALOG_IDS)
+@pytest.mark.parametrize("basis_seed", [1, 2])
+def test_catalog_report_does_not_depend_on_the_basis(action_id, basis_seed, memo):
+    action = get_action(action_id)
+    d = action.dimension
+    q, r = np.linalg.qr(np.random.default_rng(basis_seed).standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    got = quotient_isometry_group(_conjugated(action, q)).report
+    assert report_json(got) == report_json(memo.analysis(f"catalog:{action_id}").report)
+
+
+def test_catalog_analyses_never_consult_the_oracle(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("a catalog analysis ran an orbit equivalence test")
+
+    monkeypatch.setattr(isom_quotient, "orbit_equivalence_test", oracle)
+    for action_id in CATALOG_IDS:
+        rep = quotient_isometry_group(f"catalog:{action_id}").report
+        want = EXPECTED[f"catalog:{action_id}"]
+        assert [(f["name"], f["type"], f["multiplicity"]) for f in rep["compactFactors"]] \
+            == want["factors"]
+        k = rep["kernel"]
+        assert (k["finiteOrder"], k["circleDirections"], k["containsCenterOfG"]) \
+            == want["kernel"]
+
+
+def test_hopf_kernel_algebra_is_the_diagonal_circle(memo):
+    result = memo.analysis("catalog:hopf-u1-r4")
+    null, complement = isom_quotient.kernel_algebra(result.equiv, result.context)
+    assert null.shape == (4, 1) and complement.shape == (4, 3)
+    (direction,) = np.tensordot(null.T, result.equiv.lie_basis, axes=1)
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    want = scipy.linalg.block_diag(j, j) / 2.0
+    assert min(num.max_abs(direction - want), num.max_abs(direction + want)) <= 1e-14
+
+
+def test_a_kernel_the_report_cannot_express_is_ambiguous():
+    # T^2 on C^3 with weights (1, 0), (0, 1), (1, 1): three distinct
+    # characters, so H = U(1)^3, and the kernel is the 2-dimensional image
+    # of T^2, a diagonal subtorus that contains no factor's circle.
+    j, z = np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2))
+    x1 = scipy.linalg.block_diag(j, z, j)
+    x2 = scipy.linalg.block_diag(z, j, j)
+    axis = ParamAxis(2.0 * math.pi, True, 1.0, 16)
+    action = CatalogAction(
+        id="t2-weights-c3", generators=(x1, x2), axes=(axis, axis),
+        probe_fn=lambda: (num.expm(1.0 * x1) @ num.expm(0.3 * x2),
+                          num.expm(0.7 * x1) @ num.expm(2.3 * x2)),
+        central_fn=lambda: (x1, x2),
+        generic_fn=lambda x: min(np.linalg.norm(x[i:i + 2]) for i in (0, 2, 4)) > 0.05,
+        metadata=ActionMetadata(has_boundary=True, cohomogeneity=4,
+                                expected_sector_angle=None, singular_isotropy_note=None),
+    )
+    with pytest.raises(KernelAmbiguityError, match="beyond whole factors") as err:
+        quotient_isometry_group(action)
+    assert err.value.stage == "kernel"
+
+
+def test_a_central_direction_outside_the_kernel_algebra_is_an_internal_error():
+    # diag(J, 0) lies in Lie H = u(2) of the Hopf action but moves orbits.
+    hopf = get_action("hopf-u1-r4")
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    wrong = dataclasses.replace(hopf, id="hopf-wrong-center",
+                                central_fn=lambda: (scipy.linalg.block_diag(j, np.zeros((2, 2))),))
+    with pytest.raises(InternalCheckError, match="outside the computed kernel algebra"):
+        quotient_isometry_group(wrong)
+
+
+@pytest.mark.parametrize("edit", [
+    {"continuous_part": (0, 1)},   # index 1 of U(2) lies in su(2), not the center
+    {"whole_factors": (0,)},
+])
+def test_boundary_free_kernel_check_rejects_more_than_the_central_circles(edit, memo):
+    result = memo.analysis("catalog:hopf-u1-r4")
+    isom_quotient._assert_boundary_free_kernel(result.kernel, result.context, result.equiv)
+    with pytest.raises(InternalCheckError):
+        isom_quotient._assert_boundary_free_kernel(
+            dataclasses.replace(result.kernel, **edit), result.context, result.equiv)
+
+
+def test_analyses_without_refinement_leave_scipy_optimize_unloaded():
+    code = (
+        "import sys\n"
+        "import orbit_isom\n"
+        "from orbit_isom.fixtures import fixture_document\n"
+        "from orbit_isom.isom_quotient import quotient_isometry_group\n"
+        "quotient_isometry_group('catalog:so2-tensor-so3-r6')\n"
+        "quotient_isometry_group(fixture_document('q8'))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(orbit_isom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_unknown_catalog_id_rejected():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from conftest import cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of
@@ -126,7 +127,7 @@ def _tensor_distance(x, y):
 def _record_refinements(monkeypatch):
     """Log each L-BFGS-B run's ``success`` and count fallback calls after it."""
     log = []
-    minimize, descend = orbit_geometry._opt.minimize, orbit_geometry.num.coordinate_descent
+    minimize, descend = scipy.optimize.minimize, orbit_geometry.num.coordinate_descent
 
     def recording_minimize(*args, **kwargs):
         res = minimize(*args, **kwargs)
@@ -137,7 +138,7 @@ def _record_refinements(monkeypatch):
         log[-1][1] += 1
         return descend(*args, **kwargs)
 
-    monkeypatch.setattr(orbit_geometry._opt, "minimize", recording_minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
     monkeypatch.setattr(orbit_geometry.num, "coordinate_descent", counting_descent)
     return log
 
@@ -171,7 +172,7 @@ def test_unconverged_refinement_falls_back_to_golden_sections(monkeypatch):
         return OptimizeResult(x=np.array(x0, dtype=float), fun=fun(x0)[0],
                               success=False, status=2, nit=0, nfev=1)
 
-    monkeypatch.setattr(orbit_geometry._opt, "minimize", stalled)
+    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
     log = _record_refinements(monkeypatch)
     action = get_action("hopf-u1-r4")
     rng = np.random.default_rng(13)

@@ -3,7 +3,12 @@ import dataclasses
 import numpy as np
 
 from orbit_isom import _numerics as num
-from orbit_isom.verification import SUITE_IDS, _AnalysisMemo, run_suites
+from orbit_isom.verification import (
+    SUITE_IDS,
+    _AnalysisMemo,
+    _catalog_kernel_problems,
+    run_suites,
+)
 
 
 def test_suite_ids_ordered():
@@ -53,3 +58,31 @@ def test_kernel_suite_fails_when_c5_gains_a_noncentral_element():
     suite = _kernel_suite_with("c5", lambda part: list(part) + [reflection])
     assert not suite.passed
     assert "c5: 1 kernel elements move an orbit" in suite.details
+
+
+def _catalog_kernel_with(label, **fields):
+    """Oracle cross-check of ``label`` on a memo whose kernel has ``fields``
+    replaced."""
+    bad = _AnalysisMemo(seed=0, sample_count=200)
+    result = bad.analysis(label)
+    bad._cache[label] = dataclasses.replace(
+        result, kernel=dataclasses.replace(result.kernel, **fields))
+    return _catalog_kernel_problems(label, bad)
+
+
+def test_catalog_kernel_check_fails_when_hopf_claims_its_whole_factor():
+    problems = _catalog_kernel_with("catalog:hopf-u1-r4", whole_factors=(0,))
+    assert problems == ["catalog:hopf-u1-r4: a random element of U(2) moves an orbit, "
+                        "but the factor is in the kernel"]
+
+
+def test_catalog_kernel_check_fails_when_r5_loses_its_whole_factor():
+    problems = _catalog_kernel_with("catalog:so2xso3-r5", whole_factors=())
+    assert problems == ["catalog:so2xso3-r5: a random element of U(1) fixes every "
+                        "orbit, but the factor is not in the kernel"]
+
+
+def test_catalog_kernel_check_fails_when_hopf_claims_a_moving_circle():
+    # lie-basis index 1 of U(2) is a direction of su(2), not the center
+    problems = _catalog_kernel_with("catalog:hopf-u1-r4", continuous_part=(0, 1))
+    assert problems == ["catalog:hopf-u1-r4: kernel circle 1 moves an orbit"]
