@@ -79,8 +79,8 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ParamAxis:
     """One sampler parameter: [0, length), periodic unless it is a polar
-    angle (weight scales the share of the grid budget; haar_nodes is the
-    size of the axis' Haar quadrature rule)."""
+    angle on [0, length] (weight scales the share of the grid budget;
+    haar_nodes is the size of the axis' Haar quadrature rule)."""
 
     length: float
     periodic: bool
@@ -89,12 +89,14 @@ class ParamAxis:
 
     def haar_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, weights) integrating the axis' share of Haar measure:
-        uniform on a periodic angle, sin(t) dt / 2 on a polar one."""
+        uniform on a periodic angle, proportional to sin(pi t / length) on a
+        polar one (sin(beta) for the SO(3) polar angle of length pi,
+        sin(2 beta) for its half-angle on Sp(1) = SU(2))."""
         if self.periodic:
             nodes = np.arange(self.haar_nodes) * (self.length / self.haar_nodes)
             return nodes, np.full(self.haar_nodes, 1.0 / self.haar_nodes)
         u_nodes, u_weights = np.polynomial.legendre.leggauss(self.haar_nodes)
-        return np.arccos(u_nodes), u_weights / 2.0
+        return np.arccos(u_nodes) * (self.length / math.pi), u_weights / 2.0
 
 
 @dataclass(frozen=True)

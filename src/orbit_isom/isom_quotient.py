@@ -165,6 +165,32 @@ def _discrete_center_candidate(factor, equiv: EquivariantIsometryGroup,
     return None
 
 
+def orbit_algebra(action: CatalogAction) -> np.ndarray:
+    """Orthonormal (r, d, d) basis of the Lie algebra g of the action's
+    image: the span of the generators closed under commutators. The
+    generators alone need not span it; the Euler generators (L_z, L_y, L_z)
+    of SO(3) miss L_x = [L_y, L_z]."""
+    alg = num.span_basis(np.stack(action.generators), rank_tol=KERNEL_RANK_FLOOR,
+                         what="orbit algebra")
+    while len(alg):
+        brackets = (np.einsum("aij,bjk->abik", alg, alg)
+                    - np.einsum("bij,ajk->abik", alg, alg))
+        grown = num.span_basis(np.concatenate([alg, brackets.reshape((-1,) + alg.shape[1:])]),
+                               rank_tol=KERNEL_RANK_FLOOR, what="orbit algebra")
+        if len(grown) == len(alg):
+            break
+        alg = grown
+    return alg
+
+
+def orbit_normal_space(algebra: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the normal space of the orbit through
+    the unit vector x: the orthogonal complement of g.x = span{A x}."""
+    normal, _ = num.nullspace(algebra @ x, rank_tol=KERNEL_RANK_FLOOR,
+                              what="orbit tangent space")
+    return normal
+
+
 def kernel_algebra(equiv: EquivariantIsometryGroup, action: CatalogAction,
                    seed: int = DEFAULT_SEED):
     """Lie(ker p)_0 as (null, complement): orthonormal coefficient columns
@@ -172,13 +198,14 @@ def kernel_algebra(equiv: EquivariantIsometryGroup, action: CatalogAction,
 
     X in Lie H descends trivially iff X x lies in the orbit tangent space
     g.x for every x, and generic x suffice. With N_x the orthonormal normal
-    space of the orbit (the null space of [X_j x]^T), the condition reads
-    N_x^T [A_i x]_i c = 0 on the coefficients c, one block of rows per
-    point. Points are unit vectors and the bases orthonormal, so the rows
-    have unit scale and the ranks take the absolute floor KERNEL_RANK_FLOOR.
-    The null space of d stacked points must survive d more.
+    space of the orbit (``orbit_normal_space`` over ``orbit_algebra``), the
+    condition reads N_x^T [A_i x]_i c = 0 on the coefficients c, one block
+    of rows per point. Points are unit vectors and the bases orthonormal,
+    so the rows have unit scale and the ranks take the absolute floor
+    KERNEL_RANK_FLOOR. The null space of d stacked points must survive d
+    more.
     """
-    gens = np.stack(action.generators)
+    algebra = orbit_algebra(action)
     basis = equiv.lie_basis
     d = action.dimension
     rng = np.random.default_rng([seed, 104729])
@@ -187,9 +214,7 @@ def kernel_algebra(equiv: EquivariantIsometryGroup, action: CatalogAction,
     for _ in range(2):
         for _ in range(d):
             x = sample_generic_point(action, rng)
-            normal, _ = num.nullspace(gens @ x, rank_tol=KERNEL_RANK_FLOOR,
-                                      what="orbit tangent space")
-            rows.append(normal.T @ (basis @ x).T)
+            rows.append(orbit_normal_space(algebra, x).T @ (basis @ x).T)
         null, complement = num.nullspace(np.vstack(rows), rank_tol=KERNEL_RANK_FLOOR,
                                          what="kernel algebra")
         dims.append(null.shape[1])
@@ -429,8 +454,10 @@ def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
         }
         for fi, f in enumerate(factors)
     ]
-    total_rank = 0 if equiv is None else equiv.rank
-    rank = int(total_rank - len(kernel.continuous_part))
+    # rank(H / ker p) = rank H - rank(ker p)_0: whole factors drop out and
+    # every other kernel circle takes one.
+    rank = sum(f.rank - (f.center_circle_index in kernel.continuous_part)
+               for fi, f in enumerate(factors) if fi not in kernel.whole_factors)
 
     report = {
         "euclideanFactorDim": int(euclidean_dim),
@@ -442,7 +469,7 @@ def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
         },
         "boundary": bool(boundary),
         "formulaApplied": formula,
-        "rank": rank,
+        "rank": int(rank),
         "theoremB": "",
         "theoremC": "",
         "seed": int(seed),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numerics as num
-from .catalog import get_action, trivial_action
+from .catalog import CATALOG, get_action, trivial_action
 from .commutant import commutant_basis, sample_equivariant_isometry
 from .fixtures import FIXTURE_NAMES, fixture_document
 from .isom_quotient import (
@@ -43,7 +43,7 @@ SECTOR_TOL = 1e-2
 HOPF_METRIC_TOL = 1e-3
 HOPF_BUDGET_SECONDS = 30.0
 SECTOR_BUDGET_SECONDS = 60.0
-CATALOG_LABELS = ("catalog:hopf-u1-r4", "catalog:so2xso3-r5", "catalog:so2-tensor-so3-r6")
+CATALOG_LABELS = tuple(f"catalog:{action_id}" for action_id in CATALOG)
 CIRCLE_TEST_TIMES = (0.1, 0.37, 1.01)
 
 _SCHUR_WEIGHT = {"Real": 1, "Complex": 2, "Quaternionic": 4}
@@ -242,54 +242,62 @@ def _catalog_kernel_problems(label: str, memo: _AnalysisMemo) -> list[str]:
     return problems
 
 
+def _finite_kernel_problems(name: str, memo: _AnalysisMemo) -> list[str]:
+    """The kernel of a finite group equals its in-component center; the
+    orbit oracle checks it by the route that does not go through the
+    structure theory: every kernel element maps every orbit to itself, and
+    every -I block left out of the kernel moves some orbit. (Central
+    elements outside the identity component lie in G and map every orbit
+    to itself, so the oracle cannot reject them; only the comparison with
+    the in-component center keeps them out.)"""
+    problems = []
+    result = memo.analysis(name)
+    rep = result.report
+    if result.kernel.continuous_part:
+        problems.append(f"{name}: continuous kernel directions on a finite group")
+    if rep["kernel"]["circleDirections"] != 0:
+        problems.append(f"{name}: reported circle directions nonzero")
+    ctx = result.context
+    if not isinstance(ctx, FiniteGroupData) or ctx.dimension == 0:
+        return problems
+    kernel = result.kernel.finite_part
+    center = center_of_group(ctx)
+    in_component = center_in_component(center, result.equiv)
+    missing = [z for z in in_component if not _matched(z, kernel)]
+    if missing:
+        problems.append(
+            f"{name}: {len(missing)} central in-component elements not in kernel")
+    if rep["kernel"]["containsCenterOfG"] is not (not missing):
+        problems.append(f"{name}: containsCenterOfG flag inconsistent")
+    extra = [k for k in kernel if not _matched(k, in_component)]
+    if extra:
+        problems.append(
+            f"{name}: {len(extra)} kernel elements outside the in-component center")
+
+    def orbit_trivial(z):
+        return orbit_equivalence_test(ctx, z, memo.sample_count, memo.seed)
+
+    moving = [k for k in kernel if not orbit_trivial(k)]
+    if moving:
+        problems.append(f"{name}: {len(moving)} kernel elements move an orbit")
+    for factor in result.equiv.factors:
+        z = _discrete_center_candidate(factor, result.equiv, ctx.dimension)
+        if z is not None and not _matched(z, kernel) and orbit_trivial(z):
+            problems.append(
+                f"{name}: the -I block of {factor.name} fixes every orbit "
+                f"but is not in the kernel")
+    if not result.boundary and rep["formulaApplied"] != "proposition-4.1b":
+        problems.append(f"{name}: wrong formula tag")
+    return problems
+
+
 def _suite_kernel_center_laws(memo: _AnalysisMemo) -> SuiteResult:
-    """The kernel of a finite group equals its in-component center; the orbit
-    oracle checks it by the route that does not go through the structure
-    theory: every kernel element maps every orbit to itself, and every -I
-    block left out of the kernel moves some orbit. (Central elements outside
-    the identity component lie in G and map every orbit to itself, so the
-    oracle cannot reject them; only the comparison with the in-component
-    center keeps them out.) The catalog kernels, computed from their Lie
-    algebra, get the same oracle cross-check."""
+    """The kernels of the fixtures (``_finite_kernel_problems``) and of the
+    catalog actions (``_catalog_kernel_problems``), each cross-checked with
+    the orbit oracle."""
     problems = []
     for name in FIXTURE_NAMES:
-        result = memo.analysis(name)
-        rep = result.report
-        if result.kernel.continuous_part:
-            problems.append(f"{name}: continuous kernel directions on a finite group")
-        if rep["kernel"]["circleDirections"] != 0:
-            problems.append(f"{name}: reported circle directions nonzero")
-        ctx = result.context
-        if not isinstance(ctx, FiniteGroupData) or ctx.dimension == 0:
-            continue
-        kernel = result.kernel.finite_part
-        center = center_of_group(ctx)
-        in_component = center_in_component(center, result.equiv)
-        missing = [z for z in in_component if not _matched(z, kernel)]
-        if missing:
-            problems.append(
-                f"{name}: {len(missing)} central in-component elements not in kernel")
-        if rep["kernel"]["containsCenterOfG"] is not (not missing):
-            problems.append(f"{name}: containsCenterOfG flag inconsistent")
-        extra = [k for k in kernel if not _matched(k, in_component)]
-        if extra:
-            problems.append(
-                f"{name}: {len(extra)} kernel elements outside the in-component center")
-
-        def orbit_trivial(z):
-            return orbit_equivalence_test(ctx, z, memo.sample_count, memo.seed)
-
-        moving = [k for k in kernel if not orbit_trivial(k)]
-        if moving:
-            problems.append(f"{name}: {len(moving)} kernel elements move an orbit")
-        for factor in result.equiv.factors:
-            z = _discrete_center_candidate(factor, result.equiv, ctx.dimension)
-            if z is not None and not _matched(z, kernel) and orbit_trivial(z):
-                problems.append(
-                    f"{name}: the -I block of {factor.name} fixes every orbit "
-                    f"but is not in the kernel")
-        if not result.boundary and rep["formulaApplied"] != "proposition-4.1b":
-            problems.append(f"{name}: wrong formula tag")
+        problems += _finite_kernel_problems(name, memo)
     for label in CATALOG_LABELS:
         problems += _catalog_kernel_problems(label, memo)
     return SuiteResult(

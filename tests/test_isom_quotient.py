@@ -14,7 +14,7 @@ import orbit_isom
 from conftest import rot2
 from orbit_isom import _numerics as num
 from orbit_isom import isom_quotient
-from orbit_isom.catalog import ActionMetadata, CatalogAction, ParamAxis, get_action
+from orbit_isom.catalog import CATALOG, ActionMetadata, CatalogAction, ParamAxis, get_action
 from orbit_isom.errors import InternalCheckError, KernelAmbiguityError, ValidationError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.isom_quotient import (
@@ -25,6 +25,7 @@ from orbit_isom.isom_quotient import (
     validate_report_schema,
     verify_theorem_B,
 )
+from orbit_isom.orbit_geometry import sample_generic_point
 
 # frozen expected reports: factors as (name, type, multiplicity), kernel as
 # (finiteOrder, circleDirections, containsCenterOfG)
@@ -250,7 +251,7 @@ def test_finite_analyses_never_consult_the_oracle(monkeypatch):
     assert [f["name"] for f in rep["compactFactors"]] == ["U(1)"] * 3
 
 
-CATALOG_IDS = ("hopf-u1-r4", "so2xso3-r5", "so2-tensor-so3-r6")
+CATALOG_IDS = tuple(CATALOG)
 
 
 def _without_seed(report):
@@ -312,6 +313,46 @@ def test_hopf_kernel_algebra_is_the_diagonal_circle(memo):
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
     want = scipy.linalg.block_diag(j, j) / 2.0
     assert min(num.max_abs(direction - want), num.max_abs(direction + want)) <= 1e-14
+
+
+@pytest.mark.parametrize("action_id", CATALOG_IDS)
+def test_generic_orbits_have_the_cohomogeneity_as_normal_dimension(action_id):
+    # r5 and r6 reach SO(3) through Euler generators (L_z, L_y, L_z), which
+    # span a plane; their orbits are 3- and 4-dimensional only with L_x.
+    action = get_action(action_id)
+    algebra = isom_quotient.orbit_algebra(action)
+    assert len(algebra) == {"hopf-u1-r4": 1}.get(action_id, 4)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        x = sample_generic_point(action, rng)
+        normal = isom_quotient.orbit_normal_space(algebra, x)
+        assert normal.shape == (action.dimension, action.metadata.cohomogeneity)
+
+
+def test_a_whole_factor_outside_the_generators_span_is_found():
+    # Left multiplication by unit quaternions on R^4 = H, parametrized by
+    # Euler angles exp(a L_i) exp(b L_j) exp(c L_i): the generators miss L_k.
+    # Every orbit is a 3-sphere, so the whole commutant Sp(1) (right
+    # multiplication) maps every orbit to itself; V/G is a ray.
+    l_i = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
+    l_j = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
+    circle = ParamAxis(2.0 * math.pi, True, 1.0, 8)
+    action = CatalogAction(
+        id="sp1-left-r4", generators=(l_i, l_j, l_i),
+        # the half-angle b in [0, pi/2] carries Haar density sin(2b)
+        axes=(circle, ParamAxis(math.pi / 2.0, False, 0.5, 8), circle),
+        probe_fn=lambda: (action.element((1.0, 0.7, 0.3)), action.element((2.4, 1.1, 0.5))),
+        central_fn=tuple,
+        generic_fn=lambda x: bool(np.linalg.norm(x) > 1e-6),
+        metadata=ActionMetadata(has_boundary=True, cohomogeneity=1,
+                                expected_sector_angle=None, singular_isotropy_note=None),
+    )
+    rep = quotient_isometry_group(action).report
+    assert rep["compactFactors"] == [
+        {"name": "Sp(1)/whole-factor", "type": "Quaternionic", "multiplicity": 1}]
+    assert (rep["kernel"]["finiteOrder"], rep["kernel"]["circleDirections"]) == (1, 0)
+    assert rep["rank"] == 0
+    assert rep["notes"]["quotientDescription"] == "trivial"
 
 
 def test_a_kernel_the_report_cannot_express_is_ambiguous():
