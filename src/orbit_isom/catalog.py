@@ -22,8 +22,8 @@ Rz(gamma). Because X_j commutes with its own factor, the derivative
 d(g v)/dt_j = E_1 ... E_{j-1} X_j E_j ... E_k v (E_i = exp(t_i X_i)) is exact,
 and the quotient-metric minimizers take it as their gradient.
 
-Each action exposes three discretizations, tuned to their consumers; the
-first two are built from the generators, each in one batched product:
+Each action exposes two discretizations, tuned to their consumers, each
+built from the generators in one batched product:
 
 * ``grid(density)``: a deterministic parameter grid with roughly ``density``
   elements total (density counts samples per compact 1-parameter subgroup;
@@ -33,40 +33,33 @@ first two are built from the generators, each in one batched product:
   (uniform nodes on periodic angles, Gauss-Legendre in cos(beta) for the
   SO(3) polar angle). Characters of g^2 are low-degree trigonometric
   polynomials, so indicator sums computed with it are exact to roundoff.
-* ``probe_generators()``: a few elements at generic angles whose generated
-  subgroup is dense in the image of G; commuting with the probes is
-  equivalent to commuting with the whole group. The probes, the central
-  directions and the genericity predicate are still written per action.
+
+Everything else is read off the Lie algebra g of the image, the span of
+the generators closed under commutators (``algebra()``): its center gives
+the central circles (``central_directions()``), and a point is generic when
+g.x has the generic orbit dimension d - cohomogeneity (``is_generic``). G is
+connected, so commuting with every X_j is commuting with G.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
+from . import _numerics as num
 from .errors import ValidationError
 
 DEFAULT_DENSITY = 2048
 # Skewness and X^3 = -X must hold to this absolute accuracy for the closed
 # form of exp(t X) to be exact to roundoff.
 GENERATOR_TOL = 1e-12
-
-
-def rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def so3_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry_b = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rz_g = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    return rz_a @ ry_b @ rz_g
+# Absolute rank floor of the Lie-algebra systems, whose rows have unit
+# scale; the RANK_GUARD band above it aborts instead of guessing.
+LIE_RANK_FLOOR = 1e-9
+# ``is_generic`` needs the r-th singular value of the orbit tangent vectors
+# A x (r = d - cohomogeneity) to be at least this fraction of |x|.
+GENERIC_MARGIN = 0.02
 
 
 def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,16 +109,14 @@ class CatalogAction:
     id: str
     generators: tuple[np.ndarray, ...]
     axes: tuple[ParamAxis, ...]
-    probe_fn: Callable[[], tuple[np.ndarray, ...]]
-    central_fn: Callable[[], tuple[np.ndarray, ...]]
-    generic_fn: Callable[[np.ndarray], bool]
     metadata: ActionMetadata
     # Rows 3j, 3j+1, 3j+2 hold I, X_j, X_j^2 flattened into column block j,
     # so one product with the coefficients (1, sin t_j, 1 - cos t_j) of
     # every axis gives all factors exp(t_j X_j) at once.
     _basis: np.ndarray = field(init=False, repr=False)
-    # Grids and the Haar quadrature, per instance: they follow from the
-    # generators, which two actions sharing an id need not share.
+    # Grids, the Haar quadrature, the Lie algebra and its center, per
+    # instance: they follow from the generators, which two actions sharing
+    # an id need not share.
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -246,15 +237,55 @@ class CatalogAction:
             self._cache["haar"] = cached
         return cached
 
-    def probe_generators(self) -> tuple[np.ndarray, ...]:
-        return self.probe_fn()
+    def algebra(self) -> np.ndarray:
+        """Orthonormal (r, d, d) basis of the Lie algebra g of the image:
+        the span of the generators closed under commutators. The generators
+        alone need not span it; the Euler generators (L_z, L_y, L_z) of
+        SO(3) miss L_x = [L_y, L_z]."""
+        alg = self._cache.get("algebra")
+        if alg is None:
+            alg = num.span_basis(np.stack(self.generators), rank_tol=LIE_RANK_FLOOR,
+                                 what="orbit algebra")
+            while len(alg):
+                grown = num.span_basis(
+                    np.concatenate([alg, _brackets(alg).reshape((-1,) + alg.shape[1:])]),
+                    rank_tol=LIE_RANK_FLOOR, what="orbit algebra")
+                if len(grown) == len(alg):
+                    break
+                alg = grown
+            self._cache["algebra"] = alg
+        return alg
 
-    def central_directions(self) -> tuple[np.ndarray, ...]:
-        """Skew generators of the central circles of the image of G."""
-        return self.central_fn()
+    def central_directions(self) -> np.ndarray:
+        """Orthonormal (c, d, d) basis of the center of g, the generators of
+        the central circles of the image: the combinations sum_a c_a A_a of
+        the algebra basis with sum_a c_a [A_a, A_b] = 0 for every b."""
+        center = self._cache.get("center")
+        if center is None:
+            alg, d = self.algebra(), self.dimension
+            rows = np.moveaxis(_brackets(alg), 0, -1).reshape(len(alg) * d * d, len(alg))
+            null, _ = num.nullspace(rows, rank_tol=LIE_RANK_FLOOR, what="algebra center")
+            center = np.tensordot(null.T, alg, axes=1)
+            self._cache["center"] = center
+        return center
 
     def is_generic(self, x: np.ndarray) -> bool:
-        return self.generic_fn(np.asarray(x, dtype=float))
+        """Whether the orbit through x has the generic dimension
+        r = d - cohomogeneity with margin: the r-th singular value of the
+        tangent vectors A x over the algebra basis is at least
+        GENERIC_MARGIN |x|. With r = 0 every nonzero x is generic."""
+        x = np.asarray(x, dtype=float)
+        r = self.dimension - self.metadata.cohomogeneity
+        if r == 0:
+            return bool(np.any(x))
+        scale = float(np.linalg.norm(x))
+        s = np.linalg.svd(self.algebra() @ x, compute_uv=False)
+        return bool(scale > 0.0 and len(s) >= r and s[r - 1] >= GENERIC_MARGIN * scale)
+
+
+def _brackets(alg: np.ndarray) -> np.ndarray:
+    """(r, r, d, d) stack of the commutators [A_a, A_b]."""
+    return np.einsum("aij,bjk->abik", alg, alg) - np.einsum("bij,ajk->abik", alg, alg)
 
 
 def _mesh(axes_vals) -> np.ndarray:
@@ -270,62 +301,6 @@ _LY = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 _I2, _I3 = np.eye(2), np.eye(3)
 _Z2, _Z3 = np.zeros((2, 2)), np.zeros((3, 3))
 
-# ---------------------------------------------------------------- hopf-u1-r4
-
-
-def _hopf_probes():
-    return tuple(_block_diag(rot2(t), rot2(t)) for t in (1.0, 2.3))
-
-
-def _hopf_central():
-    return (_block_diag(_J2, _J2),)
-
-
-def _hopf_generic(x: np.ndarray) -> bool:
-    return bool(np.linalg.norm(x) > 1e-6)
-
-
-# ---------------------------------------------------------------- so2xso3-r5
-
-def _block_probes():
-    return (
-        _block_diag(rot2(1.0), np.eye(3)),
-        _block_diag(np.eye(2), so3_zyz(1.0, 0.7, 0.3)),
-        _block_diag(np.eye(2), so3_zyz(2.4, 1.9, 0.5)),
-    )
-
-
-def _block_central():
-    return (_block_diag(_J2, np.zeros((3, 3))),)
-
-
-def _block_generic(x: np.ndarray) -> bool:
-    return bool(min(np.linalg.norm(x[:2]), np.linalg.norm(x[2:])) > 0.05 * np.linalg.norm(x))
-
-
-# --------------------------------------------------------- so2-tensor-so3-r6
-
-def _tensor_probes():
-    return (
-        np.kron(rot2(1.0), np.eye(3)),
-        np.kron(np.eye(2), so3_zyz(1.0, 0.7, 0.3)),
-        np.kron(np.eye(2), so3_zyz(2.4, 1.9, 0.5)),
-    )
-
-
-def _tensor_central():
-    return (np.kron(_J2, np.eye(3)),)
-
-
-def _tensor_generic(x: np.ndarray) -> bool:
-    # Points on the two boundary rays have a rank-1 (resp. equal-singular-
-    # value) 2x3 coordinate matrix; stay away from both strata.
-    m = x.reshape(2, 3)
-    s = np.linalg.svd(m, compute_uv=False)
-    scale = np.linalg.norm(x)
-    return bool(s[1] > 0.03 * scale and (s[0] - s[1]) > 0.03 * scale)
-
-
 # (phi, alpha, beta, gamma): the SO(2) angle, then Euler angles of SO(3).
 _FOUR_AXES = (
     ParamAxis(2.0 * math.pi, True, 1.0, 8),
@@ -339,9 +314,6 @@ CATALOG: dict[str, CatalogAction] = {
         id="hopf-u1-r4",
         generators=(_block_diag(_J2, _J2),),
         axes=(ParamAxis(2.0 * math.pi, True, 1.0, 64),),
-        probe_fn=_hopf_probes,
-        central_fn=_hopf_central,
-        generic_fn=_hopf_generic,
         metadata=ActionMetadata(
             has_boundary=False,
             cohomogeneity=3,
@@ -354,9 +326,6 @@ CATALOG: dict[str, CatalogAction] = {
         generators=(_block_diag(_J2, _Z3), _block_diag(_Z2, _LZ),
                     _block_diag(_Z2, _LY), _block_diag(_Z2, _LZ)),
         axes=_FOUR_AXES,
-        probe_fn=_block_probes,
-        central_fn=_block_central,
-        generic_fn=_block_generic,
         metadata=ActionMetadata(
             has_boundary=True,
             cohomogeneity=2,
@@ -372,9 +341,6 @@ CATALOG: dict[str, CatalogAction] = {
         generators=(np.kron(_J2, _I3), np.kron(_I2, _LZ),
                     np.kron(_I2, _LY), np.kron(_I2, _LZ)),
         axes=_FOUR_AXES,
-        probe_fn=_tensor_probes,
-        central_fn=_tensor_central,
-        generic_fn=_tensor_generic,
         metadata=ActionMetadata(
             has_boundary=True,
             cohomogeneity=2,
@@ -429,9 +395,6 @@ def trivial_action(dimension: int) -> CatalogAction:
         id=f"trivial-r{dimension}",
         generators=(np.zeros((dimension, dimension)),),
         axes=(ParamAxis(2.0 * math.pi, True, 1.0, 1),),
-        probe_fn=tuple,
-        central_fn=tuple,
-        generic_fn=lambda x: bool(np.linalg.norm(x) > 1e-6),
         metadata=ActionMetadata(
             has_boundary=False,
             cohomogeneity=dimension,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numerics as num
-from .catalog import DEFAULT_DENSITY, CatalogAction, get_action
+from .catalog import DEFAULT_DENSITY, LIE_RANK_FLOOR, CatalogAction, get_action
 from .commutant import (
     COMPLEX,
     QUATERNIONIC,
@@ -48,9 +48,6 @@ from .repr_model import (
 
 DEFAULT_SAMPLE_COUNT = 200
 CENTRAL_TOL = 1e-8
-# Absolute rank floor of the kernel-algebra systems, whose rows have unit
-# scale; the RANK_GUARD band above it aborts instead of guessing.
-KERNEL_RANK_FLOOR = 1e-9
 
 FORMULA_BOUNDARY_FREE = "proposition-4.1b"
 FORMULA_SEARCH = "central-kernel-search"
@@ -165,28 +162,10 @@ def _discrete_center_candidate(factor, equiv: EquivariantIsometryGroup,
     return None
 
 
-def orbit_algebra(action: CatalogAction) -> np.ndarray:
-    """Orthonormal (r, d, d) basis of the Lie algebra g of the action's
-    image: the span of the generators closed under commutators. The
-    generators alone need not span it; the Euler generators (L_z, L_y, L_z)
-    of SO(3) miss L_x = [L_y, L_z]."""
-    alg = num.span_basis(np.stack(action.generators), rank_tol=KERNEL_RANK_FLOOR,
-                         what="orbit algebra")
-    while len(alg):
-        brackets = (np.einsum("aij,bjk->abik", alg, alg)
-                    - np.einsum("bij,ajk->abik", alg, alg))
-        grown = num.span_basis(np.concatenate([alg, brackets.reshape((-1,) + alg.shape[1:])]),
-                               rank_tol=KERNEL_RANK_FLOOR, what="orbit algebra")
-        if len(grown) == len(alg):
-            break
-        alg = grown
-    return alg
-
-
 def orbit_normal_space(algebra: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the normal space of the orbit through
     the unit vector x: the orthogonal complement of g.x = span{A x}."""
-    normal, _ = num.nullspace(algebra @ x, rank_tol=KERNEL_RANK_FLOOR,
+    normal, _ = num.nullspace(algebra @ x, rank_tol=LIE_RANK_FLOOR,
                               what="orbit tangent space")
     return normal
 
@@ -198,14 +177,14 @@ def kernel_algebra(equiv: EquivariantIsometryGroup, action: CatalogAction,
 
     X in Lie H descends trivially iff X x lies in the orbit tangent space
     g.x for every x, and generic x suffice. With N_x the orthonormal normal
-    space of the orbit (``orbit_normal_space`` over ``orbit_algebra``), the
+    space of the orbit (``orbit_normal_space`` over ``action.algebra()``), the
     condition reads N_x^T [A_i x]_i c = 0 on the coefficients c, one block
     of rows per point. Points are unit vectors and the bases orthonormal,
     so the rows have unit scale and the ranks take the absolute floor
-    KERNEL_RANK_FLOOR. The null space of d stacked points must survive d
+    LIE_RANK_FLOOR. The null space of d stacked points must survive d
     more.
     """
-    algebra = orbit_algebra(action)
+    algebra = action.algebra()
     basis = equiv.lie_basis
     d = action.dimension
     rng = np.random.default_rng([seed, 104729])
@@ -215,7 +194,7 @@ def kernel_algebra(equiv: EquivariantIsometryGroup, action: CatalogAction,
         for _ in range(d):
             x = sample_generic_point(action, rng)
             rows.append(orbit_normal_space(algebra, x).T @ (basis @ x).T)
-        null, complement = num.nullspace(np.vstack(rows), rank_tol=KERNEL_RANK_FLOOR,
+        null, complement = num.nullspace(np.vstack(rows), rank_tol=LIE_RANK_FLOOR,
                                          what="kernel algebra")
         dims.append(null.shape[1])
     if dims[0] != dims[1]:
@@ -306,7 +285,6 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
             f"report cannot express it")
 
     for a in ctx.central_directions():
-        a = np.asarray(a, dtype=float) / num.frobenius(a)
         coeffs = np.einsum("kij,ij->k", equiv.lie_basis, a)
         off_h = num.max_abs(a - np.tensordot(coeffs, equiv.lie_basis, axes=1))
         if off_h > CENTRAL_TOL or not _in_kernel_algebra(complement, coeffs):
@@ -333,8 +311,7 @@ def _assert_boundary_free_kernel(kernel: KernelDescription, action: CatalogActio
         raise InternalCheckError(
             "boundary-free catalog quotient produced kernel parts beyond "
             "the central circles")
-    d = action.dimension
-    span = num.span_basis(np.asarray(action.central_directions(), dtype=float).reshape(-1, d, d))
+    span = action.central_directions()
     for i in kernel.continuous_part:
         a = equiv.lie_basis[i]
         proj = np.tensordot(np.einsum("kij,ij->k", span, a), span, axes=1)
@@ -609,8 +586,14 @@ def _analyze_finite(label: str, spec: RepresentationSpec, *, seed: int,
 
 def _analyze_catalog(label: str, action: CatalogAction, *, seed: int,
                      sample_count: int, density: int | None) -> AnalysisResult:
-    gens = list(action.probe_generators())
-    split = _stage("trivial-split", fixed_subspace, gens, action.dimension)
+    # G is connected: commuting with the span of the X_j is commuting with
+    # G, and exp(X_j) fixes exactly ker X_j (X_j^3 = -X_j). The span is
+    # smaller than the list when an Euler parametrization repeats a
+    # generator, and every generator costs d^2 rows in the systems below.
+    split = _stage("trivial-split", fixed_subspace,
+                   action.elements(np.eye(len(action.generators))), action.dimension)
+    gens = num.span_basis(np.stack(action.generators), rank_tol=LIE_RANK_FLOOR,
+                          what="generator span")
     if split.fixed_dim != 0:
         raise InternalCheckError(
             f"catalog action {action.id} has invariant vectors; the catalog "

@@ -219,7 +219,7 @@ def descend_check(x_iso: np.ndarray, context, sample_count: int,
     if isinstance(context, FiniteGroupData):
         gens = context.generators
     elif isinstance(context, CatalogAction):
-        gens = context.probe_generators()
+        gens = context.generators
     else:
         raise ValidationError("descend_check expects a finite group or catalog action")
     for g in gens:

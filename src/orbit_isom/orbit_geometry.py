@@ -219,8 +219,9 @@ def sample_generic_point(ctx: Context, rng: np.random.Generator,
     """A unit vector with trivial isotropy margin.
 
     Finite case: rejected while any nonidentity element moves the point by
-    less than GENERIC_MIN_MOVE. Catalog case: rejected while the action's
-    genericity predicate fails (points too close to singular strata).
+    less than GENERIC_MIN_MOVE. Catalog case: rejected unless
+    ``CatalogAction.is_generic`` holds, i.e. the orbit has the generic
+    dimension with GENERIC_MARGIN to spare, away from singular strata.
     """
     d = ctx.dimension
     for _ in range(max_tries):

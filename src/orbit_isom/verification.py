@@ -368,7 +368,7 @@ def _suite_structural(memo: _AnalysisMemo) -> SuiteResult:
             generators = result.context.elements
             reduced_dim = result.context.dimension
         else:
-            generators = result.context.probe_generators()
+            generators = result.context.generators
             reduced_dim = result.context.dimension
         if reduced_dim:
             measured = len(commutant_basis(generators))

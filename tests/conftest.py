@@ -29,6 +29,17 @@ def rot2(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def so3_zyz(alpha, beta, gamma):
+    """Rz(alpha) Ry(beta) Rz(gamma), written out entry by entry."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry_b = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rz_g = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
+    return rz_a @ ry_b @ rz_g
+
+
 def spec_of(generators, dimension, **extra):
     """Finite spec of the generators, entries written as exact decimals."""
     doc = {
@@ -59,9 +70,13 @@ def cyclic_weights(n, weights):
     return g
 
 
+def random_orthogonal(d, seed):
+    """A Haar-random d x d orthogonal matrix."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
 def in_random_basis(generators, seed):
     """The generators conjugated by a Haar-random orthogonal matrix."""
-    d = generators[0].shape[0]
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
+    q = random_orthogonal(generators[0].shape[0], seed)
     return [q @ g @ q.T for g in generators]

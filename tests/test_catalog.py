@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbit_isom.catalog import (
-    CatalogAction,
-    ParamAxis,
-    _block_diag,
-    get_action,
-    rot2,
-    so3_zyz,
-    trivial_action,
-)
+from conftest import rot2, so3_zyz
+from orbit_isom.catalog import CatalogAction, ParamAxis, _block_diag, get_action, trivial_action
 from orbit_isom.errors import ValidationError
 from orbit_isom.orbit_geometry import QuotientPoint, quotient_distance
 
@@ -119,7 +112,6 @@ def _one_axis_action(generator):
     return CatalogAction(
         id="test", generators=(generator,),
         axes=(ParamAxis(2.0 * math.pi, True, 1.0, 8),),
-        probe_fn=tuple, central_fn=tuple, generic_fn=lambda x: True,
         metadata=trivial_action(2).metadata)
 
 

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbit_isom
-from conftest import rot2
+from conftest import random_orthogonal, rot2
 from orbit_isom import _numerics as num
 from orbit_isom import isom_quotient
 from orbit_isom.catalog import CATALOG, ActionMetadata, CatalogAction, ParamAxis, get_action
@@ -266,28 +268,35 @@ def test_catalog_reports_do_not_depend_on_the_seed(action_id):
 
 
 def _conjugated(action, q):
-    """The action in the basis q: generators, probes and central directions
-    conjugated, the genericity predicate read back in the old basis."""
+    """The action in the basis q: only its generators are conjugated."""
     return CatalogAction(
         id=f"{action.id}@conjugated",
         generators=tuple(q @ x @ q.T for x in action.generators),
         axes=action.axes,
-        probe_fn=lambda: tuple(q @ p @ q.T for p in action.probe_generators()),
-        central_fn=lambda: tuple(q @ a @ q.T for a in action.central_directions()),
-        generic_fn=lambda x: action.is_generic(q.T @ x),
         metadata=action.metadata,
     )
 
 
+def _same_span(got, want):
+    """Whether two Frobenius-orthonormal (r, d, d) stacks span one space."""
+    got, want = got.reshape(len(got), -1), want.reshape(len(want), -1)
+    return got.shape == want.shape and num.max_abs(got - got @ want.T @ want) <= 1e-12
+
+
 @pytest.mark.parametrize("action_id", CATALOG_IDS)
 @pytest.mark.parametrize("basis_seed", [1, 2])
-def test_catalog_report_does_not_depend_on_the_basis(action_id, basis_seed, memo):
+@settings(max_examples=5, deadline=None)
+@given(draw=st.integers(0, 2**32 - 1))
+def test_catalog_report_does_not_depend_on_the_basis(action_id, basis_seed, draw, memo):
+    # basis_seed splits the Haar-random bases into two independent streams.
     action = get_action(action_id)
-    d = action.dimension
-    q, r = np.linalg.qr(np.random.default_rng(basis_seed).standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
-    got = quotient_isometry_group(_conjugated(action, q)).report
+    q = random_orthogonal(action.dimension, [basis_seed, draw])
+    moved = _conjugated(action, q)
+    got = quotient_isometry_group(moved).report
     assert report_json(got) == report_json(memo.analysis(f"catalog:{action_id}").report)
+    for derived in ("algebra", "central_directions"):
+        want = np.einsum("ij,kjl,ml->kim", q, getattr(action, derived)(), q)
+        assert _same_span(getattr(moved, derived)(), want)
 
 
 def test_catalog_analyses_never_consult_the_oracle(monkeypatch):
@@ -320,7 +329,7 @@ def test_generic_orbits_have_the_cohomogeneity_as_normal_dimension(action_id):
     # r5 and r6 reach SO(3) through Euler generators (L_z, L_y, L_z), which
     # span a plane; their orbits are 3- and 4-dimensional only with L_x.
     action = get_action(action_id)
-    algebra = isom_quotient.orbit_algebra(action)
+    algebra = action.algebra()
     assert len(algebra) == {"hopf-u1-r4": 1}.get(action_id, 4)
     rng = np.random.default_rng(5)
     for _ in range(4):
@@ -341,9 +350,6 @@ def test_a_whole_factor_outside_the_generators_span_is_found():
         id="sp1-left-r4", generators=(l_i, l_j, l_i),
         # the half-angle b in [0, pi/2] carries Haar density sin(2b)
         axes=(circle, ParamAxis(math.pi / 2.0, False, 0.5, 8), circle),
-        probe_fn=lambda: (action.element((1.0, 0.7, 0.3)), action.element((2.4, 1.1, 0.5))),
-        central_fn=tuple,
-        generic_fn=lambda x: bool(np.linalg.norm(x) > 1e-6),
         metadata=ActionMetadata(has_boundary=True, cohomogeneity=1,
                                 expected_sector_angle=None, singular_isotropy_note=None),
     )
@@ -365,10 +371,6 @@ def test_a_kernel_the_report_cannot_express_is_ambiguous():
     axis = ParamAxis(2.0 * math.pi, True, 1.0, 16)
     action = CatalogAction(
         id="t2-weights-c3", generators=(x1, x2), axes=(axis, axis),
-        probe_fn=lambda: (num.expm(1.0 * x1) @ num.expm(0.3 * x2),
-                          num.expm(0.7 * x1) @ num.expm(2.3 * x2)),
-        central_fn=lambda: (x1, x2),
-        generic_fn=lambda x: min(np.linalg.norm(x[i:i + 2]) for i in (0, 2, 4)) > 0.05,
         metadata=ActionMetadata(has_boundary=True, cohomogeneity=4,
                                 expected_sector_angle=None, singular_isotropy_note=None),
     )
@@ -377,14 +379,14 @@ def test_a_kernel_the_report_cannot_express_is_ambiguous():
     assert err.value.stage == "kernel"
 
 
-def test_a_central_direction_outside_the_kernel_algebra_is_an_internal_error():
+def test_a_central_direction_outside_the_kernel_algebra_is_an_internal_error(monkeypatch):
     # diag(J, 0) lies in Lie H = u(2) of the Hopf action but moves orbits.
     hopf = get_action("hopf-u1-r4")
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    wrong = dataclasses.replace(hopf, id="hopf-wrong-center",
-                                central_fn=lambda: (scipy.linalg.block_diag(j, np.zeros((2, 2))),))
+    wrong = scipy.linalg.block_diag(j, np.zeros((2, 2)))[None] / math.sqrt(2.0)
+    monkeypatch.setattr(CatalogAction, "central_directions", lambda self: wrong)
     with pytest.raises(InternalCheckError, match="outside the computed kernel algebra"):
-        quotient_isometry_group(wrong)
+        quotient_isometry_group(dataclasses.replace(hopf, id="hopf-wrong-center"))
 
 
 @pytest.mark.parametrize("edit", [

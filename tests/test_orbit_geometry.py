@@ -229,12 +229,30 @@ def test_has_boundary_catalog_from_metadata():
 
 
 def test_generic_points_avoid_singular_strata():
-    action = get_action("so2xso3-r5")
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        x = sample_generic_point(action, rng)
-        assert abs(np.linalg.norm(x) - 1.0) < 1e-12
-        assert action.is_generic(x)
+    # Every singular stratum: r5 with its R^2 or its R^3 block zero, r6 with
+    # a rank-1 or an equal-singular-value 2x3 coordinate matrix.
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    y = rng.standard_normal(5)
+    for action_id, x in [
+        ("so2xso3-r5", np.concatenate([np.zeros(2), y[2:]])),
+        ("so2xso3-r5", np.concatenate([y[:2], np.zeros(3)])),
+        ("so2-tensor-so3-r6", (u @ np.diag([1.3, 0.0]) @ v.T).ravel()),
+        ("so2-tensor-so3-r6", (u @ np.diag([0.7, 0.7]) @ v.T).ravel()),
+    ]:
+        assert not get_action(action_id).is_generic(x)
+    for action_id in ("hopf-u1-r4", "so2xso3-r5", "so2-tensor-so3-r6"):
+        action = get_action(action_id)
+        for _ in range(10):
+            x = sample_generic_point(action, rng)
+            assert abs(np.linalg.norm(x) - 1.0) < 1e-12
+            assert action.is_generic(x)
+            assert action.is_generic(rng.standard_normal(action.dimension))
+    trivial = trivial_action(3)
+    assert not trivial.is_generic(np.zeros(3))
+    assert trivial.is_generic(np.array([0.0, 1e-12, 0.0]))
+    assert all(trivial.is_generic(rng.standard_normal(3)) for _ in range(10))
 
 
 def test_generic_points_move_under_finite_group(finite_group):
