@@ -20,14 +20,13 @@ import numpy as np
 from . import _numerics as num
 from .catalog import catalog_summary
 from .errors import AmbiguityError, InternalCheckError, ValidationError
-from .isom_quotient import quotient_isometry_group, report_json
+from .isom_quotient import DEFAULT_SAMPLE_COUNT, quotient_isometry_group, report_json
 from .lift_verify import lift_rotation, quat_to_rotation
 from .orbit_geometry import QuotientPoint, quotient_distance
 from .repr_model import enumerate_group, load_spec
 from .verification import run_suites
 
 ENV_SEED = "ORBIT_ISOM_SEED"
-DEFAULT_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default 0, or {ENV_SEED})")
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
                        help="sample count for randomized checks")
         p.add_argument("--format", choices=("json", "text"), default="json")
 

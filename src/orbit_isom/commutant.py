@@ -46,7 +46,7 @@ def _sylvester_rows(mat: np.ndarray) -> np.ndarray:
     return np.kron(eye, mat.T) - np.kron(mat, eye)
 
 
-def commutant_basis(generators, *, rank_tol: float | None = None) -> np.ndarray:
+def commutant_basis(generators) -> np.ndarray:
     """Orthonormal (Frobenius) basis of {A : A g = g A for all generators},
     returned as a (k, d, d) stack."""
     gens = [np.asarray(g, dtype=float) for g in generators]
@@ -54,20 +54,19 @@ def commutant_basis(generators, *, rank_tol: float | None = None) -> np.ndarray:
     if d == 0:
         return np.zeros((0, 0, 0))
     stacked = np.vstack([_sylvester_rows(g) for g in gens])
-    null_basis, _ = num.nullspace(stacked, rank_tol=rank_tol, what="commutant")
+    null_basis, _ = num.nullspace(stacked, what="commutant")
     k = null_basis.shape[1]
     return null_basis.T.reshape(k, d, d).copy()
 
 
-def commutant_center(generators, commutant: np.ndarray, *,
-                     rank_tol: float | None = None) -> np.ndarray:
+def commutant_center(generators, commutant: np.ndarray) -> np.ndarray:
     """Basis of the center: matrices commuting with all generators and with
     every commutant basis element."""
     gens = [np.asarray(g, dtype=float) for g in generators]
     d = commutant.shape[1]
     rows = [_sylvester_rows(g) for g in gens]
     rows.extend(_sylvester_rows(b) for b in commutant)
-    null_basis, _ = num.nullspace(np.vstack(rows), rank_tol=rank_tol, what="commutant center")
+    null_basis, _ = num.nullspace(np.vstack(rows), what="commutant center")
     k = null_basis.shape[1]
     return null_basis.T.reshape(k, d, d).copy()
 
@@ -87,8 +86,7 @@ class ComponentSubspace:
         return self.basis @ self.basis.T
 
 
-def isotypic_split(commutant: np.ndarray, generators, seed: int, *,
-                   rank_tol: float | None = None) -> list[ComponentSubspace]:
+def isotypic_split(commutant: np.ndarray, generators, seed: int) -> list[ComponentSubspace]:
     """Isotypic components as eigenspaces of a random symmetric center element.
 
     The symmetric part of the center is exactly span{P_i} over the isotypic
@@ -100,7 +98,7 @@ def isotypic_split(commutant: np.ndarray, generators, seed: int, *,
     which depends on the seed; equivariant_isometry_group orders them.
     """
     d = commutant.shape[1]
-    center = commutant_center(generators, commutant, rank_tol=rank_tol)
+    center = commutant_center(generators, commutant)
     if center.shape[0] == 0:
         raise InternalCheckError("commutant center is empty (identity is always central)")
 
@@ -278,10 +276,6 @@ class EquivariantIsometryGroup:
     components: tuple[IsotypicComponent, ...]
     lie_basis: np.ndarray  # (K, d, d), orthonormal, exactly skew
     dimension: int
-
-    @property
-    def total_dim(self) -> int:
-        return self.dimension
 
     @property
     def rank(self) -> int:

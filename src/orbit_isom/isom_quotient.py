@@ -1,16 +1,20 @@
 """Identity component of the isometry group of an orbit space.
 
-The pipeline: split off the fixed subspace (it contributes a flat Euclidean
-factor and its full motion group), build the equivariant isometry group
-Isom_G(V)_0 = prod H_i over the isotypic components, then identify the kernel
-of the descent homomorphism p: Isom_G(V)_0 -> Isom(V/G)_0. For a finite G
-the kernel is computed exactly, with or without boundary: it is the set of
-central elements of G lying in the identity component. For a catalog action
-of a continuous group its identity component is computed from its Lie
-algebra, the equivariant directions tangent to every orbit, a linear system
-over generic points; only the -I blocks outside it are tested against the
-orbit oracle. Without boundary the result is checked against the central
-circles of the action as a hard check (Proposition 4.1b).
+One pipeline serves finite groups and catalog actions alike: split off the
+fixed subspace (it contributes a flat Euclidean factor and its full motion
+group), build the equivariant isometry group Isom_G(V)_0 = prod H_i over the
+isotypic components, then identify the kernel of the descent homomorphism
+p: Isom_G(V)_0 -> Isom(V/G)_0. Only the preamble differs: a finite spec is
+enumerated and restricted to the moving part of V, and a catalog action is
+checked to move every vector and contributes the span of its generators.
+For a finite G the kernel is computed exactly, with or without boundary: it
+is the set of central elements of G lying in the identity component. For a
+catalog action its identity component is computed from its Lie algebra, the
+equivariant directions tangent to every orbit, a linear system over generic
+points; only the -I blocks outside it are tested against the orbit oracle.
+Without boundary a catalog kernel is checked to be the center of the image
+(Proposition 4.1b): its circles are the central circles of the action, and
+it holds no whole factor.
 """
 from __future__ import annotations
 
@@ -213,8 +217,7 @@ def _in_kernel_algebra(complement: np.ndarray, coeffs: np.ndarray) -> bool:
 
 def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
                    sample_count: int = DEFAULT_SAMPLE_COUNT,
-                   seed: int = DEFAULT_SEED,
-                   density: int | None = None) -> KernelDescription:
+                   seed: int = DEFAULT_SEED) -> KernelDescription:
     """ker(p), computed for a finite G and for a catalog action.
 
     Finite G: the kernel is Z(G) meet Isom_G(V)_0, with or without boundary.
@@ -269,8 +272,7 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
             explained.append(circle)
             continue
         z = _discrete_center_candidate(factor, equiv, d)
-        if z is not None and orbit_equivalence_test(ctx, z, sample_count, seed,
-                                                    density=density):
+        if z is not None and orbit_equivalence_test(ctx, z, sample_count, seed):
             factor_discrete.append(fi)
             finite_part += [k @ z for k in finite_part]
 
@@ -303,14 +305,15 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
 
 def _assert_boundary_free_kernel(kernel: KernelDescription, action: CatalogAction,
                                  equiv: EquivariantIsometryGroup) -> None:
-    """Hard check: without boundary the kernel of a catalog action is
-    exactly the central circles of the action's image (Proposition 4.1b).
-    ``compute_kernel`` has put every central direction in the kernel; this
-    checks that the kernel holds nothing else."""
-    if kernel.whole_factors or kernel.factor_discrete or len(kernel.finite_part) != 1:
+    """Hard check: without boundary the kernel of a catalog action is the
+    center of the action's image (Proposition 4.1b), whose identity
+    component is its central circles. ``compute_kernel`` has put every
+    central direction in the kernel; this checks that no whole factor and
+    no non-central circle is in it. The finite part may exceed the
+    identity: the center of SU(2) acting on H^2 is {±I}."""
+    if kernel.whole_factors:
         raise InternalCheckError(
-            "boundary-free catalog quotient produced kernel parts beyond "
-            "the central circles")
+            "boundary-free catalog quotient has a whole factor in its kernel")
     span = action.central_directions()
     for i in kernel.continuous_part:
         a = equiv.lie_basis[i]
@@ -419,9 +422,8 @@ class AnalysisResult:
 
 
 def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
-                  boundary: bool, formula: str, kernel_method: str,
-                  seed: int, sample_count: int,
-                  catalog: CatalogAction | None, density: int | None) -> dict:
+                  boundary: bool, seed: int, sample_count: int,
+                  catalog: CatalogAction | None) -> dict:
     factors = [] if equiv is None else list(equiv.factors)
     compact = [
         {
@@ -445,7 +447,7 @@ def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
             "containsCenterOfG": bool(kernel.contains_center_of_g),
         },
         "boundary": bool(boundary),
-        "formulaApplied": formula,
+        "formulaApplied": FORMULA_SEARCH if boundary else FORMULA_BOUNDARY_FREE,
         "rank": int(rank),
         "theoremB": "",
         "theoremC": "",
@@ -468,7 +470,7 @@ def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
 
     notes = {
         "method": "commutant-center split",
-        "kernelMethod": kernel_method,
+        "kernelMethod": _kernel_method_text(boundary, catalog is None),
         "rng": "numpy-pcg64",
         "sampleCount": int(sample_count),
         "equivariantGroupDim": 0 if equiv is None else int(equiv.dimension),
@@ -479,10 +481,9 @@ def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
     if kernel.whole_factors and equiv is not None:
         notes["kernelWholeFactors"] = [equiv.factors[i].name for i in kernel.whole_factors]
     if catalog is not None:
-        m = DEFAULT_DENSITY if density is None else int(density)
         notes["catalogDiscretization"] = {
-            "density": m,
-            "gridCounts": [int(c) for c in catalog.grid_counts(m)],
+            "density": DEFAULT_DENSITY,
+            "gridCounts": [int(c) for c in catalog.grid_counts(DEFAULT_DENSITY)],
             "chordalErrorOrder": "O(1/density) per 1-parameter subgroup",
         }
     report["notes"] = notes
@@ -525,101 +526,70 @@ def _resolve_source(source):
 
 
 def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
-                            sample_count: int = DEFAULT_SAMPLE_COUNT,
-                            density: int | None = None) -> AnalysisResult:
+                            sample_count: int = DEFAULT_SAMPLE_COUNT) -> AnalysisResult:
     """Full pipeline: source -> Isom(V/G)_0 structure report.
 
     ``source`` may be a spec file path, a parsed spec/dict, a catalog id of
-    the form "catalog:<id>", or a CatalogAction.
+    the form "catalog:<id>", or a CatalogAction. Only the preamble depends
+    on the kind of source: it yields the action context restricted to the
+    moving part of V, generators whose commutant is the commutant of G, and
+    a weighted sample of G for the indicator sums. The stages from
+    ``commutant`` on are the same for both kinds.
     """
     label, spec, action = _stage("parse", _resolve_source, source)
-    if action is not None:
-        return _analyze_catalog(label, action, seed=seed,
-                                sample_count=sample_count, density=density)
-    return _analyze_finite(label, spec, seed=seed, sample_count=sample_count)
+    group = None
+    if action is None:
+        group = _stage("enumerate", enumerate_group, spec)
+        split = _stage("trivial-split", fixed_subspace, group.generators,
+                       group.dimension, tolerance=spec.tolerance)
+        if split.complement_dim == 0:
+            kernel = KernelDescription(
+                finite_part=(np.eye(0),), continuous_part=(),
+                contains_center_of_g=True, whole_factors=(), factor_discrete=())
+            report = _build_report(
+                euclidean_dim=split.fixed_dim, equiv=None, kernel=kernel,
+                boundary=False, seed=seed, sample_count=sample_count, catalog=None)
+            return AnalysisResult(
+                source=label, split=split, context=None, ambient_group=group,
+                equiv=None, kernel=kernel, boundary=False, report=report)
+        ctx = _stage("restrict", restrict_group, group, split)
+        gens, elements = ctx.generators, ctx.elements
+        weights = np.full(ctx.order, 1.0 / ctx.order)
+    else:
+        # G is connected: commuting with the span of the X_j is commuting
+        # with G, and exp(X_j) fixes exactly ker X_j (X_j^3 = -X_j). The
+        # span is smaller than the list when an Euler parametrization
+        # repeats a generator, and every generator costs d^2 rows in the
+        # systems below.
+        ctx = action
+        split = _stage("trivial-split", fixed_subspace,
+                       action.elements(np.eye(len(action.generators))), action.dimension)
+        if split.fixed_dim != 0:
+            raise InternalCheckError(
+                f"catalog action {action.id} has invariant vectors; the catalog "
+                f"assumes a fully moving action")
+        gens = num.span_basis(np.stack(action.generators), rank_tol=LIE_RANK_FLOOR,
+                              what="generator span")
+        elements, weights = action.fs_sample()
 
-
-def _analyze_finite(label: str, spec: RepresentationSpec, *, seed: int,
-                    sample_count: int) -> AnalysisResult:
-    group = _stage("enumerate", enumerate_group, spec)
-    split = _stage("trivial-split", fixed_subspace, group.generators,
-                   group.dimension, tolerance=spec.tolerance)
-    euclidean_dim = split.fixed_dim
-
-    if split.complement_dim == 0:
-        kernel = KernelDescription(
-            finite_part=(np.eye(0),), continuous_part=(),
-            contains_center_of_g=True, whole_factors=(), factor_discrete=())
-        report = _build_report(
-            euclidean_dim=euclidean_dim, equiv=None, kernel=kernel,
-            boundary=False, formula=FORMULA_BOUNDARY_FREE,
-            kernel_method=_kernel_method_text(False, True), seed=seed,
-            sample_count=sample_count, catalog=None, density=None)
-        return AnalysisResult(
-            source=label, split=split, context=None, ambient_group=group,
-            equiv=None, kernel=kernel, boundary=False, report=report)
-
-    reduced = _stage("restrict", restrict_group, group, split)
-    commutant = _stage("commutant", commutant_basis, reduced.generators)
-    parts = _stage("isotypic-split", isotypic_split, commutant,
-                   reduced.generators, seed)
-    weights = np.full(reduced.order, 1.0 / reduced.order)
-    components = [
-        _stage("classify", classify_component, p, reduced.elements, weights, commutant)
-        for p in parts
-    ]
-    equiv = _stage("equivariant-group", equivariant_isometry_group,
-                   components, commutant, reduced.generators)
-    boundary = _stage("boundary", has_boundary, reduced)
-    kernel = _stage("kernel", compute_kernel, equiv, reduced,
-                    sample_count=sample_count, seed=seed)
-    formula = FORMULA_SEARCH if boundary else FORMULA_BOUNDARY_FREE
-    report = _build_report(
-        euclidean_dim=euclidean_dim, equiv=equiv, kernel=kernel,
-        boundary=boundary, formula=formula,
-        kernel_method=_kernel_method_text(boundary, True), seed=seed,
-        sample_count=sample_count, catalog=None, density=None)
-    return AnalysisResult(
-        source=label, split=split, context=reduced, ambient_group=group,
-        equiv=equiv, kernel=kernel, boundary=boundary, report=report)
-
-
-def _analyze_catalog(label: str, action: CatalogAction, *, seed: int,
-                     sample_count: int, density: int | None) -> AnalysisResult:
-    # G is connected: commuting with the span of the X_j is commuting with
-    # G, and exp(X_j) fixes exactly ker X_j (X_j^3 = -X_j). The span is
-    # smaller than the list when an Euler parametrization repeats a
-    # generator, and every generator costs d^2 rows in the systems below.
-    split = _stage("trivial-split", fixed_subspace,
-                   action.elements(np.eye(len(action.generators))), action.dimension)
-    gens = num.span_basis(np.stack(action.generators), rank_tol=LIE_RANK_FLOOR,
-                          what="generator span")
-    if split.fixed_dim != 0:
-        raise InternalCheckError(
-            f"catalog action {action.id} has invariant vectors; the catalog "
-            f"assumes a fully moving action")
     commutant = _stage("commutant", commutant_basis, gens)
     parts = _stage("isotypic-split", isotypic_split, commutant, gens, seed)
-    elements, weights = action.fs_sample()
     components = [
         _stage("classify", classify_component, p, elements, weights, commutant)
         for p in parts
     ]
     equiv = _stage("equivariant-group", equivariant_isometry_group,
                    components, commutant, gens)
-    boundary = action.metadata.has_boundary
-    kernel = _stage("kernel", compute_kernel, equiv, action,
-                    sample_count=sample_count, seed=seed, density=density)
-    formula = FORMULA_SEARCH if boundary else FORMULA_BOUNDARY_FREE
-    if not boundary:
-        _stage("kernel-consistency", _assert_boundary_free_kernel,
-               kernel, action, equiv)
+    boundary = _stage("boundary", has_boundary, ctx)
+    kernel = _stage("kernel", compute_kernel, equiv, ctx,
+                    sample_count=sample_count, seed=seed)
+    if action is not None and not boundary:
+        _stage("kernel-consistency", _assert_boundary_free_kernel, kernel, action, equiv)
     report = _build_report(
-        euclidean_dim=0, equiv=equiv, kernel=kernel, boundary=boundary,
-        formula=formula, kernel_method=_kernel_method_text(boundary, False),
-        seed=seed, sample_count=sample_count, catalog=action, density=density)
+        euclidean_dim=split.fixed_dim, equiv=equiv, kernel=kernel, boundary=boundary,
+        seed=seed, sample_count=sample_count, catalog=action)
     return AnalysisResult(
-        source=label, split=split, context=action, ambient_group=None,
+        source=label, split=split, context=ctx, ambient_group=group,
         equiv=equiv, kernel=kernel, boundary=boundary, report=report)
 
 

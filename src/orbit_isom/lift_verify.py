@@ -216,13 +216,9 @@ def descend_check(x_iso: np.ndarray, context, sample_count: int,
     orbits, so the quotient distance is preserved.
     """
     x_iso = np.asarray(x_iso, dtype=float)
-    if isinstance(context, FiniteGroupData):
-        gens = context.generators
-    elif isinstance(context, CatalogAction):
-        gens = context.generators
-    else:
+    if not isinstance(context, (FiniteGroupData, CatalogAction)):
         raise ValidationError("descend_check expects a finite group or catalog action")
-    for g in gens:
+    for g in context.generators:
         if num.max_abs(x_iso @ g - g @ x_iso) > 1e-8:
             raise ValidationError("descend_check requires an equivariant isometry")
 

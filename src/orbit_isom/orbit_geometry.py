@@ -3,10 +3,12 @@
 The quotient distance between orbits is d(Gx, Gy) = min_g ||x - g y||. For
 finite groups the minimum is exact over the enumerated elements. For catalog
 actions it is approximated from below-in-parameters / above-in-value: a
-coarse deterministic grid pass (density m elements, chordal error O(1/m))
-followed by local refinement over the sampler parameters: L-BFGS-B with the
-exact gradient from the action's one-parameter-subgroup Jacobian, and
-golden-section coordinate sweeps only when L-BFGS-B reports no convergence.
+pass over the action's default grid (DEFAULT_DENSITY elements; density m
+has chordal error O(1/m)), then local refinement over the sampler
+parameters: L-BFGS-B with the exact gradient from the action's
+one-parameter-subgroup Jacobian, and golden-section coordinate sweeps only
+when L-BFGS-B reports no convergence. Only ``_batched_max_dots`` reads a
+grid of another density, for the unrefined Hopf metric check.
 Refined values always upper-bound the true distance, since they are minima
 over a finite subset of the group.
 
@@ -61,9 +63,8 @@ def _minimize(cost, p0: np.ndarray, **options):
     return optimize.minimize(cost, p0, method="L-BFGS-B", jac=True, options=options)
 
 
-def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray,
-                    density: int | None, *, rounds: int, sweeps: int,
-                    stop: float | None) -> float:
+def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray, *,
+                    rounds: int, sweeps: int, stop: float | None) -> float:
     """Local refinement of f over the sampler parameters from a grid start.
 
     A quasi-Newton stage runs first on ``cost``, which returns the value and
@@ -73,9 +74,9 @@ def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray,
     L-BFGS-B reports convergence or the value reaches ``stop``; only an
     unconverged run (e.g. an abnormal line-search exit) falls through to
     derivative-free golden-section coordinate sweeps on f (``rounds`` of
-    them, spans halving per round).
+    them, spans halving per round, from the default grid spacing).
     """
-    spans0 = action.grid_spacings(density)
+    spans0 = action.grid_spacings()
     p = np.array(p0, dtype=float)
     best = f(p)
     res = _minimize(cost, p, gtol=1e-12, ftol=1e-16, maxiter=300)
@@ -105,23 +106,20 @@ def _neg_dot_cost(action: CatalogAction, a: np.ndarray, b: np.ndarray):
     return cost
 
 
-def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray,
-                      density: int | None, *, refine: bool,
+def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
                       rounds: int = 3, sweeps: int = 8,
                       stop: float | None = None,
                       refine_cutoff: float | None = None) -> float:
-    """min over sampled g of ||a - g b||, optionally refined.
+    """min over g of ||a - g b||: the default grid, then refinement.
 
     ``refine_cutoff`` skips refinement when the grid value is already large
     (refinement only lowers the estimate toward the true distance, so a
     clearly-large grid value cannot refine into the pass region).
     """
-    params, els = action.grid(density)
+    params, els = action.grid()
     vals = np.linalg.norm(a[None, :] - els @ b, axis=1)
     i = int(np.argmin(vals))
     grid_best = float(vals[i])
-    if not refine:
-        return grid_best
     if refine_cutoff is not None and grid_best > refine_cutoff:
         return grid_best
 
@@ -135,31 +133,27 @@ def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray,
         r = a - gb
         return float(r @ r), -2.0 * (r @ jac)
 
-    refined = _catalog_refine(action, f, squared, params[i], density,
+    refined = _catalog_refine(action, f, squared, params[i],
                               rounds=rounds, sweeps=sweeps, stop=stop)
     return min(grid_best, refined)
 
 
-def _catalog_max_dot(action: CatalogAction, a: np.ndarray, b: np.ndarray,
-                     density: int | None, *, refine: bool,
+def _catalog_max_dot(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
                      rounds: int = 1, sweeps: int = 6) -> float:
-    params, els = action.grid(density)
+    params, els = action.grid()
     dots = (els @ b) @ a
     i = int(np.argmax(dots))
     grid_best = float(dots[i])
-    if not refine:
-        return grid_best
 
     def f(p):
         return -float(a @ (action.element(p) @ b))
 
     refined = -_catalog_refine(action, f, _neg_dot_cost(action, a, b), params[i],
-                               density, rounds=rounds, sweeps=sweeps, stop=None)
+                               rounds=rounds, sweeps=sweeps, stop=None)
     return max(grid_best, refined)
 
 
-def quotient_distance(a: QuotientPoint, b: QuotientPoint, *,
-                      density: int | None = None, refine: bool = True) -> float:
+def quotient_distance(a: QuotientPoint, b: QuotientPoint) -> float:
     """Quotient metric d(Gx, Gy) = min_g ||x - g y||.
 
     Exact for finite contexts; grid + refinement for catalog contexts.
@@ -172,11 +166,10 @@ def quotient_distance(a: QuotientPoint, b: QuotientPoint, *,
     x, y = a.representative, b.representative
     if isinstance(ctx, FiniteGroupData):
         return float(np.linalg.norm(x[None, :] - ctx.elements @ y, axis=1).min())
-    return _catalog_min_norm(ctx, x, y, density, refine=refine)
+    return _catalog_min_norm(ctx, x, y)
 
 
-def sphere_quotient_distance(a, b, context: Context, *,
-                             density: int | None = None, refine: bool = True) -> float:
+def sphere_quotient_distance(a, b, context: Context) -> float:
     """Quotient metric of the unit sphere: min_g arccos <a, g b>.
 
     Inputs must be unit vectors. This is the intrinsic distance on SV/G.
@@ -189,7 +182,7 @@ def sphere_quotient_distance(a, b, context: Context, *,
     if isinstance(context, FiniteGroupData):
         best = float(((context.elements @ b) @ a).max())
     else:
-        best = _catalog_max_dot(context, a, b, density, refine=refine)
+        best = _catalog_max_dot(context, a, b)
     return float(math.acos(min(1.0, max(-1.0, best))))
 
 
@@ -214,17 +207,17 @@ def has_boundary(ctx: Context) -> bool:
     return bool(np.any(ranks == 1))
 
 
-def sample_generic_point(ctx: Context, rng: np.random.Generator,
-                         max_tries: int = 1000) -> np.ndarray:
+def sample_generic_point(ctx: Context, rng: np.random.Generator) -> np.ndarray:
     """A unit vector with trivial isotropy margin.
 
     Finite case: rejected while any nonidentity element moves the point by
     less than GENERIC_MIN_MOVE. Catalog case: rejected unless
     ``CatalogAction.is_generic`` holds, i.e. the orbit has the generic
     dimension with GENERIC_MARGIN to spare, away from singular strata.
+    Gives up after 1000 rejected draws.
     """
     d = ctx.dimension
-    for _ in range(max_tries):
+    for _ in range(1000):
         x = num.random_unit_vector(rng, d)
         if isinstance(ctx, FiniteGroupData):
             if ctx.order == 1:
@@ -240,7 +233,7 @@ def sample_generic_point(ctx: Context, rng: np.random.Generator,
 
 
 def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: int,
-                           seed: int, *, density: int | None = None) -> bool:
+                           seed: int) -> bool:
     """Does ``candidate`` map every G-orbit to itself?
 
     For each sampled generic x the quotient distance between candidate*x and
@@ -257,7 +250,7 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
         # A true zero of the distance can sit anywhere inside a grid cell,
         # so the skip-refinement cutoff must dominate the cell diagonal
         # (unit vectors give Lipschitz constant about 1 per parameter).
-        cell = float(np.linalg.norm(ctx.grid_spacings(density)))
+        cell = float(np.linalg.norm(ctx.grid_spacings()))
     rng = np.random.default_rng([seed])
     for _ in range(sample_count):
         x = sample_generic_point(ctx, rng)
@@ -266,8 +259,7 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
             dist = float(np.linalg.norm(y[None, :] - ctx.elements @ x, axis=1).min())
         else:
             dist = _catalog_min_norm(
-                ctx, y, x, density, refine=True,
-                rounds=4, sweeps=8,
+                ctx, y, x, rounds=4, sweeps=8,
                 stop=ORBIT_MEMBERSHIP_TOL * 0.05,
                 refine_cutoff=max(0.01, 2.0 * cell),
             )
@@ -283,12 +275,14 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
 
 
 def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
-                      density: int | None, chunk: int = 256) -> np.ndarray:
-    """max over the grid of a_p^T g_n b_p for every pair p.
+                      density: int | None = None) -> np.ndarray:
+    """max over the grid of ``density`` elements (DEFAULT_DENSITY if None)
+    of a_p^T g_n b_p for every pair p, unrefined.
 
-    a^T g b = <a b^T, g>_F, so each chunk is one product of its flattened
-    outer products (chunk, d^2) with the flattened grid (d^2, N).
+    a^T g b = <a b^T, g>_F, so each chunk of 256 pairs is one product of
+    its flattened outer products (256, d^2) with the flattened grid (d^2, N).
     """
+    chunk = 256
     _, els = action.grid(density)
     flat = els.reshape(len(els), -1).T
     out = np.empty(len(a_pts))
@@ -301,7 +295,6 @@ def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarra
 
 
 def _refined_sphere_distance(action: CatalogAction, a: np.ndarray, b: np.ndarray,
-                             density: int | None,
                              start: np.ndarray | None = None):
     """(arccos of the refined max dot, maximizing params).
 
@@ -310,7 +303,7 @@ def _refined_sphere_distance(action: CatalogAction, a: np.ndarray, b: np.ndarray
     the maximum, so warm-started values need periodic cold re-grounding.
     """
     if start is None:
-        params, els = action.grid(density)
+        params, els = action.grid()
         dots = (els @ b) @ a
         i = int(np.argmax(dots))
         p0 = params[i]
@@ -330,8 +323,7 @@ def _refined_sphere_distance(action: CatalogAction, a: np.ndarray, b: np.ndarray
     return float(math.acos(min(1.0, max(-1.0, best)))), p_best
 
 
-def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int, *,
-                          density: int | None = None) -> float:
+def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -> float:
     """Angle of the planar sector SV/G for a cohomogeneity-2 action.
 
     The sector angle equals the diameter of SV/G, estimated as the maximum
@@ -353,7 +345,7 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int, *
         a_pts[i] = num.random_unit_vector(rng, d)
         b_pts[i] = num.random_unit_vector(rng, d)
 
-    max_dots = _batched_max_dots(action, a_pts, b_pts, density)
+    max_dots = _batched_max_dots(action, a_pts, b_pts)
     raw = np.arccos(np.clip(max_dots, -1.0, 1.0))
     order = np.argsort(raw)[::-1]
 
@@ -364,7 +356,7 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int, *
     best_val = 0.0
     best_pair = None
     for idx in order[:3]:
-        val, _ = _refined_sphere_distance(action, a_pts[idx], b_pts[idx], density)
+        val, _ = _refined_sphere_distance(action, a_pts[idx], b_pts[idx])
         if val > best_val:
             best_val = val
             best_pair = (a_pts[idx].copy(), b_pts[idx].copy())
@@ -372,7 +364,7 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int, *
         return best_val
 
     a, b = best_pair
-    current, p_grp = _refined_sphere_distance(action, a, b, density)
+    current, p_grp = _refined_sphere_distance(action, a, b)
     step = 0.3
     budget = 1200
     while step >= 1e-4 and budget > 0:
@@ -385,8 +377,7 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int, *
                     cand[axis] += sign * step
                     cand /= np.linalg.norm(cand)
                     pair = (cand, b) if which == 0 else (a, cand)
-                    val, p_cand = _refined_sphere_distance(action, *pair, density,
-                                                           start=p_grp)
+                    val, p_cand = _refined_sphere_distance(action, *pair, start=p_grp)
                     budget -= 1
                     # Margin above the warm-start value noise, or the climb
                     # walks on noise forever; gains under it are irrelevant
@@ -403,9 +394,9 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int, *
             # Cold re-ground before shrinking the step: a warm-started
             # climb can drift into a stale basin whose inflated values
             # both block real moves and overstate the final answer.
-            cold_val, cold_p = _refined_sphere_distance(action, a, b, density)
+            cold_val, cold_p = _refined_sphere_distance(action, a, b)
             if cold_val < current:
                 current, p_grp = cold_val, cold_p
             step *= 0.5
-    cold_val, _ = _refined_sphere_distance(action, a, b, density)
+    cold_val, _ = _refined_sphere_distance(action, a, b)
     return max(best_val, min(current, cold_val))

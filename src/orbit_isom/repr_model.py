@@ -255,14 +255,11 @@ class FiniteGroupData:
     """Deduplicated element list of a finite orthogonal matrix group.
 
     elements[identity_index] is the identity; the list order is the
-    deterministic BFS insertion order. cayley_closed records that the
-    closure terminated below the cap (BFS termination certifies closure
-    under right multiplication by generators, hence under multiplication).
+    deterministic BFS insertion order.
     """
 
     elements: np.ndarray  # (order, d, d)
     identity_index: int
-    cayley_closed: bool
     generators: tuple[np.ndarray, ...]
     _index: _KeyIndex = field(repr=False)
 
@@ -286,8 +283,8 @@ class FiniteGroupData:
         return None if idx < 0 else idx
 
     @classmethod
-    def from_elements(cls, elements, generators=(), identity_index: int | None = None,
-                      cayley_closed: bool = True) -> "FiniteGroupData":
+    def from_elements(cls, elements, generators=(),
+                      identity_index: int | None = None) -> "FiniteGroupData":
         """Index a list of matrices known to form a group (e.g. a restricted
         copy of an enumerated group)."""
         index = _KeyIndex(np.asarray(elements, dtype=float))
@@ -298,7 +295,6 @@ class FiniteGroupData:
         return cls(
             elements=index.elements,
             identity_index=identity_index,
-            cayley_closed=cayley_closed,
             generators=tuple(np.asarray(g, dtype=float) for g in generators),
             _index=index,
         )
@@ -342,7 +338,6 @@ def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
     return FiniteGroupData(
         elements=stack,
         identity_index=0,
-        cayley_closed=True,
         generators=spec.generators,
         _index=index,
     )
@@ -370,8 +365,8 @@ class TrivialSplit:
         return int(self.complement_basis.shape[1])
 
 
-def fixed_subspace(generators, dimension: int, *, tolerance: float = DEFAULT_TOLERANCE,
-                   rank_tol: float | None = None) -> TrivialSplit:
+def fixed_subspace(generators, dimension: int, *,
+                   tolerance: float = DEFAULT_TOLERANCE) -> TrivialSplit:
     """Common fixed subspace F = {x : g x = x for all generators} and the
     induced split.
 
@@ -384,7 +379,7 @@ def fixed_subspace(generators, dimension: int, *, tolerance: float = DEFAULT_TOL
     if not gens:
         raise ValidationError("fixed_subspace requires at least one generator")
     stacked = np.vstack([g - np.eye(d) for g in gens])
-    null_basis, range_basis = num.nullspace(stacked, rank_tol=rank_tol, what="fixed subspace")
+    null_basis, range_basis = num.nullspace(stacked, what="fixed subspace")
     f = null_basis.shape[1]
     if f == 0:
         fixed = np.zeros((d, 0))
@@ -428,5 +423,4 @@ def restrict_group(group: FiniteGroupData, split: TrivialSplit) -> FiniteGroupDa
         restricted,
         generators=split.restricted_generators,
         identity_index=group.identity_index,
-        cayley_closed=group.cayley_closed,
     )

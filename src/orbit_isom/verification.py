@@ -24,6 +24,7 @@ from .catalog import CATALOG, get_action, trivial_action
 from .commutant import commutant_basis, sample_equivariant_isometry
 from .fixtures import FIXTURE_NAMES, fixture_document
 from .isom_quotient import (
+    DEFAULT_SAMPLE_COUNT,
     _discrete_center_candidate,
     center_in_component,
     center_of_group,
@@ -87,7 +88,7 @@ def _suite_hopf_pipeline(memo: _AnalysisMemo) -> SuiteResult:
     rep = result.report
     checks = {
         "equivariant group is U(2) (Lie dim 4)": (
-            result.equiv.total_dim == 4
+            result.equiv.dimension == 4
             and [f["name"] for f in rep["compactFactors"]] == ["U(2)/center"]
             and rep["compactFactors"][0]["type"] == "Complex"
             and rep["compactFactors"][0]["multiplicity"] == 2
@@ -378,7 +379,7 @@ def _suite_structural(memo: _AnalysisMemo) -> SuiteResult:
                     f"sum n_i^2 t_i = {_expected_commutant_dim(rep)}")
         elif _expected_commutant_dim(rep) != 0:
             problems.append(f"{label}: nonzero commutant on a zero space")
-        lie_dim = 0 if result.equiv is None else result.equiv.total_dim
+        lie_dim = 0 if result.equiv is None else result.equiv.dimension
         if lie_dim != _expected_skew_dim(rep):
             problems.append(
                 f"{label}: Lie dim {lie_dim} != factor formula "
@@ -426,7 +427,7 @@ SUITE_IDS = tuple(suite_id for suite_id, _ in _SUITES)
 
 
 def run_suites(only: str | None = None, *, seed: int = 0,
-               sample_count: int = 200,
+               sample_count: int = DEFAULT_SAMPLE_COUNT,
                memo: _AnalysisMemo | None = None) -> list[SuiteResult]:
     """Run the acceptance suites whose id contains ``only`` (all if None).
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rot2, so3_zyz
+from orbit_isom import orbit_geometry
 from orbit_isom.catalog import CatalogAction, ParamAxis, _block_diag, get_action, trivial_action
 from orbit_isom.errors import ValidationError
 from orbit_isom.orbit_geometry import QuotientPoint, quotient_distance
@@ -84,7 +85,7 @@ def test_grid_holds_the_identity_and_quadrature_weights_sum_to_one():
         assert abs(weights.sum() - 1.0) < 1e-14
 
 
-def test_actions_sharing_an_id_keep_their_own_grids():
+def test_actions_sharing_an_id_keep_their_own_grids(monkeypatch):
     # Grids and quadratures are cached per instance: a copy under the same
     # id with conjugated generators must not reuse the original's.
     hopf = get_action("hopf-u1-r4")
@@ -99,10 +100,11 @@ def test_actions_sharing_an_id_keep_their_own_grids():
     assert np.abs(elements - q @ hopf_elements @ q.T).max() <= 1e-13
     assert np.abs(moved.fs_sample()[0] - q @ hopf_haar @ q.T).max() <= 1e-13
 
+    # With refinement disabled the distance is the grid minimum alone.
+    monkeypatch.setattr(orbit_geometry, "_catalog_refine", lambda *a, **k: math.inf)
     x = np.random.default_rng(6).standard_normal(4)
     y = moved.element(params[100]) @ x
-    assert quotient_distance(QuotientPoint(x, moved), QuotientPoint(y, moved),
-                             refine=False) <= 1e-14
+    assert quotient_distance(QuotientPoint(x, moved), QuotientPoint(y, moved)) <= 1e-14
     # Contexts compare by identity, not by id.
     with pytest.raises(ValidationError):
         quotient_distance(QuotientPoint(x, hopf), QuotientPoint(y, moved))

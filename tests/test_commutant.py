@@ -151,7 +151,7 @@ def test_sampled_isometry_zero_time_is_identity(memo):
 def test_lie_basis_skew_and_orthonormal(name, memo):
     equiv = memo.analysis(name).equiv
     basis = equiv.lie_basis
-    assert basis.shape[0] == equiv.total_dim
+    assert basis.shape[0] == equiv.dimension
     for a in basis:
         assert num.max_abs(a + a.T) < 1e-12
     if len(basis):

@@ -338,27 +338,46 @@ def test_generic_orbits_have_the_cohomogeneity_as_normal_dimension(action_id):
         assert normal.shape == (action.dimension, action.metadata.cohomogeneity)
 
 
-def test_a_whole_factor_outside_the_generators_span_is_found():
-    # Left multiplication by unit quaternions on R^4 = H, parametrized by
-    # Euler angles exp(a L_i) exp(b L_j) exp(c L_i): the generators miss L_k.
-    # Every orbit is a 3-sphere, so the whole commutant Sp(1) (right
-    # multiplication) maps every orbit to itself; V/G is a ray.
+def _left_unit_quaternions(copies, *, has_boundary):
+    """Left multiplication by unit quaternions on H^copies = R^(4 copies),
+    parametrized by Euler angles exp(a L_i) exp(b L_j) exp(c L_i): the
+    generators miss L_k."""
     l_i = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
     l_j = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
     circle = ParamAxis(2.0 * math.pi, True, 1.0, 8)
-    action = CatalogAction(
-        id="sp1-left-r4", generators=(l_i, l_j, l_i),
+    return CatalogAction(
+        id=f"sp1-left-r{4 * copies}",
+        generators=tuple(scipy.linalg.block_diag(*[x] * copies) for x in (l_i, l_j, l_i)),
         # the half-angle b in [0, pi/2] carries Haar density sin(2b)
         axes=(circle, ParamAxis(math.pi / 2.0, False, 0.5, 8), circle),
-        metadata=ActionMetadata(has_boundary=True, cohomogeneity=1,
+        metadata=ActionMetadata(has_boundary=has_boundary, cohomogeneity=4 * copies - 3,
                                 expected_sector_angle=None, singular_isotropy_note=None),
     )
+
+
+def test_a_whole_factor_outside_the_generators_span_is_found():
+    # On R^4 = H every orbit is a 3-sphere, so the whole commutant Sp(1)
+    # (right multiplication) maps every orbit to itself; V/G is a ray.
+    action = _left_unit_quaternions(1, has_boundary=True)
     rep = quotient_isometry_group(action).report
     assert rep["compactFactors"] == [
         {"name": "Sp(1)/whole-factor", "type": "Quaternionic", "multiplicity": 1}]
     assert (rep["kernel"]["finiteOrder"], rep["kernel"]["circleDirections"]) == (1, 0)
     assert rep["rank"] == 0
     assert rep["notes"]["quotientDescription"] == "trivial"
+
+
+def test_a_boundary_free_kernel_may_have_a_finite_center():
+    # SU(2) on H^2 = R^8: V/G is the cone over the quaternionic projective
+    # line S^4, with no boundary. The commutant is Sp(2) acting on the
+    # right, and the kernel is the center {±I} of the image, so the
+    # quotient group is Sp(2)/{±I} = SO(5) = Isom(S^4)_0.
+    rep = quotient_isometry_group(_left_unit_quaternions(2, has_boundary=False)).report
+    assert rep["compactFactors"] == [
+        {"name": "Sp(2)/{±I}", "type": "Quaternionic", "multiplicity": 2}]
+    assert (rep["kernel"]["finiteOrder"], rep["kernel"]["circleDirections"]) == (2, 0)
+    assert rep["formulaApplied"] == "proposition-4.1b"
+    assert rep["notes"]["quotientDescription"] == "Sp(2)/{±I}"
 
 
 def test_a_kernel_the_report_cannot_express_is_ambiguous():
