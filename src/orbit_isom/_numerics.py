@@ -175,3 +175,20 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
         v = rng.standard_normal(dim)
         n = np.linalg.norm(v)
     return v / n
+
+
+def random_unit_vectors(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """(n, 2, dim) array of n pairs of unit vectors from one draw of normals.
+
+    The stream is the one that 2n calls of ``random_unit_vector`` read, in
+    the same order. A row of norm under 1e-12 (probability ~0) is drawn
+    again; rows after it then differ from the one-by-one stream.
+    """
+    v = rng.standard_normal((n, 2, dim))
+    # The stacked product sums like the dot product inside np.linalg.norm
+    # of one vector, so the rows match the one-by-one draws bit for bit.
+    norms = np.sqrt(v[:, :, None, :] @ v[:, :, :, None])[:, :, 0]
+    for i, j in zip(*np.nonzero(norms[:, :, 0] < 1e-12)):
+        v[i, j] = random_unit_vector(rng, dim)
+        norms[i, j] = 1.0
+    return v / norms

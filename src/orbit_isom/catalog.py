@@ -20,7 +20,9 @@ which ``CatalogAction`` checks at construction. The circle of SO(2) is
 exp(t J); SO(3) is reached through the Euler angles Rz(alpha) Ry(beta)
 Rz(gamma). Because X_j commutes with its own factor, the derivative
 d(g v)/dt_j = E_1 ... E_{j-1} X_j E_j ... E_k v (E_i = exp(t_i X_i)) is exact,
-and the quotient-metric minimizers take it as their gradient.
+and so are the second derivatives: the quotient-metric refinement takes the
+gradient and Hessian of t -> a^T g(t) b as its Newton step
+(``dot_derivatives``).
 
 Each action exposes two discretizations, tuned to their consumers, each
 built from the generators in one batched product:
@@ -146,11 +148,18 @@ class CatalogAction:
 
     def _factors(self, params) -> np.ndarray:
         """(k, d, d) stack of E_j = exp(t_j X_j), from scalar sin/cos: the
-        single-element path, run by ``apply_with_jacobian`` once per L-BFGS-B
-        evaluation."""
+        single-element path."""
         ts = np.asarray(params, dtype=float).tolist()
         coeffs = [c for t in ts for c in (1.0, math.sin(t), 1.0 - math.cos(t))]
         return np.dot(coeffs, self._basis).reshape((len(ts),) + self.generators[0].shape)
+
+    def _batch_factors(self, params: np.ndarray) -> np.ndarray:
+        """(N, k, d, d) stack of the factors E_j for every row of ``params``."""
+        t = np.asarray(params, dtype=float)
+        n, k = t.shape
+        coeffs = np.stack([np.ones_like(t), np.sin(t), 1.0 - np.cos(t)], axis=-1)
+        return (coeffs.reshape(n, 3 * k) @ self._basis).reshape(
+            (n, k) + self.generators[0].shape)
 
     def element(self, params) -> np.ndarray:
         factors = self._factors(params)
@@ -162,35 +171,43 @@ class CatalogAction:
     def elements(self, params: np.ndarray) -> np.ndarray:
         """g(t) for every row of ``params`` (N, k), as one batched product
         of (N, d, d) stacks."""
-        t = np.asarray(params, dtype=float)
-        n, k = t.shape
-        coeffs = np.stack([np.ones_like(t), np.sin(t), 1.0 - np.cos(t)], axis=-1)
-        factors = (coeffs.reshape(n, 3 * k) @ self._basis).reshape(
-            (n, k) + self.generators[0].shape)
+        factors = self._batch_factors(params)
         out = factors[:, 0]
-        for j in range(1, k):
+        for j in range(1, factors.shape[1]):
             out = out @ factors[:, j]
         return out
 
-    def apply_with_jacobian(self, params, v: np.ndarray):
-        """(g(t) v, exact d x k Jacobian of g(t) v in t).
+    def dot_derivatives(self, params: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """(phi, gradient, Hessian) of phi(t) = a^T g(t) b, exactly, for
+        every row of ``params`` (N, k), ``a`` and ``b`` (N, d): shapes (N,),
+        (N, k) and (N, k, k).
 
-        Column j is E_1 ... E_{j-1} X_j E_j ... E_k v (X_j commutes with
-        E_j), from suffix vectors E_j ... E_k v and prefix products
-        E_1 ... E_{j-1}.
+        With the prefixes P_j = E_1 ... E_{j-1}, moving X_j to the identity
+        gives T_j = P_j X_j P_j^T and d g / dt_j = T_j g (X_j commutes with
+        E_j). T_j depends only on t_i for i < j, where d T_j / dt_i =
+        [T_i, T_j], so d^2 g / dt_i dt_j = T_i T_j g for i <= j. Hence
+        d phi / dt_j = a^T T_j g b and the Hessian entry (i, j), i <= j, is
+        a^T T_i T_j g b = -(T_i a)^T (T_j g b), as T_i is skew.
         """
-        factors = self._factors(params)
-        k = len(factors)
-        suffix = [v] * (k + 1)
-        for j in range(k - 1, -1, -1):
-            suffix[j] = np.dot(factors[j], suffix[j + 1])
-        jac = np.empty((len(v), k))
-        jac[:, 0] = np.dot(self.generators[0], suffix[0])
-        prefix = factors[0]
-        for j in range(1, k):
-            jac[:, j] = np.dot(prefix, np.dot(self.generators[j], suffix[j]))
-            prefix = np.dot(prefix, factors[j])
-        return suffix[0], jac
+        tables = self._cache.get("derivatives")
+        if tables is None:
+            k = len(self.generators)
+            tables = self._cache["derivatives"] = (
+                np.stack(self.generators), np.triu(np.ones((k, k), dtype=bool)))
+        gens, upper = tables
+        factors = self._batch_factors(params)
+        prefix = np.empty_like(factors)
+        prefix[:, 0] = np.eye(self.dimension)
+        for j in range(1, factors.shape[1]):
+            prefix[:, j] = prefix[:, j - 1] @ factors[:, j - 1]
+        gb = (prefix[:, -1] @ (factors[:, -1] @ b[:, :, None]))[:, :, 0]
+        # v^T P_j X_j P_j^T = -(T_j v)^T for v = a and g b: a (N, k, 2, d) stack.
+        moved = ((np.stack([a, gb], axis=1)[:, None] @ prefix) @ gens
+                 ) @ prefix.swapaxes(-1, -2)
+        cross = -(moved[:, :, 0] @ moved[:, :, 1].swapaxes(-1, -2))
+        grad = -(moved[:, :, 1] @ a[:, :, None])[:, :, 0]
+        hess = np.where(upper, cross, cross.swapaxes(-1, -2))
+        return np.einsum("ij,ij->i", a, gb), grad, hess
 
     def grid_counts(self, density: int) -> tuple[int, ...]:
         weights = [ax.weight for ax in self.axes]

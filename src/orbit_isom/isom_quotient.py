@@ -66,6 +66,18 @@ def _stage(name: str, fn, *args, **kwargs):
         raise
 
 
+def _moving_split(action: CatalogAction) -> TrivialSplit:
+    """The trivial split of a catalog action, which must have no invariant
+    vectors: exp(X_j) fixes exactly ker X_j (X_j^3 = -X_j)."""
+    split = fixed_subspace(action.elements(np.eye(len(action.generators))),
+                           action.dimension)
+    if split.fixed_dim != 0:
+        raise InternalCheckError(
+            f"catalog action {action.id} has invariant vectors; the catalog "
+            f"assumes a fully moving action")
+    return split
+
+
 def center_of_group(group: FiniteGroupData) -> np.ndarray:
     """Elements commuting with the whole group, as an (k, d, d) stack.
 
@@ -557,17 +569,11 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
         weights = np.full(ctx.order, 1.0 / ctx.order)
     else:
         # G is connected: commuting with the span of the X_j is commuting
-        # with G, and exp(X_j) fixes exactly ker X_j (X_j^3 = -X_j). The
-        # span is smaller than the list when an Euler parametrization
-        # repeats a generator, and every generator costs d^2 rows in the
-        # systems below.
+        # with G. The span is smaller than the list when an Euler
+        # parametrization repeats a generator, and every generator costs d^2
+        # rows in the systems below.
         ctx = action
-        split = _stage("trivial-split", fixed_subspace,
-                       action.elements(np.eye(len(action.generators))), action.dimension)
-        if split.fixed_dim != 0:
-            raise InternalCheckError(
-                f"catalog action {action.id} has invariant vectors; the catalog "
-                f"assumes a fully moving action")
+        split = _stage("trivial-split", _moving_split, action)
         gens = num.span_basis(np.stack(action.generators), rank_tol=LIE_RANK_FLOOR,
                               what="generator span")
         elements, weights = action.fs_sample()

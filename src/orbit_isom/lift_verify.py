@@ -190,12 +190,8 @@ def verify_hopf_metric(sample_count: int = 100, seed: int = 0, *,
     nonnegative and shrinks as the density grows.
     """
     action = get_action(HOPF_ACTION_ID)
-    rng = np.random.default_rng([seed])
-    a_pts = np.empty((sample_count, 4))
-    b_pts = np.empty((sample_count, 4))
-    for i in range(sample_count):
-        a_pts[i] = num.random_unit_vector(rng, 4)
-        b_pts[i] = num.random_unit_vector(rng, 4)
+    pairs = num.random_unit_vectors(np.random.default_rng([seed]), sample_count, 4)
+    a_pts, b_pts = pairs[:, 0], pairs[:, 1]
 
     max_dots = _batched_max_dots(action, a_pts, b_pts, density)
     quot = np.arccos(np.clip(max_dots, -1.0, 1.0))

@@ -5,9 +5,10 @@ finite groups the minimum is exact over the enumerated elements. For catalog
 actions it is approximated from below-in-parameters / above-in-value: a
 pass over the action's default grid (DEFAULT_DENSITY elements; density m
 has chordal error O(1/m)), then local refinement over the sampler
-parameters: L-BFGS-B with the exact gradient from the action's
-one-parameter-subgroup Jacobian, and golden-section coordinate sweeps only
-when L-BFGS-B reports no convergence. Only ``_batched_max_dots`` reads a
+parameters: a damped Newton ascent of phi(t) = a^T g(t) b with its exact
+gradient and Hessian from the closed form of the action's one-parameter
+subgroups, and golden-section coordinate sweeps only when the ascent does
+not converge. Only ``_batched_max_dots`` reads a
 grid of another density, for the unrefined Hopf metric check.
 Refined values always upper-bound the true distance, since they are minima
 over a finite subset of the group.
@@ -31,6 +32,12 @@ from .repr_model import FiniteGroupData
 ORBIT_MEMBERSHIP_TOL = 1e-7
 ORBIT_GUARD = 10.0
 GENERIC_MIN_MOVE = 1e-4
+# Newton ascent: Hessian eigenvalues are floored at this fraction of |a| |b|,
+# the Armijo constant, and the smallest step fraction before the line search
+# gives up.
+HESSIAN_FLOOR = 1e-8
+ARMIJO = 1e-4
+MIN_STEP = 1e-10
 
 Context = FiniteGroupData | CatalogAction
 
@@ -52,39 +59,93 @@ class QuotientPoint:
             )
 
 
-def _minimize(cost, p0: np.ndarray, **options):
-    """L-BFGS-B on ``cost``, which returns the value and exact gradient.
+def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
+                   p0: np.ndarray, *, gtol: float, ftol: float, maxiter: int,
+                   stop: float | None = None):
+    """Damped Newton ascent of phi_i(t) = a_i^T g(t) b_i from ``p0[i]``, for
+    every row i of ``a``, ``b`` (N, d) and ``p0`` (N, k).
 
-    scipy.optimize is imported on the first refinement rather than with
-    the package: analyses that refine nothing never load it.
+    Returns (params, phi, converged), one row each. Each step solves with
+    the exact Hessian's eigenvalues replaced by their absolute values,
+    floored at HESSIAN_FLOOR |a_i| |b_i|, so it climbs at saddles and stays
+    bounded where the maximizer is a whole subgroup; it then halves until
+    the Armijo condition holds. A row has converged when max |grad phi_i|
+    <= ``gtol``, its relative gain <= ``ftol`` (against max(|phi_i|, 1)),
+    or phi_i >= ``stop``; maxiter steps or a failed line search leave it
+    unconverged. Rows step in lockstep but stop on their own rule alone,
+    so a row's result does not depend on the other rows.
     """
-    from scipy import optimize
+    p = np.array(p0, dtype=float)
+    phi, grad, hess = action.dot_derivatives(p, a, b)
+    floor = HESSIAN_FLOOR * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    out_p, out_phi = p.copy(), phi.copy()
+    converged = np.zeros(len(p), dtype=bool)
+    # Live rows are kept compacted; ``rows`` maps them back to the input.
+    rows = np.arange(len(p))
+    retired = np.zeros(len(p), dtype=bool)
+    for it in range(maxiter + 1):
+        done = np.abs(grad).max(axis=1) <= gtol
+        if stop is not None:
+            done |= phi >= stop
+        converged[rows[done]] = True
+        live = ~(done | retired)
+        if not live.all():
+            rows, p, phi, grad, hess, a, b, floor = (
+                x[live] for x in (rows, p, phi, grad, hess, a, b, floor))
+        if not rows.size or it == maxiter:
+            break
+        lam, vec = np.linalg.eigh(hess)
+        coef = (grad[:, None, :] @ vec)[:, 0] / np.maximum(np.abs(lam), floor[:, None])
+        step = (vec @ coef[:, :, None])[:, :, 0]
+        slope = np.einsum("ij,ij->i", grad, step)
+        # Every pass evaluates all live rows, the accepted ones again at
+        # their accepted step: at these sizes a subset costs the same.
+        t = np.ones(len(rows))
+        while True:
+            q = p + t[:, None] * step
+            phi_q, grad_q, hess_q = action.dot_derivatives(q, a, b)
+            ok = phi_q >= phi + ARMIJO * t * slope
+            failed = ~ok & (0.5 * t < MIN_STEP)
+            pending = ~(ok | failed)
+            if not pending.any():
+                break
+            t[pending] *= 0.5
+        flat = ok & (phi_q - phi <= ftol * np.maximum(np.abs(phi_q), 1.0))
+        converged[rows[flat]] = True
+        retired = flat | failed
+        p[ok], phi[ok], grad[ok], hess[ok] = q[ok], phi_q[ok], grad_q[ok], hess_q[ok]
+        out_p[rows], out_phi[rows] = p, phi
+    return out_p, out_phi, converged
 
-    return optimize.minimize(cost, p0, method="L-BFGS-B", jac=True, options=options)
 
+def _catalog_refine(action: CatalogAction, f, a: np.ndarray, b: np.ndarray,
+                    p0: np.ndarray, *, rounds: int, sweeps: int,
+                    stop: float | None) -> float:
+    """Local refinement of f from a grid start, where f(p) is
+    ||a - g(p) b|| or -a^T g(p) b, read through ``action.element``.
 
-def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray, *,
-                    rounds: int, sweeps: int, stop: float | None) -> float:
-    """Local refinement of f over the sampler parameters from a grid start.
-
-    A quasi-Newton stage runs first on ``cost``, which returns the value and
-    exact gradient of a smooth cost with the same minimizers as f; it
-    tracks the curved ridges where axis-aligned sweeps zigzag (Euler angles
-    near a polar degeneracy couple two axes). It returns as soon as
-    L-BFGS-B reports convergence or the value reaches ``stop``; only an
-    unconverged run (e.g. an abnormal line-search exit) falls through to
-    derivative-free golden-section coordinate sweeps on f (``rounds`` of
-    them, spans halving per round, from the default grid spacing).
+    Both are smallest where phi = a^T g b is largest, since
+    ||a - g b||^2 = ||a||^2 + ||b||^2 - 2 phi for orthogonal g, so the
+    Newton ascent of phi runs first; it tracks the curved ridges where
+    axis-aligned sweeps zigzag (Euler angles near a polar degeneracy couple
+    two axes). ``stop`` is a value of the distance f; reaching it ends the
+    ascent. Only an unconverged ascent falls through to derivative-free
+    golden-section coordinate sweeps on f (``rounds`` of them, spans
+    halving per round, from the default grid spacing).
     """
     spans0 = action.grid_spacings()
     p = np.array(p0, dtype=float)
     best = f(p)
-    res = _minimize(cost, p, gtol=1e-12, ftol=1e-16, maxiter=300)
-    val = f(res.x)
+    phi_stop = None if stop is None else 0.5 * (a @ a + b @ b - stop * stop)
+    # gtol bounds the gradient of ||a - g b||^2, which is -2 grad phi.
+    q, _, converged = _newton_ascent(action, a[None], b[None], p[None], gtol=0.5e-12,
+                                     ftol=1e-16, maxiter=300, stop=phi_stop)
+    q, converged = q[0], bool(converged[0])
+    val = f(q)
     if val < best:
         best = val
-        p = np.asarray(res.x, dtype=float)
-    if res.success or (stop is not None and best <= stop):
+        p = q
+    if converged or (stop is not None and best <= stop):
         return best
     for r in range(rounds):
         p, val = num.coordinate_descent(
@@ -95,15 +156,6 @@ def _catalog_refine(action: CatalogAction, f, cost, p0: np.ndarray, *,
         if stop is not None and best <= stop:
             break
     return best
-
-
-def _neg_dot_cost(action: CatalogAction, a: np.ndarray, b: np.ndarray):
-    """p -> (-a^T g(p) b, its exact gradient -a^T J)."""
-    def cost(p):
-        gb, jac = action.apply_with_jacobian(p, b)
-        return -float(a @ gb), -(a @ jac)
-
-    return cost
 
 
 def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
@@ -126,14 +178,7 @@ def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
     def f(p):
         return float(np.linalg.norm(a - action.element(p) @ b))
 
-    def squared(p):
-        # ||a - g b||^2 is smooth at a true zero, where the norm is not;
-        # its gradient is -2 r^T J with r = a - g b.
-        gb, jac = action.apply_with_jacobian(p, b)
-        r = a - gb
-        return float(r @ r), -2.0 * (r @ jac)
-
-    refined = _catalog_refine(action, f, squared, params[i],
+    refined = _catalog_refine(action, f, a, b, params[i],
                               rounds=rounds, sweeps=sweeps, stop=stop)
     return min(grid_best, refined)
 
@@ -148,7 +193,7 @@ def _catalog_max_dot(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
     def f(p):
         return -float(a @ (action.element(p) @ b))
 
-    refined = -_catalog_refine(action, f, _neg_dot_cost(action, a, b), params[i],
+    refined = -_catalog_refine(action, f, a, b, params[i],
                                rounds=rounds, sweeps=sweeps, stop=None)
     return max(grid_best, refined)
 
@@ -294,33 +339,37 @@ def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarra
     return out
 
 
-def _refined_sphere_distance(action: CatalogAction, a: np.ndarray, b: np.ndarray,
-                             start: np.ndarray | None = None):
-    """(arccos of the refined max dot, maximizing params).
+def _refined_sphere_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
+                         start: np.ndarray | None = None, stop: float | None = None):
+    """(refined max over g of a^T g b, maximizing params) for every pair
+    of rows of ``a_pts`` and ``b_pts``, refined together.
 
-    ``start`` warm-starts the quasi-Newton stage from a nearby pair's
-    maximizer instead of the grid argmax; a stale basin then under-resolves
-    the maximum, so warm-started values need periodic cold re-grounding.
+    ``start`` warm-starts every ascent from a nearby pair's maximizer
+    instead of the grid argmax; a stale basin then under-resolves the
+    maximum, so warm-started values need periodic cold re-grounding. An
+    ascent that reaches ``stop`` ends there, short of the maximum.
     """
     if start is None:
         params, els = action.grid()
-        dots = (els @ b) @ a
-        i = int(np.argmax(dots))
-        p0 = params[i]
-        base = float(dots[i])
+        dots = np.einsum("gij,pi,pj->pg", els, a_pts, b_pts)
+        best = dots.argmax(axis=1)
+        p0 = params[best]
+        base = dots[np.arange(len(best)), best]
     else:
-        p0 = np.asarray(start, dtype=float)
-        base = float(a @ (action.element(p0) @ b))
+        p0 = np.tile(np.asarray(start, dtype=float), (len(a_pts), 1))
+        base = np.einsum("pi,ij,pj->p", a_pts, action.element(start), b_pts)
     # Tolerances sized for the arccos: a dot resolved to ~1e-10 puts the
     # angle within ~1e-9/sin(theta). Tighter settings never terminate at
     # strata pairs, where the maximizer is a whole subgroup and the
     # gradient cannot vanish along it.
-    res = _minimize(_neg_dot_cost(action, a, b), p0, gtol=1e-8, ftol=1e-12, maxiter=150)
-    if -float(res.fun) >= base:
-        best, p_best = -float(res.fun), np.asarray(res.x, dtype=float)
-    else:
-        best, p_best = base, p0
-    return float(math.acos(min(1.0, max(-1.0, best)))), p_best
+    p, phi, _ = _newton_ascent(action, a_pts, b_pts, p0, gtol=1e-8, ftol=1e-12,
+                               maxiter=150, stop=stop)
+    better = phi >= base
+    return np.where(better, phi, base), np.where(better[:, None], p, p0)
+
+
+def _arccos(dots):
+    return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
 def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -> float:
@@ -338,65 +387,81 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
             f"{action.id} has {action.metadata.cohomogeneity}"
         )
     d = action.dimension
-    rng = np.random.default_rng([seed])
-    a_pts = np.empty((sample_count, d))
-    b_pts = np.empty((sample_count, d))
-    for i in range(sample_count):
-        a_pts[i] = num.random_unit_vector(rng, d)
-        b_pts[i] = num.random_unit_vector(rng, d)
+    pairs = num.random_unit_vectors(np.random.default_rng([seed]), sample_count, d)
+    a_pts, b_pts = pairs[:, 0], pairs[:, 1]
 
     max_dots = _batched_max_dots(action, a_pts, b_pts)
-    raw = np.arccos(np.clip(max_dots, -1.0, 1.0))
-    order = np.argsort(raw)[::-1]
+    top = np.argsort(_arccos(max_dots))[::-1][:3]
 
     # Every reported or compared value is a fully converged refinement: an
     # under-resolved group maximum inflates the arccos, and one inflated
     # climb value poisons the acceptance baseline for every later honest
     # improvement.
+    vals = _arccos(_refined_sphere_dots(action, a_pts[top], b_pts[top])[0])
     best_val = 0.0
     best_pair = None
-    for idx in order[:3]:
-        val, _ = _refined_sphere_distance(action, a_pts[idx], b_pts[idx])
+    for idx, val in zip(top, vals):
         if val > best_val:
-            best_val = val
+            best_val = float(val)
             best_pair = (a_pts[idx].copy(), b_pts[idx].copy())
     if best_pair is None:
         return best_val
 
     a, b = best_pair
-    current, p_grp = _refined_sphere_distance(action, a, b)
+
+    def cold(a, b):
+        dot, p = _refined_sphere_dots(action, a[None], b[None])
+        return float(_arccos(dot[0])), p[0]
+
+    current, p_grp = cold(a, b)
+    # Row 2i moves coordinate i up by the step, row 2i + 1 moves it down.
+    moves = np.kron(np.eye(d), [[1.0], [-1.0]])
     step = 0.3
     budget = 1200
     while step >= 1e-4 and budget > 0:
         improved = False
         for which in (0, 1):
-            pt = a if which == 0 else b
-            for axis in range(d):
-                for sign in (1.0, -1.0):
-                    cand = pt.copy()
-                    cand[axis] += sign * step
-                    cand /= np.linalg.norm(cand)
-                    pair = (cand, b) if which == 0 else (a, cand)
-                    val, p_cand = _refined_sphere_distance(action, *pair, start=p_grp)
-                    budget -= 1
-                    # Margin above the warm-start value noise, or the climb
-                    # walks on noise forever; gains under it are irrelevant
-                    # at the accuracy the estimate targets.
-                    if val > current + 1e-5:
-                        if which == 0:
-                            a = cand
-                        else:
-                            b = cand
-                        current = val
-                        p_grp = p_cand
-                        improved = True
+            cands = (a if which == 0 else b) + step * moves
+            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+            # The candidates of one point are fixed before its sweep; only
+            # the warm start and the bar move when one is accepted. They are
+            # refined together from the current warm start, and the batch
+            # restarts after the first accepted one, so accept and reject
+            # follow the order of a one-by-one sweep.
+            first = 0
+            while first < len(cands):
+                batch = cands[first:]
+                other = np.broadcast_to(b if which == 0 else a, batch.shape)
+                # Margin above the warm-start value noise, or the climb
+                # walks on noise forever; gains under it are irrelevant at
+                # the accuracy the estimate targets. The ascent only raises
+                # the dot, so one that reaches the bar's cosine is rejected
+                # whatever it would converge to, and stops there.
+                bar = math.cos(current + 1e-5)
+                dots, found = _refined_sphere_dots(
+                    action, *((batch, other) if which == 0 else (other, batch)),
+                    start=p_grp, stop=bar)
+                vals = _arccos(dots)
+                hits = np.flatnonzero((vals > current + 1e-5) & (dots < bar))
+                if not hits.size:
+                    budget -= len(batch)
+                    break
+                h = int(hits[0])
+                budget -= h + 1
+                first += h + 1
+                if which == 0:
+                    a = batch[h]
+                else:
+                    b = batch[h]
+                current, p_grp = float(vals[h]), found[h]
+                improved = True
         if not improved:
             # Cold re-ground before shrinking the step: a warm-started
             # climb can drift into a stale basin whose inflated values
             # both block real moves and overstate the final answer.
-            cold_val, cold_p = _refined_sphere_distance(action, a, b)
+            cold_val, cold_p = cold(a, b)
             if cold_val < current:
                 current, p_grp = cold_val, cold_p
             step *= 0.5
-    cold_val, _ = _refined_sphere_distance(action, a, b)
+    cold_val, _ = cold(a, b)
     return max(best_val, min(current, cold_val))

@@ -62,16 +62,26 @@ def test_batched_elements_equal_single_elements(case):
 @given(action_and_params(), st.lists(st.floats(-2.0, 2.0, allow_nan=False),
                                      min_size=6, max_size=6))
 def test_jacobian_matches_central_differences(case, vec):
+    # With a = e_i, phi(t) = a^T g(t) v is entry i of g(t) v and its
+    # gradient is row i of the Jacobian of g(t) v.
     action_id, params = case
     action = action_of(action_id)
     p = params[0]
     v = np.array(vec[:action.dimension])
-    gv, jac = action.apply_with_jacobian(p, v)
+    rows = np.eye(action.dimension)
+    gv, jac, hess = action.dot_derivatives(np.tile(p, (len(v), 1)), rows,
+                                           np.tile(v, (len(v), 1)))
     assert np.abs(gv - action.element(p) @ v).max() <= 1e-14
+    assert np.array_equal(hess, hess.swapaxes(1, 2))
     h = 1e-5
     for j, e in enumerate(np.eye(len(p))):
         diff = (action.element(p + h * e) @ v - action.element(p - h * e) @ v) / (2 * h)
         assert np.abs(jac[:, j] - diff).max() <= 1e-7
+        up = action.dot_derivatives(np.tile(p + h * e, (len(v), 1)), rows,
+                                    np.tile(v, (len(v), 1)))[1]
+        down = action.dot_derivatives(np.tile(p - h * e, (len(v), 1)), rows,
+                                      np.tile(v, (len(v), 1)))[1]
+        assert np.abs(hess[:, :, j] - (up - down) / (2 * h)).max() <= 1e-7
 
 
 def test_grid_holds_the_identity_and_quadrature_weights_sum_to_one():

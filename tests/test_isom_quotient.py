@@ -16,7 +16,14 @@ import orbit_isom
 from conftest import random_orthogonal, rot2
 from orbit_isom import _numerics as num
 from orbit_isom import isom_quotient
-from orbit_isom.catalog import CATALOG, ActionMetadata, CatalogAction, ParamAxis, get_action
+from orbit_isom.catalog import (
+    CATALOG,
+    ActionMetadata,
+    CatalogAction,
+    ParamAxis,
+    get_action,
+    trivial_action,
+)
 from orbit_isom.errors import InternalCheckError, KernelAmbiguityError, ValidationError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.isom_quotient import (
@@ -420,22 +427,47 @@ def test_boundary_free_kernel_check_rejects_more_than_the_central_circles(edit, 
             dataclasses.replace(result.kernel, **edit), result.context, result.equiv)
 
 
+def _loaded_after(code, module):
+    """Whether ``module`` is in sys.modules after ``code`` runs in a fresh
+    interpreter."""
+    src = str(Path(orbit_isom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}print({module!r} in sys.modules)\n"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.strip() == "True"
+
+
 def test_analyses_without_refinement_leave_scipy_optimize_unloaded():
-    code = (
-        "import sys\n"
+    assert not _loaded_after(
         "import orbit_isom\n"
         "from orbit_isom.fixtures import fixture_document\n"
         "from orbit_isom.isom_quotient import quotient_isometry_group\n"
         "quotient_isometry_group('catalog:so2-tensor-so3-r6')\n"
-        "quotient_isometry_group(fixture_document('q8'))\n"
-        "print('scipy.optimize' in sys.modules)\n"
-    )
-    src = str(Path(orbit_isom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+        "quotient_isometry_group(fixture_document('q8'))\n",
+        "scipy.optimize")
+
+
+def test_refinements_leave_scipy_unloaded():
+    assert not _loaded_after(
+        "import numpy as np\n"
+        "from orbit_isom import lift_verify, orbit_geometry as og\n"
+        "from orbit_isom.catalog import get_action\n"
+        "r6 = get_action('so2-tensor-so3-r6')\n"
+        "og.sector_angle_estimate(get_action('so2xso3-r5'), 50, 0)\n"
+        "x, y = np.random.default_rng(0).standard_normal((2, 6))\n"
+        "og.quotient_distance(og.QuotientPoint(x, r6), og.QuotientPoint(y, r6))\n"
+        "lift = lift_verify.lift_rotation(np.diag([1.0, -1.0, -1.0])).lift\n"
+        "lift_verify.descend_check(lift, get_action('hopf-u1-r4'), 3, 0)\n"
+        "assert og.orbit_equivalence_test(r6, np.eye(6), 3, 0)\n",
+        "scipy")
+
+
+def test_catalog_action_with_invariant_vectors_names_its_stage():
+    with pytest.raises(InternalCheckError) as err:
+        quotient_isometry_group(trivial_action(3))
+    assert err.value.stage == "trivial-split"
 
 
 def test_unknown_catalog_id_rejected():

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize import OptimizeResult
 
 from conftest import cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of
+from orbit_isom import _numerics as num
 from orbit_isom import orbit_geometry
 from orbit_isom.catalog import get_action, trivial_action
 from orbit_isom.errors import KernelAmbiguityError, ValidationError
@@ -125,20 +124,21 @@ def _tensor_distance(x, y):
 
 
 def _record_refinements(monkeypatch):
-    """Log each L-BFGS-B run's ``success`` and count fallback calls after it."""
+    """Log each Newton ascent's ``converged`` flag and count fallback calls
+    after it."""
     log = []
-    minimize, descend = scipy.optimize.minimize, orbit_geometry.num.coordinate_descent
+    ascend, descend = orbit_geometry._newton_ascent, orbit_geometry.num.coordinate_descent
 
-    def recording_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        log.append([bool(res.success), 0])
-        return res
+    def recording_ascent(*args, **kwargs):
+        p, phi, converged = ascend(*args, **kwargs)
+        log.extend([bool(c), 0] for c in converged)
+        return p, phi, converged
 
     def counting_descent(*args, **kwargs):
         log[-1][1] += 1
         return descend(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+    monkeypatch.setattr(orbit_geometry, "_newton_ascent", recording_ascent)
     monkeypatch.setattr(orbit_geometry.num, "coordinate_descent", counting_descent)
     return log
 
@@ -160,19 +160,19 @@ def test_catalog_distance_matches_closed_form(action_id, closed_form, monkeypatc
         want = closed_form(x, y)
         assert want > 0.1
         assert abs(d - want) < 1e-9
-    # one L-BFGS-B run per distance; the golden-section fallback follows
-    # exactly the runs that did not converge
+    # one Newton ascent per distance; the golden-section fallback follows
+    # exactly the ascents that did not converge
     assert len(log) == 10
     for converged, fallback_calls in log:
         assert (fallback_calls > 0) == (not converged)
 
 
 def test_unconverged_refinement_falls_back_to_golden_sections(monkeypatch):
-    def stalled(fun, x0, **_):
-        return OptimizeResult(x=np.array(x0, dtype=float), fun=fun(x0)[0],
-                              success=False, status=2, nit=0, nfev=1)
+    def stalled(action, a, b, p0, **_):
+        p0 = np.array(p0, dtype=float)
+        return p0, action.dot_derivatives(p0, a, b)[0], np.zeros(len(p0), dtype=bool)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+    monkeypatch.setattr(orbit_geometry, "_newton_ascent", stalled)
     log = _record_refinements(monkeypatch)
     action = get_action("hopf-u1-r4")
     rng = np.random.default_rng(13)
@@ -304,6 +304,17 @@ def test_batched_max_dots_match_the_per_pair_maximum(action, pairs, density):
 
 def test_sector_estimate_trivial_plane():
     assert abs(sector_angle_estimate(trivial_action(2), 400, 0) - math.pi) < 1e-2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unit_vector_pairs_match_the_per_call_stream(seed):
+    # one draw of normals reads the stream of 2n single draws, in order
+    n, d = 500, 6
+    pairs = num.random_unit_vectors(np.random.default_rng([seed]), n, d)
+    rng = np.random.default_rng([seed])
+    want = np.array([[num.random_unit_vector(rng, d) for _ in range(2)] for _ in range(n)])
+    assert pairs.shape == (n, 2, d)
+    assert np.all(np.abs(pairs - want) <= np.spacing(np.abs(want)))
 
 
 def full_svd_boundary(group):
