@@ -22,6 +22,27 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def banded_row_max(rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Max norm of each row of an (n, m) array, exact where it lies in
+    (lo, hi]; elsewhere some value on the same side of lo and of hi, for
+    lo <= hi.
+
+    A row's l1 norm bounds its max norm from both sides, max <= l1 <= m max,
+    and the l1 norms come from one BLAS product, far cheaper than a row-wise
+    max. A row with l1 <= lo has its max at or under lo, and one with
+    l1 / m > hi has it over hi; only the rows between get the exact max.
+    The margin of 1e-9 covers the rounding of the sums.
+    """
+    mags = np.abs(rows)
+    m = mags.shape[1]
+    out = mags @ np.ones(m)
+    high = out > m * hi * (1.0 + 1e-9)
+    out[high] /= m
+    between = ~high & (out > lo * (1.0 - 1e-9))
+    out[between] = mags[between].max(axis=1, initial=0.0)
+    return out
+
+
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 

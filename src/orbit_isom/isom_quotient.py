@@ -39,6 +39,7 @@ from .commutant import (
 from .errors import InternalCheckError, KernelAmbiguityError, OrbitIsomError, ValidationError
 from .orbit_geometry import has_boundary, orbit_equivalence_test, sample_generic_point
 from .repr_model import (
+    DEDUP_GUARD,
     DEDUP_TOL,
     DEFAULT_SEED,
     FiniteGroupData,
@@ -52,6 +53,9 @@ from .repr_model import (
 
 DEFAULT_SAMPLE_COUNT = 200
 CENTRAL_TOL = 1e-8
+COMMUTATOR_TOL = 1e-9
+# Elements whose commutators with a generator are formed at once.
+_CENTER_BLOCK = 1024
 
 FORMULA_BOUNDARY_FREE = "proposition-4.1b"
 FORMULA_SEARCH = "central-kernel-search"
@@ -79,17 +83,35 @@ def _moving_split(action: CatalogAction) -> TrivialSplit:
 
 
 def center_of_group(group: FiniteGroupData) -> np.ndarray:
-    """Elements commuting with the whole group, as an (k, d, d) stack.
+    """Elements commuting with the whole group, as an (k, d, d) stack in
+    element order.
 
     Commuting with the generators is equivalent and much cheaper than
-    testing against every element.
+    testing against every element, and each generator is tested only on the
+    elements that commute with the ones before it. A commutator decides at
+    COMMUTATOR_TOL, with a guard band above it: if z does not commute with
+    g, then zgz^-1 and g are distinct stored elements, more than
+    DEDUP_GUARD * DEDUP_TOL apart in max norm, so ||zg - gz||_max =
+    ||(zgz^-1 - g) z||_max exceeds DEDUP_GUARD * DEDUP_TOL / d. A commutator
+    between the two bounds raises KernelAmbiguityError; past d = 100 the
+    band is empty.
     """
-    els = group.elements
-    mask = np.ones(len(els), dtype=bool)
+    band = max(DEDUP_GUARD * DEDUP_TOL / max(group.dimension, 1), COMMUTATOR_TOL)
+    central = group.elements
     for g in group.generators:
-        comm = els @ g - g[None, :, :] @ els
-        mask &= np.abs(comm).max(axis=(1, 2)) <= 1e-9
-    return els[mask]
+        # in blocks, so that the commutators stay in cache
+        blocks = np.split(central, range(_CENTER_BLOCK, len(central), _CENTER_BLOCK))
+        comm = np.concatenate([
+            num.banded_row_max((z @ g - g @ z).reshape(len(z), -1), COMMUTATOR_TOL, band)
+            for z in blocks])
+        ambiguous = (comm > COMMUTATOR_TOL) & (comm <= band)
+        if np.any(ambiguous):
+            raise KernelAmbiguityError(
+                f"commutator with a generator of max norm {comm[ambiguous].min():.3e}, "
+                f"inside ({COMMUTATOR_TOL:.0e}, {band:.3e}]: neither central nor "
+                "separated from the center")
+        central = central[comm <= COMMUTATOR_TOL]
+    return central
 
 
 def _central_element_in_component(z: np.ndarray, equiv: EquivariantIsometryGroup) -> bool:

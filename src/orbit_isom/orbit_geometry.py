@@ -237,17 +237,20 @@ def has_boundary(ctx: Context) -> bool:
     Finite case: true iff some element is a hyperplane reflection, i.e. its
     fixed subspace has dimension exactly dim V - 1. Only elements with
     ||g - I||_F^2 near 4 get the rank test: rank(g - I) = 1 makes an
-    orthogonal g a reflection, and a reflection has ||g - I||_F = 2. Catalog
-    actions carry the verdict as metadata.
+    orthogonal g a reflection, and a reflection has ||g - I||_F = 2. The
+    prefilter reads ||g - I||_F^2 as ||g||_F^2 - 2 tr g + d, which needs no
+    stack of differences. Catalog actions carry the verdict as metadata.
     """
     if isinstance(ctx, CatalogAction):
         return ctx.metadata.has_boundary
     d = ctx.dimension
     if d == 0:
         return False
-    diffs = ctx.elements - np.eye(d)[None, :, :]
-    squared = np.einsum("nij,nij->n", diffs, diffs)
-    svals = np.linalg.svd(diffs[np.abs(squared - 4.0) <= 1e-3], compute_uv=False)
+    els = ctx.elements
+    flat = els.reshape(len(els), d * d)
+    squared = np.einsum("ni,ni->n", flat, flat) - 2.0 * np.trace(els, axis1=1, axis2=2) + d
+    diffs = els[np.abs(squared - 4.0) <= 1e-3] - np.eye(d)
+    svals = np.linalg.svd(diffs, compute_uv=False)
     ranks = (svals > 1e-7).sum(axis=1)
     return bool(np.any(ranks == 1))
 

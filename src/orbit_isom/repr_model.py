@@ -8,12 +8,17 @@ generators, a chunk of queued elements at a time. Deduplication goes through
 a sorted projection-key index: each matrix is keyed by its inner product with
 a fixed unit matrix, candidates are the stored matrices whose keys lie within
 d times the guard band, and a candidate matches within 1e-8 in max norm. Two
-elements closer than 10x the match tolerance abort the run.
+elements closer than 10x the match tolerance abort the run. A chunk's
+products are keyed and sorted once; the lookup against the stored elements,
+the search for repeats among the products and the insertion of the new ones
+all reuse that sort, and the new keys join the stored ones in one merge.
+Orthogonality drift is checked on each chunk's new elements as they arrive.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,9 +168,10 @@ def _window_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise verdict for two (n, d, d) stacks: True within DEDUP_TOL in max
-    norm, False beyond DEDUP_GUARD * DEDUP_TOL; raises in between."""
-    dist = np.abs(a - b).max(axis=(1, 2), initial=0.0)
+    """Row-wise verdict for two (n, d*d) stacks of flattened matrices: True
+    within DEDUP_TOL in max norm, False beyond DEDUP_GUARD * DEDUP_TOL;
+    raises in between."""
+    dist = num.banded_row_max(a - b, DEDUP_TOL, DEDUP_GUARD * DEDUP_TOL)
     ambiguous = (dist > DEDUP_TOL) & (dist <= DEDUP_GUARD * DEDUP_TOL)
     if np.any(ambiguous):
         raise DedupAmbiguityError(
@@ -174,6 +180,16 @@ def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             "dedup tolerance misconfiguration"
         )
     return dist <= DEDUP_TOL
+
+
+class _Batch(NamedTuple):
+    """A stack of matrices prepared for the index: its rows, flattened, and
+    the sort of their keys, which lookup, first occurrence and insertion all
+    reuse."""
+
+    flat: np.ndarray       # (n, d*d)
+    order: np.ndarray      # argsort of the keys
+    ascending: np.ndarray  # the keys in that order
 
 
 class _KeyIndex:
@@ -185,68 +201,92 @@ class _KeyIndex:
     d * DEDUP_GUARD * DEDUP_TOL of its own, which includes every stored
     matrix inside the guard band: W decides which matrices get compared,
     never a verdict. (||W||_1 reaches d only when all entries of W have one
-    magnitude, so the window also absorbs the roundoff of the keys.) The stored matrices must be pairwise farther apart than
-    the guard band, so a lookup matches at most one.
+    magnitude, so the window also absorbs the roundoff of the keys.) The
+    stored matrices must be pairwise farther apart than the guard band, so a
+    lookup matches at most one.
+
+    A stack is keyed and sorted once (``batch``). Lookup searches the stored
+    keys with the ascending keys as needles, first occurrence scans windows
+    of the ascending keys, and ``add`` merges the new keys, already
+    ascending, into the stored ones. The sort need not be stable: which
+    pairs fall in a window, and so every verdict, does not depend on the
+    order of tied keys. Matrices are stored as flat (d*d) rows, which is
+    how ``_same`` compares them.
     """
 
     def __init__(self, mats: np.ndarray) -> None:
         """Index the (n, d, d) stack ``mats``, which must hold no duplicates."""
-        d = mats.shape[1]
+        d = self._dim = mats.shape[1]
         w = np.random.default_rng(_KEY_SEED).standard_normal(d * d)
         self._w = w / np.linalg.norm(w)
         self._radius = d * DEDUP_GUARD * DEDUP_TOL
         self._size = 0
-        self._mats = np.empty((0, d, d))
+        self._flat = np.empty((0, d * d))
         self._keys = np.empty(0)  # ascending
         self._order = np.empty(0, dtype=np.intp)  # stored index of each key
-        if not np.all(self.first_occurrences(mats)):
+        batch = self.batch(mats)
+        if not np.all(self.first_occurrences(batch)):
             raise DedupAmbiguityError("duplicate element in the input list")
-        self.add(mats)
+        self.add(batch, np.ones(len(mats), dtype=bool))
+
+    def __len__(self) -> int:
+        return self._size
 
     @property
     def elements(self) -> np.ndarray:
-        return self._mats[:self._size]
+        return self._flat[:self._size].reshape(self._size, self._dim, self._dim)
 
-    def _key(self, mats: np.ndarray) -> np.ndarray:
-        return mats.reshape(len(mats), self._w.size) @ self._w
+    def batch(self, mats: np.ndarray) -> _Batch:
+        """Key and sort an (n, d, d) stack."""
+        flat = mats.reshape(len(mats), self._w.size)
+        keys = flat @ self._w
+        order = np.argsort(keys)
+        return _Batch(flat, order, keys[order])
 
-    def lookup(self, mats: np.ndarray) -> np.ndarray:
-        """Stored index matching each matrix of the stack, or -1."""
-        keys = self._key(mats)
-        lo = np.searchsorted(self._keys, keys - self._radius, "left")
-        hi = np.searchsorted(self._keys, keys + self._radius, "right")
+    def lookup(self, batch: _Batch) -> np.ndarray:
+        """Stored index matching each matrix of the batch, or -1."""
+        lo = np.searchsorted(self._keys, batch.ascending - self._radius, "left")
+        hi = np.searchsorted(self._keys, batch.ascending + self._radius, "right")
         rows, cols = _window_pairs(lo, hi)
+        rows = batch.order[rows]
         stored = self._order[cols]
-        same = _same(mats[rows], self._mats[stored])
-        found = np.full(len(mats), -1)
+        same = _same(batch.flat.take(rows, axis=0), self._flat.take(stored, axis=0))
+        found = np.full(len(batch.flat), -1)
         found[rows[same]] = stored[same]
         return found
 
-    def first_occurrences(self, mats: np.ndarray) -> np.ndarray:
-        """Mask of the matrices of the stack that match no earlier one."""
-        keys = self._key(mats)
-        order = np.argsort(keys, kind="stable")
-        ascending = keys[order]
-        hi = np.searchsorted(ascending, ascending + self._radius, "right")
-        rows, cols = _window_pairs(np.arange(1, len(mats) + 1), hi)
-        a, b = order[rows], order[cols]
-        first = np.ones(len(mats), dtype=bool)
-        first[np.maximum(a, b)[_same(mats[a], mats[b])]] = False
+    def first_occurrences(self, batch: _Batch) -> np.ndarray:
+        """Mask of the matrices of the batch that match no earlier one."""
+        n = len(batch.flat)
+        if n == 1:
+            return np.ones(1, dtype=bool)
+        hi = np.searchsorted(batch.ascending, batch.ascending + self._radius, "right")
+        rows, cols = _window_pairs(np.arange(1, n + 1), hi)
+        a, b = batch.order[rows], batch.order[cols]
+        first = np.ones(n, dtype=bool)
+        same = _same(batch.flat.take(a, axis=0), batch.flat.take(b, axis=0))
+        first[np.maximum(a, b)[same]] = False
         return first
 
-    def add(self, mats: np.ndarray) -> None:
-        """Append matrices that match no stored one and no other one added."""
-        keys = self._key(mats)
-        size = self._size + len(mats)
-        if size > len(self._mats):
-            grown = np.empty((max(size, 2 * len(self._mats)),) + self._mats.shape[1:])
-            grown[:self._size] = self.elements
-            self._mats = grown
-        self._mats[self._size:size] = mats
-        ascending = np.argsort(keys)
-        at = np.searchsorted(self._keys, keys[ascending])
-        self._keys = np.insert(self._keys, at, keys[ascending])
-        self._order = np.insert(self._order, at, np.arange(self._size, size)[ascending])
+    def add(self, batch: _Batch, new: np.ndarray) -> None:
+        """Append the matrices of the batch selected by the mask ``new``, in
+        batch order; they must match no stored one and no other one added."""
+        rows = batch.flat[new]
+        size = self._size + len(rows)
+        if size > len(self._flat):
+            grown = np.empty((max(size, 2 * len(self._flat)), self._flat.shape[1]))
+            grown[:self._size] = self._flat[:self._size]
+            self._flat = grown
+        self._flat[self._size:size] = rows
+        in_order = new[batch.order]
+        keys = np.concatenate([self._keys, batch.ascending[in_order]])
+        # the stored index of each new matrix, in key order
+        stored = (self._size - 1 + np.cumsum(new))[batch.order[in_order]]
+        # Two ascending runs: numpy's stable sort of floats, a timsort,
+        # merges them in one pass.
+        merge = np.argsort(keys, kind="stable")
+        self._keys = keys[merge]
+        self._order = np.concatenate([self._order, stored])[merge]
         self._size = size
 
 
@@ -274,7 +314,7 @@ class FiniteGroupData:
     def lookup(self, mats: np.ndarray) -> np.ndarray:
         """Index of the stored element matching each matrix of an (n, d, d)
         stack within dedup tolerance, or -1."""
-        return self._index.lookup(np.asarray(mats, dtype=float))
+        return self._index.lookup(self._index.batch(np.asarray(mats, dtype=float)))
 
     def find(self, mat: np.ndarray) -> int | None:
         """Index of the stored element matching ``mat`` within dedup
@@ -289,7 +329,8 @@ class FiniteGroupData:
         copy of an enumerated group)."""
         index = _KeyIndex(np.asarray(elements, dtype=float))
         if identity_index is None:
-            identity_index = int(index.lookup(np.eye(index.elements.shape[1])[None])[0])
+            eye = np.eye(index.elements.shape[1])
+            identity_index = int(index.lookup(index.batch(eye[None]))[0])
             if identity_index < 0:
                 raise ValidationError("element list does not contain the identity")
         return cls(
@@ -316,25 +357,33 @@ def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
     if spec.kind != "finite":
         raise ValidationError("enumerate_group requires kind=finite")
     gens = np.array(spec.generators)
-    index = _KeyIndex(np.eye(spec.dimension)[None])
+    eye = np.eye(spec.dimension)
+    index = _KeyIndex(eye[None])
     head = 0
-    while head < index.elements.shape[0]:
+    drift = 0.0
+    while head < len(index):
         chunk = index.elements[head:head + _CHUNK]
         head += len(chunk)
         prods = np.matmul(chunk[:, None], gens[None]).reshape((-1,) + gens.shape[1:])
-        new = (index.lookup(prods) < 0) & index.first_occurrences(prods)
-        if index.elements.shape[0] + np.count_nonzero(new) > spec.group_size_cap:
+        batch = index.batch(prods)
+        new = (index.lookup(batch) < 0) & index.first_occurrences(batch)
+        size = len(index)
+        if size + np.count_nonzero(new) > spec.group_size_cap:
             raise GroupSizeCapError(
                 f"group closure exceeded groupSizeCap={spec.group_size_cap}"
             )
-        index.add(prods[new])
+        index.add(batch, new)
+        added = index.elements[size:]
+        # A contiguous transpose sends A^T A down numpy's gemm path, which is
+        # several times faster on small matrices than its syrk path.
+        gram = np.matmul(added.transpose(0, 2, 1).copy(), added)
+        drift = max(drift, np.abs(gram - eye).max(initial=0.0))
 
-    stack = index.elements
-    drift = np.abs(np.matmul(stack.transpose(0, 2, 1), stack) - np.eye(spec.dimension)).max()
     if drift > DEDUP_TOL:
         raise ValidationError(
             f"enumerated element drifted from orthogonality: {drift:.3e} > {DEDUP_TOL:.0e}"
         )
+    stack = index.elements
     return FiniteGroupData(
         elements=stack,
         identity_index=0,

@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbit_isom
-from conftest import random_orthogonal, rot2
+from conftest import (
+    cyclic_weights,
+    in_random_basis,
+    random_orthogonal,
+    rot2,
+    signed_permutations,
+    spec_of,
+)
 from orbit_isom import _numerics as num
 from orbit_isom import isom_quotient
 from orbit_isom.catalog import (
@@ -35,6 +42,7 @@ from orbit_isom.isom_quotient import (
     verify_theorem_B,
 )
 from orbit_isom.orbit_geometry import sample_generic_point
+from orbit_isom.repr_model import FiniteGroupData, enumerate_group, parse_spec
 
 # frozen expected reports: factors as (name, type, multiplicity), kernel as
 # (finiteOrder, circleDirections, containsCenterOfG)
@@ -166,6 +174,42 @@ CENTER_SIZES = {"c5": 5, "d4": 2, "q8": 2, "c3xd4-r4": 6}
 def test_center_sizes(name, finite_group):
     group = finite_group(name)
     assert len(center_of_group(group)) == CENTER_SIZES[name]
+
+
+def _all_elements_center(group):
+    """Every element tested against every generator, the mask combined."""
+    mask = np.ones(group.order, dtype=bool)
+    for g in group.generators:
+        comm = group.elements @ g - g @ group.elements
+        mask &= np.abs(comm).max(axis=(1, 2)) <= 1e-9
+    return group.elements[mask]
+
+
+CENTER_CASES = {
+    **{name: parse_spec(fixture_document(name)).generators for name in FIXTURE_NAMES},
+    **{f"{name}@random-basis": in_random_basis(
+        parse_spec(fixture_document(name)).generators, 7) for name in FIXTURE_NAMES},
+    "B4@random-basis": in_random_basis(signed_permutations(4), 3),
+    "C24@random-basis": in_random_basis([cyclic_weights(24, (1, 2, 3))], 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_CASES))
+def test_center_filter_keeps_the_all_elements_filter_order(name):
+    generators = CENTER_CASES[name]
+    group = enumerate_group(spec_of(generators, len(generators[0])))
+    assert np.array_equal(center_of_group(group), _all_elements_center(group))
+
+
+def test_a_commutator_in_the_guard_band_is_ambiguous():
+    # The Klein group {±I, ±F} with a generator g = F R(1e-8) that is no
+    # element: F g - g F = R(1e-8) - R(-1e-8) has max norm 2e-8, inside
+    # (1e-9, DEDUP_GUARD * DEDUP_TOL / d] = (1e-9, 5e-8].
+    f = np.diag([1.0, -1.0])
+    group = FiniteGroupData.from_elements(
+        [np.eye(2), -np.eye(2), f, -f], generators=[f @ rot2(1e-8)])
+    with pytest.raises(KernelAmbiguityError, match=r"2\.000e-08"):
+        center_of_group(group)
 
 
 def test_kernel_finite_part_is_a_group(memo):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of
+from orbit_isom import _numerics as num
 from orbit_isom.errors import DedupAmbiguityError, GroupSizeCapError, ValidationError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.repr_model import (
@@ -84,6 +85,13 @@ def test_dedup_ambiguity_band():
         enumerate_group(spec_of([rot2(theta), rot2(theta + 3e-8)], 2))
 
 
+def test_dedup_ambiguity_between_a_product_and_a_stored_element():
+    # g = R(2 pi / 3 + 1e-8): the product g^2 g = R(2 pi + 3e-8) lands 3e-8
+    # from the stored identity, inside (tol, 10*tol]
+    with pytest.raises(DedupAmbiguityError, match=r"3\.000e-08"):
+        enumerate_group(spec_of([rot2(2.0 * math.pi / 3.0 + 1e-8)], 2))
+
+
 @pytest.mark.parametrize("generators", [[rot2(2.0 * math.pi / 64)], signed_permutations(5)],
                          ids=["C64", "B5"])
 def test_group_size_cap_admits_exactly_the_order(generators):
@@ -103,6 +111,24 @@ def test_from_elements_rejects_a_copy_across_a_rounding_boundary():
     copy[0, 1] += 6e-8
     with pytest.raises(DedupAmbiguityError):
         FiniteGroupData.from_elements([np.eye(2), a, copy])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1e-8, 1e-7), (1e-9, 1e-7 / 6), (1e-9, 1e-9)]))
+def test_banded_row_max_decides_like_the_exact_max(seed, band):
+    # rows whose entries straddle both bounds, in every proportion: the
+    # banded value is exact inside (lo, hi] and on the exact max's side of
+    # each bound elsewhere
+    lo, hi = band
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((400, 36)) * 10.0 ** rng.uniform(-12, -5, (400, 1))
+    rows *= rng.random((400, 36)) < rng.uniform(0.02, 1.0, (400, 1))
+    exact = np.abs(rows).max(axis=1)
+    got = num.banded_row_max(rows, lo, hi)
+    inside = (exact > lo) & (exact <= hi)
+    assert np.array_equal(got[inside], exact[inside])
+    assert np.array_equal(got <= lo, exact <= lo)
+    assert np.array_equal(got <= hi, exact <= hi)
 
 
 def naive_closure(generators):
