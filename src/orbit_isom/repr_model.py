@@ -3,16 +3,17 @@ splitting off of trivial factors.
 
 A representation is given by orthogonal generator matrices acting on R^d (or
 by a catalog id for the built-in continuous actions). Finite groups are
-enumerated by breadth-first closure under right multiplication by the
-generators, a chunk of queued elements at a time. Deduplication goes through
-a sorted projection-key index: each matrix is keyed by its inner product with
+enumerated by Dimino's algorithm: <g_1 ... g_i> is built as a union of right
+cosets of <g_1 ... g_(i-1)>, and while that subgroup is still trivial the
+generator's powers are taken by doubling. Deduplication goes through a
+sorted projection-key index: each matrix is keyed by its inner product with
 a fixed unit matrix, candidates are the stored matrices whose keys lie within
 d times the guard band, and a candidate matches within 1e-8 in max norm. Two
-elements closer than 10x the match tolerance abort the run. A chunk's
-products are keyed and sorted once; the lookup against the stored elements,
-the search for repeats among the products and the insertion of the new ones
+elements closer than 10x the match tolerance abort the run. A batch of
+matrices is keyed and sorted once; the lookup against the stored elements,
+the search for repeats within the batch and the insertion of the new ones
 all reuse that sort, and the new keys join the stored ones in one merge.
-Orthogonality drift is checked on each chunk's new elements as they arrive.
+Orthogonality drift is checked on each batch's new elements as they arrive.
 """
 from __future__ import annotations
 
@@ -38,8 +39,14 @@ DEDUP_GUARD = 10.0
 # The dedup key's projection comes from a constant seed, not the user's: it
 # decides which elements get compared, never a verdict.
 _KEY_SEED = 4
-# Queued elements whose products with the generators are formed at once.
-_CHUNK = 1024
+# Matrices formed and looked up at once during enumeration: the products of
+# a batch of coset representatives with the generators, or a batch of powers
+# or coset blocks.
+_BATCH = 8192
+# Index rows reserved up front for an enumeration, at most this many bytes.
+# np.empty leaves untouched rows unbacked, so the reservation costs no
+# resident memory until rows are written; a larger group grows the buffer.
+_RESERVE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -214,14 +221,15 @@ class _KeyIndex:
     how ``_same`` compares them.
     """
 
-    def __init__(self, mats: np.ndarray) -> None:
-        """Index the (n, d, d) stack ``mats``, which must hold no duplicates."""
+    def __init__(self, mats: np.ndarray, capacity: int = 0) -> None:
+        """Index the (n, d, d) stack ``mats``, which must hold no duplicates,
+        with room for ``capacity`` rows before the buffer grows."""
         d = self._dim = mats.shape[1]
         w = np.random.default_rng(_KEY_SEED).standard_normal(d * d)
         self._w = w / np.linalg.norm(w)
         self._radius = d * DEDUP_GUARD * DEDUP_TOL
         self._size = 0
-        self._flat = np.empty((0, d * d))
+        self._flat = np.empty((max(capacity, len(mats)), d * d))
         self._keys = np.empty(0)  # ascending
         self._order = np.empty(0, dtype=np.intp)  # stored index of each key
         batch = self.batch(mats)
@@ -289,13 +297,19 @@ class _KeyIndex:
         self._order = np.concatenate([self._order, stored])[merge]
         self._size = size
 
+    def trim(self) -> None:
+        """Release the buffer rows past the stored ones."""
+        if len(self._flat) > self._size:
+            self._flat = self._flat[:self._size].copy()
+
 
 @dataclass
 class FiniteGroupData:
     """Deduplicated element list of a finite orthogonal matrix group.
 
-    elements[identity_index] is the identity; the list order is the
-    deterministic BFS insertion order.
+    elements[identity_index] is the identity. An enumerated group lists its
+    elements in the deterministic coset order of ``enumerate_group``, the
+    identity first.
     """
 
     elements: np.ndarray  # (order, d, d)
@@ -341,31 +355,47 @@ class FiniteGroupData:
         )
 
 
-def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
-    """Breadth-first closure of the generators under multiplication.
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The (n, m, d, d) array of the products left[a] @ right[b] of an
+    (n, d, d) and an (m, d, d) stack, from one matrix product."""
+    n, d, _ = left.shape
+    out = left.reshape(n * d, d) @ right.transpose(1, 0, 2).reshape(d, -1)
+    return out.reshape(n, d, len(right), d).transpose(0, 2, 1, 3)
 
-    Deterministic: the queue is FIFO and generators are applied in listed
-    order, so element indices depend only on the spec. The queue is worked
-    off in chunks of consecutive elements: all products of a chunk with the
-    generators come from one batched product in (element, generator) order,
-    are looked up together, deduplicated among themselves with the first
-    occurrence kept, and appended in that order, which is exactly the
-    element-by-element insertion order. Raises GroupSizeCapError iff the
-    order exceeds groupSizeCap and DedupAmbiguityError when a product lands
-    in the guard band of a stored element or of another product.
+
+def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
+    """Dimino closure of the generators: <g_1 ... g_i> is built as a union of
+    right cosets H r of H = <g_1 ... g_(i-1)>.
+
+    While H is trivial, the powers P = (1, g, ..., g^(m-1)) of g = g_i grow
+    by doubling: the block P g^m is admitted, with g^m = g^(m-1) g, until a
+    block holds a known element. Once H is not trivial, the coset
+    representatives, the identity first, are worked off in FIFO batches. The
+    products of a batch with g_1 ... g_i, in (representative, generator)
+    order, are looked up together, and each product r that is not found
+    brings its block H r, in the order of H. The blocks are looked up,
+    deduplicated among themselves with the first occurrence kept, and
+    appended; r becomes a representative iff the head of its block, the
+    identity times r, is new. Cosets are equal or disjoint, so this is
+    exactly the element-by-element order of sequential Dimino: element
+    indices depend only on the spec, and the identity is at index 0. Raises
+    GroupSizeCapError iff the order exceeds groupSizeCap and
+    DedupAmbiguityError when a matrix lands in the guard band of a stored
+    element or of another matrix of its batch.
     """
     if spec.kind != "finite":
         raise ValidationError("enumerate_group requires kind=finite")
     gens = np.array(spec.generators)
-    eye = np.eye(spec.dimension)
-    index = _KeyIndex(eye[None])
-    head = 0
+    d = spec.dimension
+    eye = np.eye(d)
+    index = _KeyIndex(eye[None], min(spec.group_size_cap, _RESERVE_BYTES // (8 * d * d)))
     drift = 0.0
-    while head < len(index):
-        chunk = index.elements[head:head + _CHUNK]
-        head += len(chunk)
-        prods = np.matmul(chunk[:, None], gens[None]).reshape((-1,) + gens.shape[1:])
-        batch = index.batch(prods)
+
+    def admit(mats: np.ndarray) -> np.ndarray:
+        """Store the matrices of an (n, d, d) stack that match no stored one
+        and no earlier one of the stack, in stack order; returns that mask."""
+        nonlocal drift
+        batch = index.batch(mats)
         new = (index.lookup(batch) < 0) & index.first_occurrences(batch)
         size = len(index)
         if size + np.count_nonzero(new) > spec.group_size_cap:
@@ -378,14 +408,48 @@ def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
         # several times faster on small matrices than its syrk path.
         gram = np.matmul(added.transpose(0, 2, 1).copy(), added)
         drift = max(drift, np.abs(gram - eye).max(initial=0.0))
+        return new
+
+    def powers(g: np.ndarray) -> None:
+        while True:
+            m = len(index)
+            low = index.elements[:m]  # g^0 ... g^(m-1)
+            step = low[-1] @ g
+            for start in range(0, m, _BATCH):
+                block = _products(low[start:start + _BATCH], step[None])
+                if not admit(block.reshape(-1, d, d)).all():
+                    return
+
+    def cosets(chain: np.ndarray) -> None:
+        h = len(index)
+        reps = [0]  # stored index of each representative
+        head = 0
+        while head < len(reps):
+            batch_reps = reps[head:head + max(1, _BATCH // (h * len(chain)))]
+            head += len(batch_reps)
+            prods = _products(index.elements[batch_reps], chain).reshape(-1, d, d)
+            cands = prods[index.lookup(index.batch(prods)) < 0]
+            per_batch = max(1, _BATCH // h)
+            for start in range(0, len(cands), per_batch):
+                size = len(index)
+                blocks = _products(index.elements[:h], cands[start:start + per_batch])
+                new = admit(blocks.swapaxes(0, 1).reshape(-1, d, d))
+                stored = size - 1 + np.cumsum(new)
+                reps.extend(stored[::h][new[::h]].tolist())
+
+    for i, g in enumerate(gens):
+        if len(index) == 1:
+            powers(g)
+        else:
+            cosets(gens[:i + 1])
 
     if drift > DEDUP_TOL:
         raise ValidationError(
             f"enumerated element drifted from orthogonality: {drift:.3e} > {DEDUP_TOL:.0e}"
         )
-    stack = index.elements
+    index.trim()
     return FiniteGroupData(
-        elements=stack,
+        elements=index.elements,
         identity_index=0,
         generators=spec.generators,
         _index=index,
