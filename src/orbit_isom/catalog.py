@@ -18,11 +18,10 @@ exponential series collapses to the closed form
 
 which ``CatalogAction`` checks at construction. The circle of SO(2) is
 exp(t J); SO(3) is reached through the Euler angles Rz(alpha) Ry(beta)
-Rz(gamma). Because X_j commutes with its own factor, the derivative
-d(g v)/dt_j = E_1 ... E_{j-1} X_j E_j ... E_k v (E_i = exp(t_i X_i)) is exact,
-and so are the second derivatives: the quotient-metric refinement takes the
-gradient and Hessian of t -> a^T g(t) b as its Newton step
-(``dot_derivatives``).
+Rz(gamma). The parameters serve the grids, the quadrature and the
+golden-section fallback of the quotient-metric refinement; its Newton
+ascent moves group elements instead, g -> g exp(S) with S in the Lie
+algebra below, whose chart has no polar singularity.
 
 Each action exposes two discretizations, tuned to their consumers, each
 built from the generators in one batched product:
@@ -176,38 +175,6 @@ class CatalogAction:
         for j in range(1, factors.shape[1]):
             out = out @ factors[:, j]
         return out
-
-    def dot_derivatives(self, params: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """(phi, gradient, Hessian) of phi(t) = a^T g(t) b, exactly, for
-        every row of ``params`` (N, k), ``a`` and ``b`` (N, d): shapes (N,),
-        (N, k) and (N, k, k).
-
-        With the prefixes P_j = E_1 ... E_{j-1}, moving X_j to the identity
-        gives T_j = P_j X_j P_j^T and d g / dt_j = T_j g (X_j commutes with
-        E_j). T_j depends only on t_i for i < j, where d T_j / dt_i =
-        [T_i, T_j], so d^2 g / dt_i dt_j = T_i T_j g for i <= j. Hence
-        d phi / dt_j = a^T T_j g b and the Hessian entry (i, j), i <= j, is
-        a^T T_i T_j g b = -(T_i a)^T (T_j g b), as T_i is skew.
-        """
-        tables = self._cache.get("derivatives")
-        if tables is None:
-            k = len(self.generators)
-            tables = self._cache["derivatives"] = (
-                np.stack(self.generators), np.triu(np.ones((k, k), dtype=bool)))
-        gens, upper = tables
-        factors = self._batch_factors(params)
-        prefix = np.empty_like(factors)
-        prefix[:, 0] = np.eye(self.dimension)
-        for j in range(1, factors.shape[1]):
-            prefix[:, j] = prefix[:, j - 1] @ factors[:, j - 1]
-        gb = (prefix[:, -1] @ (factors[:, -1] @ b[:, :, None]))[:, :, 0]
-        # v^T P_j X_j P_j^T = -(T_j v)^T for v = a and g b: a (N, k, 2, d) stack.
-        moved = ((np.stack([a, gb], axis=1)[:, None] @ prefix) @ gens
-                 ) @ prefix.swapaxes(-1, -2)
-        cross = -(moved[:, :, 0] @ moved[:, :, 1].swapaxes(-1, -2))
-        grad = -(moved[:, :, 1] @ a[:, :, None])[:, :, 0]
-        hess = np.where(upper, cross, cross.swapaxes(-1, -2))
-        return np.einsum("ij,ij->i", a, gb), grad, hess
 
     def grid_counts(self, density: int) -> tuple[int, ...]:
         weights = [ax.weight for ax in self.axes]

@@ -2,14 +2,15 @@
 
 The quotient distance between orbits is d(Gx, Gy) = min_g ||x - g y||. For
 finite groups the minimum is exact over the enumerated elements. For catalog
-actions it is approximated from below-in-parameters / above-in-value: a
-pass over the action's default grid (DEFAULT_DENSITY elements; density m
-has chordal error O(1/m)), then local refinement over the sampler
-parameters: a damped Newton ascent of phi(t) = a^T g(t) b with its exact
-gradient and Hessian from the closed form of the action's one-parameter
-subgroups, and golden-section coordinate sweeps only when the ascent does
-not converge. Only ``_batched_max_dots`` reads a
-grid of another density, for the unrefined Hopf metric check.
+actions it is approximated from above in value: a pass over the action's
+default grid (DEFAULT_DENSITY elements; density m has chordal error
+O(1/m)), then local refinement: a damped Newton ascent of phi(g) = a^T g b
+over the group image, stepping g -> g exp(S) with S in its Lie algebra, with
+the exact gradient and Hessian of s -> a^T g exp(sum_j s_j A_j) b and a line
+search read off one eigendecomposition of S^2; golden-section sweeps over
+the sampler parameters run only when the ascent does not converge. Only
+``_batched_max_dots`` reads a grid of another density, for the unrefined
+Hopf metric check.
 Refined values always upper-bound the true distance, since they are minima
 over a finite subset of the group.
 
@@ -59,97 +60,148 @@ class QuotientPoint:
             )
 
 
-def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
-                   p0: np.ndarray, *, gtol: float, ftol: float, maxiter: int,
-                   stop: float | None = None):
-    """Damped Newton ascent of phi_i(t) = a_i^T g(t) b_i from ``p0[i]``, for
-    every row i of ``a``, ``b`` (N, d) and ``p0`` (N, k).
+def _dot_jets(alg: np.ndarray, b: np.ndarray):
+    """(A_j b, A_i A_j b) over the algebra basis ``alg`` (r, d, d) for every
+    row of ``b`` (N, d): shapes (N, r, d) and (N, r, r, d). They depend on b
+    alone, so an ascent computes them once."""
+    ab = np.einsum("jkl,nl->njk", alg, b)
+    return ab, np.einsum("ikl,njl->nijk", alg, ab)
 
-    Returns (params, phi, converged), one row each. Each step solves with
-    the exact Hessian's eigenvalues replaced by their absolute values,
-    floored at HESSIAN_FLOOR |a_i| |b_i|, so it climbs at saddles and stays
-    bounded where the maximizer is a whole subgroup; it then halves until
-    the Armijo condition holds. A row has converged when max |grad phi_i|
-    <= ``gtol``, its relative gain <= ``ftol`` (against max(|phi_i|, 1)),
-    or phi_i >= ``stop``; maxiter steps or a failed line search leave it
-    unconverged. Rows step in lockstep but stop on their own rule alone,
-    so a row's result does not depend on the other rows.
+
+def _dot_derivatives(u: np.ndarray, b: np.ndarray, jets):
+    """(phi, gradient, Hessian) at s = 0 of phi(s) = a^T g exp(S) b,
+    S = sum_j s_j A_j, from the rows u = g^T a (N, d): shapes (N,), (N, r)
+    and (N, r, r). exp(S) = I + S + S^2 / 2 + ..., so the gradient is
+    a^T g A_j b and the Hessian is the symmetric part of a^T g A_i A_j b.
     """
-    p = np.array(p0, dtype=float)
-    phi, grad, hess = action.dot_derivatives(p, a, b)
+    ab, aab = jets
+    grad = (ab @ u[:, :, None])[:, :, 0]
+    cross = (aab @ u[:, None, :, None])[..., 0]
+    return np.einsum("ni,ni->n", u, b), grad, 0.5 * (cross + cross.swapaxes(1, 2))
+
+
+# Step fractions of the line search after t = 0: 1, 1/2, ... down to the
+# first t with t / 2 < MIN_STEP.
+_TRIALS = np.concatenate([[0.0], 0.5 ** np.arange(1 + math.floor(-math.log2(MIN_STEP)))])
+
+
+def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
+                   g0: np.ndarray, *, gtol: float, ftol: float, maxiter: int,
+                   stop: float | None = None):
+    """Damped Newton ascent of phi_i(g) = a_i^T g b_i over the image group
+    from ``g0[i]``, for every row i of ``a``, ``b`` (N, d) and ``g0``
+    (N, d, d).
+
+    Returns (elements, phi, converged), one row each. Each step expands
+    phi_i(g exp(S)) in the orthonormal algebra basis A_j of
+    ``action.algebra()`` (right-trivialized coordinates, which have no
+    polar singularity) and solves with the Hessian's eigenvalues replaced by
+    their absolute values, floored at HESSIAN_FLOOR |a_i| |b_i|, so it
+    climbs at saddles and stays bounded where the maximizer is a whole
+    subgroup. The line search halves the step until the Armijo condition
+    holds. S commutes with -S^2 = Q diag(omega^2) Q^T, so
+    exp(tS) = Q cos(omega t) Q^T + S Q (sin(omega t) / omega) Q^T and, with
+    u = g^T a, phi_i(g exp(tS)) = sum_k alpha_k cos(omega_k t)
+    + beta_k sin(omega_k t) / omega_k for alpha = (u^T Q) * (Q^T b) and
+    beta = (u^T S Q) * (Q^T b): every trial step is read off one real
+    eigendecomposition (the eigenvalues of the Hermitian iS are +-omega_k),
+    and g exp(tS) is formed once, at the accepted t. A row has converged
+    when max |grad phi_i| <= ``gtol``, its relative gain <= ``ftol``
+    (against max(|phi_i|, 1)), or phi_i >= ``stop``; maxiter steps or a
+    failed line search leave it unconverged. Rows step in lockstep but stop
+    on their own rule alone, so a row's result does not depend on the other
+    rows.
+    """
+    g = np.array(g0, dtype=float)
+    alg = action.algebra()
+    alg_flat = alg.reshape(len(alg), g.shape[-1] ** 2)
+    jets = _dot_jets(alg, b)
+    u = (a[:, None, :] @ g)[:, 0]
+    phi, grad, hess = _dot_derivatives(u, b, jets)
     floor = HESSIAN_FLOOR * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    out_p, out_phi = p.copy(), phi.copy()
-    converged = np.zeros(len(p), dtype=bool)
+    out_g, out_phi = g.copy(), phi.copy()
+    converged = np.zeros(len(g), dtype=bool)
     # Live rows are kept compacted; ``rows`` maps them back to the input.
-    rows = np.arange(len(p))
-    retired = np.zeros(len(p), dtype=bool)
+    rows = np.arange(len(g))
+    retired = np.zeros(len(g), dtype=bool)
     for it in range(maxiter + 1):
-        done = np.abs(grad).max(axis=1) <= gtol
+        done = np.abs(grad).max(axis=1, initial=0.0) <= gtol
         if stop is not None:
             done |= phi >= stop
         converged[rows[done]] = True
         live = ~(done | retired)
         if not live.all():
-            rows, p, phi, grad, hess, a, b, floor = (
-                x[live] for x in (rows, p, phi, grad, hess, a, b, floor))
+            rows, g, u, phi, grad, hess, b, floor = (
+                x[live] for x in (rows, g, u, phi, grad, hess, b, floor))
+            jets = tuple(x[live] for x in jets)
         if not rows.size or it == maxiter:
             break
         lam, vec = np.linalg.eigh(hess)
         coef = (grad[:, None, :] @ vec)[:, 0] / np.maximum(np.abs(lam), floor[:, None])
         step = (vec @ coef[:, :, None])[:, :, 0]
         slope = np.einsum("ij,ij->i", grad, step)
-        # Every pass evaluates all live rows, the accepted ones again at
-        # their accepted step: at these sizes a subset costs the same.
-        t = np.ones(len(rows))
-        while True:
-            q = p + t[:, None] * step
-            phi_q, grad_q, hess_q = action.dot_derivatives(q, a, b)
-            ok = phi_q >= phi + ARMIJO * t * slope
-            failed = ~ok & (0.5 * t < MIN_STEP)
-            pending = ~(ok | failed)
-            if not pending.any():
-                break
-            t[pending] *= 0.5
-        flat = ok & (phi_q - phi <= ftol * np.maximum(np.abs(phi_q), 1.0))
+        sk = (step @ alg_flat).reshape(g.shape)
+        mu, q = np.linalg.eigh(-(sk @ sk))
+        omega = np.sqrt(np.maximum(mu, 0.0))
+        qb = (b[:, None, :] @ q)[:, 0]
+        alpha = (u[:, None, :] @ q)[:, 0] * qb
+        beta = (u[:, None, :] @ sk @ q)[:, 0] * qb
+        # Column 0 is t = 0: Armijo compares the closed form with itself.
+        # Against the derivative pass' phi, roundoff fails the tiny final
+        # steps of the ftol = 1e-16 distance ascents.
+        wt = _TRIALS[:, None] * omega[:, None, :]
+        phi_t = (np.cos(wt) @ alpha[:, :, None] + (_TRIALS[:, None] * np.sinc(wt / math.pi))
+                 @ beta[:, :, None])[:, :, 0]
+        phi_0 = phi_t[:, 0]
+        passes = phi_t[:, 1:] >= phi_0[:, None] + ARMIJO * _TRIALS[1:] * slope[:, None]
+        ok = passes.any(axis=1)
+        first = passes.argmax(axis=1) + 1
+        phi_q = phi_t[np.arange(len(rows)), first]
+        flat = ok & (phi_q - phi_0 <= ftol * np.maximum(np.abs(phi_q), 1.0))
         converged[rows[flat]] = True
-        retired = flat | failed
-        p[ok], phi[ok], grad[ok], hess[ok] = q[ok], phi_q[ok], grad_q[ok], hess_q[ok]
-        out_p[rows], out_phi[rows] = p, phi
-    return out_p, out_phi, converged
+        retired = flat | ~ok
+        t = _TRIALS[first[ok], None, None]
+        q, qt, ot = q[ok], q[ok].swapaxes(1, 2), t * omega[ok, None, :]
+        g[ok] = g[ok] @ ((q * np.cos(ot)) @ qt + sk[ok] @ ((q * (t * np.sinc(ot / math.pi))) @ qt))
+        u[ok] = (a[rows[ok], None, :] @ g[ok])[:, 0]
+        phi, grad, hess = _dot_derivatives(u, b, jets)
+        out_g[rows], out_phi[rows] = g, phi
+    return out_g, out_phi, converged
 
 
 def _catalog_refine(action: CatalogAction, f, a: np.ndarray, b: np.ndarray,
                     p0: np.ndarray, *, rounds: int, sweeps: int,
                     stop: float | None) -> float:
-    """Local refinement of f from a grid start, where f(p) is
-    ||a - g(p) b|| or -a^T g(p) b, read through ``action.element``.
+    """Local refinement of f from the grid parameters ``p0``, where f(g) is
+    ||a - g b|| or -a^T g b on group elements.
 
     Both are smallest where phi = a^T g b is largest, since
     ||a - g b||^2 = ||a||^2 + ||b||^2 - 2 phi for orthogonal g, so the
-    Newton ascent of phi runs first; it tracks the curved ridges where
-    axis-aligned sweeps zigzag (Euler angles near a polar degeneracy couple
-    two axes). ``stop`` is a value of the distance f; reaching it ends the
-    ascent. Only an unconverged ascent falls through to derivative-free
-    golden-section coordinate sweeps on f (``rounds`` of them, spans
-    halving per round, from the default grid spacing).
+    Newton ascent of phi runs first, from the grid element rebuilt by
+    ``action.element``. ``stop`` is a value of the distance f; reaching it
+    ends the ascent. Only an unconverged ascent falls through to
+    derivative-free golden-section coordinate sweeps of f over the Euler
+    parameters (``rounds`` of them from ``p0``, spans halving per round,
+    from the default grid spacing).
     """
-    spans0 = action.grid_spacings()
-    p = np.array(p0, dtype=float)
-    best = f(p)
+    g0 = action.element(p0)
+    best = f(g0)
     phi_stop = None if stop is None else 0.5 * (a @ a + b @ b - stop * stop)
     # gtol bounds the gradient of ||a - g b||^2, which is -2 grad phi.
-    q, _, converged = _newton_ascent(action, a[None], b[None], p[None], gtol=0.5e-12,
+    g, _, converged = _newton_ascent(action, a[None], b[None], g0[None], gtol=0.5e-12,
                                      ftol=1e-16, maxiter=300, stop=phi_stop)
-    q, converged = q[0], bool(converged[0])
-    val = f(q)
-    if val < best:
-        best = val
-        p = q
-    if converged or (stop is not None and best <= stop):
+    best = min(best, f(g[0]))
+    if converged[0] or (stop is not None and best <= stop):
         return best
+
+    def sweep_f(p):
+        return f(action.element(p))
+
+    spans0 = action.grid_spacings()
+    p = np.array(p0, dtype=float)
     for r in range(rounds):
         p, val = num.coordinate_descent(
-            f, p, spans0 * (0.5 ** r), sweeps=sweeps, xtol=1e-13,
+            sweep_f, p, spans0 * (0.5 ** r), sweeps=sweeps, xtol=1e-13,
             target=stop,
         )
         best = min(best, val)
@@ -175,8 +227,8 @@ def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
     if refine_cutoff is not None and grid_best > refine_cutoff:
         return grid_best
 
-    def f(p):
-        return float(np.linalg.norm(a - action.element(p) @ b))
+    def f(g):
+        return float(np.linalg.norm(a - g @ b))
 
     refined = _catalog_refine(action, f, a, b, params[i],
                               rounds=rounds, sweeps=sweeps, stop=stop)
@@ -190,8 +242,8 @@ def _catalog_max_dot(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
     i = int(np.argmax(dots))
     grid_best = float(dots[i])
 
-    def f(p):
-        return -float(a @ (action.element(p) @ b))
+    def f(g):
+        return -float(a @ (g @ b))
 
     refined = -_catalog_refine(action, f, a, b, params[i],
                                rounds=rounds, sweeps=sweeps, stop=None)
@@ -344,31 +396,31 @@ def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarra
 
 def _refined_sphere_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
                          start: np.ndarray | None = None, stop: float | None = None):
-    """(refined max over g of a^T g b, maximizing params) for every pair
+    """(refined max over g of a^T g b, maximizing elements) for every pair
     of rows of ``a_pts`` and ``b_pts``, refined together.
 
-    ``start`` warm-starts every ascent from a nearby pair's maximizer
-    instead of the grid argmax; a stale basin then under-resolves the
-    maximum, so warm-started values need periodic cold re-grounding. An
+    ``start`` (an element) warm-starts every ascent from a nearby pair's
+    maximizer instead of the grid argmax; a stale basin then under-resolves
+    the maximum, so warm-started values need periodic cold re-grounding. An
     ascent that reaches ``stop`` ends there, short of the maximum.
     """
     if start is None:
-        params, els = action.grid()
+        _, els = action.grid()
         dots = np.einsum("gij,pi,pj->pg", els, a_pts, b_pts)
         best = dots.argmax(axis=1)
-        p0 = params[best]
+        g0 = els[best]
         base = dots[np.arange(len(best)), best]
     else:
-        p0 = np.tile(np.asarray(start, dtype=float), (len(a_pts), 1))
-        base = np.einsum("pi,ij,pj->p", a_pts, action.element(start), b_pts)
+        g0 = np.broadcast_to(start, (len(a_pts),) + start.shape)
+        base = np.einsum("pi,ij,pj->p", a_pts, start, b_pts)
     # Tolerances sized for the arccos: a dot resolved to ~1e-10 puts the
     # angle within ~1e-9/sin(theta). Tighter settings never terminate at
     # strata pairs, where the maximizer is a whole subgroup and the
     # gradient cannot vanish along it.
-    p, phi, _ = _newton_ascent(action, a_pts, b_pts, p0, gtol=1e-8, ftol=1e-12,
+    g, phi, _ = _newton_ascent(action, a_pts, b_pts, g0, gtol=1e-8, ftol=1e-12,
                                maxiter=150, stop=stop)
     better = phi >= base
-    return np.where(better, phi, base), np.where(better[:, None], p, p0)
+    return np.where(better, phi, base), np.where(better[:, None, None], g, g0)
 
 
 def _arccos(dots):
@@ -411,12 +463,18 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
         return best_val
 
     a, b = best_pair
+    # The last cold refinement: a round without improvement leaves (a, b)
+    # as they were, and refining the same pair again gives the same result.
+    last = None
 
     def cold(a, b):
-        dot, p = _refined_sphere_dots(action, a[None], b[None])
-        return float(_arccos(dot[0])), p[0]
+        nonlocal last
+        if last is None or not (np.array_equal(a, last[0]) and np.array_equal(b, last[1])):
+            dot, g = _refined_sphere_dots(action, a[None], b[None])
+            last = (a, b, float(_arccos(dot[0])), g[0])
+        return last[2:]
 
-    current, p_grp = cold(a, b)
+    current, g_best = cold(a, b)
     # Row 2i moves coordinate i up by the step, row 2i + 1 moves it down.
     moves = np.kron(np.eye(d), [[1.0], [-1.0]])
     step = 0.3
@@ -443,7 +501,7 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
                 bar = math.cos(current + 1e-5)
                 dots, found = _refined_sphere_dots(
                     action, *((batch, other) if which == 0 else (other, batch)),
-                    start=p_grp, stop=bar)
+                    start=g_best, stop=bar)
                 vals = _arccos(dots)
                 hits = np.flatnonzero((vals > current + 1e-5) & (dots < bar))
                 if not hits.size:
@@ -456,15 +514,15 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
                     a = batch[h]
                 else:
                     b = batch[h]
-                current, p_grp = float(vals[h]), found[h]
+                current, g_best = float(vals[h]), found[h]
                 improved = True
         if not improved:
             # Cold re-ground before shrinking the step: a warm-started
             # climb can drift into a stale basin whose inflated values
             # both block real moves and overstate the final answer.
-            cold_val, cold_p = cold(a, b)
+            cold_val, cold_g = cold(a, b)
             if cold_val < current:
-                current, p_grp = cold_val, cold_p
+                current, g_best = cold_val, cold_g
             step *= 0.5
     cold_val, _ = cold(a, b)
     return max(best_val, min(current, cold_val))

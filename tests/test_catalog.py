@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rot2, so3_zyz
+from orbit_isom import _numerics as num
 from orbit_isom import orbit_geometry
 from orbit_isom.catalog import CatalogAction, ParamAxis, _block_diag, get_action, trivial_action
 from orbit_isom.errors import ValidationError
@@ -61,27 +62,33 @@ def test_batched_elements_equal_single_elements(case):
 @settings(max_examples=200, deadline=None)
 @given(action_and_params(), st.lists(st.floats(-2.0, 2.0, allow_nan=False),
                                      min_size=6, max_size=6))
-def test_jacobian_matches_central_differences(case, vec):
-    # With a = e_i, phi(t) = a^T g(t) v is entry i of g(t) v and its
-    # gradient is row i of the Jacobian of g(t) v.
+def test_algebra_derivatives_match_central_differences(case, vec):
+    # With a = e_i, phi(s) = a^T g exp(sum_j s_j A_j) v is entry i of
+    # g exp(S) v. Differencing the gradient along A_j gives a^T g A_j A_i v,
+    # whose symmetric part is the Hessian.
     action_id, params = case
     action = action_of(action_id)
-    p = params[0]
-    v = np.array(vec[:action.dimension])
-    rows = np.eye(action.dimension)
-    gv, jac, hess = action.dot_derivatives(np.tile(p, (len(v), 1)), rows,
-                                           np.tile(v, (len(v), 1)))
-    assert np.abs(gv - action.element(p) @ v).max() <= 1e-14
+    g = action.element(params[0])
+    d = action.dimension
+    v = np.array(vec[:d])
+    vs = np.tile(v, (d, 1))
+    alg = action.algebra()
+    jets = orbit_geometry._dot_jets(alg, vs)
+
+    def derivatives(g):
+        # u = g^T a for the rows a = e_i is g itself, row by row.
+        return orbit_geometry._dot_derivatives(g, vs, jets)
+
+    gv, grad, hess = derivatives(g)
+    assert np.abs(gv - g @ v).max() <= 1e-14
     assert np.array_equal(hess, hess.swapaxes(1, 2))
     h = 1e-5
-    for j, e in enumerate(np.eye(len(p))):
-        diff = (action.element(p + h * e) @ v - action.element(p - h * e) @ v) / (2 * h)
-        assert np.abs(jac[:, j] - diff).max() <= 1e-7
-        up = action.dot_derivatives(np.tile(p + h * e, (len(v), 1)), rows,
-                                    np.tile(v, (len(v), 1)))[1]
-        down = action.dot_derivatives(np.tile(p - h * e, (len(v), 1)), rows,
-                                      np.tile(v, (len(v), 1)))[1]
-        assert np.abs(hess[:, :, j] - (up - down) / (2 * h)).max() <= 1e-7
+    diffs = np.empty_like(hess)
+    for j, x in enumerate(alg):
+        up, down = g @ num.expm(h * x), g @ num.expm(-h * x)
+        assert np.abs(grad[:, j] - (up @ v - down @ v) / (2 * h)).max() <= 1e-7
+        diffs[:, :, j] = (derivatives(up)[1] - derivatives(down)[1]) / (2 * h)
+    assert np.abs(hess - 0.5 * (diffs + diffs.swapaxes(1, 2))).max(initial=0.0) <= 1e-7
 
 
 def test_grid_holds_the_identity_and_quadrature_weights_sum_to_one():

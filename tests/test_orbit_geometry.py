@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of
 from orbit_isom import _numerics as num
@@ -168,9 +171,10 @@ def test_catalog_distance_matches_closed_form(action_id, closed_form, monkeypatc
 
 
 def test_unconverged_refinement_falls_back_to_golden_sections(monkeypatch):
-    def stalled(action, a, b, p0, **_):
-        p0 = np.array(p0, dtype=float)
-        return p0, action.dot_derivatives(p0, a, b)[0], np.zeros(len(p0), dtype=bool)
+    # The stub returns its start element, unconverged.
+    def stalled(action, a, b, g0, **_):
+        g0 = np.array(g0, dtype=float)
+        return g0, np.einsum("ni,nij,nj->n", a, g0, b), np.zeros(len(g0), dtype=bool)
 
     monkeypatch.setattr(orbit_geometry, "_newton_ascent", stalled)
     log = _record_refinements(monkeypatch)
@@ -182,6 +186,87 @@ def test_unconverged_refinement_falls_back_to_golden_sections(monkeypatch):
         assert abs(d - _hopf_distance(x, y)) < 1e-9
     assert len(log) == 5
     assert all(not converged and fallback_calls > 0 for converged, fallback_calls in log)
+
+
+def _sector_pair(index):
+    """Pair ``index`` of the sector estimator's seed-0 stream on R^6."""
+    pairs = num.random_unit_vectors(np.random.default_rng([0]), 5000, 6)
+    return pairs[index, 0], pairs[index, 1]
+
+
+def test_ascent_through_the_euler_pole_converges_in_few_steps():
+    # The r6 sector's top screening pair: from the grid argmax
+    # (pi/4, 3pi/4, 2pi/3, 0) the maximizer lies across the polar row
+    # beta = pi, where the Euler chart is singular; an ascent in Euler
+    # parameters stops 15 steps later about 4e-4 short.
+    action = get_action("so2-tensor-so3-r6")
+    a, b = _sector_pair(1654)
+    params, els = action.grid()
+    i = int(np.argmax((els @ b) @ a))
+    assert np.allclose(params[i], [math.pi / 4, 3 * math.pi / 4, 2 * math.pi / 3, 0.0])
+    results = [orbit_geometry._newton_ascent(action, a[None], b[None], els[i][None],
+                                             gtol=1e-8, ftol=1e-12, maxiter=maxiter)
+               for maxiter in (15, 150)]
+    (g, phi, converged), (_, phi_long, _) = results
+    assert converged[0]
+    assert abs(phi[0] - phi_long[0]) <= 1e-12
+    assert np.abs(g[0].T @ g[0] - np.eye(6)).max() <= 1e-13
+    assert abs(a @ g[0] @ b - phi[0]) <= 1e-14
+
+
+def test_a_row_refines_alike_alone_and_in_a_batch():
+    # A sector climb step: the 12 moves of one point, warm-started from the
+    # current maximizer, with the acceptance bar as ``stop``. The climb's
+    # one-by-one semantics need each row's result to ignore the others.
+    action = get_action("so2-tensor-so3-r6")
+    a, b = _sector_pair(1654)
+    dot, g = orbit_geometry._refined_sphere_dots(action, a[None], b[None])
+    bar = math.cos(math.acos(dot[0]) + 1e-5)
+    cands = a + 0.1 * np.kron(np.eye(6), [[1.0], [-1.0]])
+    cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+    others = np.broadcast_to(b, cands.shape)
+    g0 = np.broadcast_to(g[0], (len(cands), 6, 6))
+    options = dict(gtol=1e-8, ftol=1e-12, maxiter=150, stop=bar)
+    _, phi, converged = orbit_geometry._newton_ascent(action, cands, others, g0, **options)
+    assert converged.any() and (phi >= bar).any() and (phi < bar).any()
+    for i in range(len(cands)):
+        _, phi_i, converged_i = orbit_geometry._newton_ascent(
+            action, cands[i:i + 1], others[i:i + 1], g0[i:i + 1], **options)
+        assert converged_i[0] == converged[i]
+        assert abs(phi_i[0] - phi[i]) <= 1e-13
+
+
+def test_ascent_on_a_zero_dimensional_algebra_returns_its_start():
+    action = trivial_action(3)
+    assert action.algebra().shape == (0, 3, 3)
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((2, 4, 3))
+    g0 = np.broadcast_to(np.eye(3), (4, 3, 3))
+    g, phi, converged = orbit_geometry._newton_ascent(action, a, b, g0, gtol=1e-8,
+                                                      ftol=1e-12, maxiter=150)
+    assert converged.all()
+    assert np.array_equal(g, g0)
+    assert np.abs(phi - np.einsum("ni,ni->n", a, b)).max() <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["hopf-u1-r4", "so2xso3-r5", "so2-tensor-so3-r6"]),
+       st.integers(0, 2**32 - 1))
+def test_distances_are_invariant_under_conjugation(action_id, seed):
+    # Conjugating the action by Q maps orbits to orbits: d(Qx, Qy) under
+    # Q G Q^T is d(x, y) under G, for the quotient and the sphere metric.
+    action = get_action(action_id)
+    d = action.dimension
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    moved = dataclasses.replace(action, generators=tuple(q @ x @ q.T for x in action.generators))
+    x, y = rng.standard_normal((2, d))
+    want = quotient_distance(QuotientPoint(x, action), QuotientPoint(y, action))
+    got = quotient_distance(QuotientPoint(q @ x, moved), QuotientPoint(q @ y, moved))
+    assert abs(got - want) <= 1e-9
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+    want = sphere_quotient_distance(x, y, action)
+    assert abs(sphere_quotient_distance(q @ x, q @ y, moved) - want) <= 1e-9
 
 
 def test_trivial_action_distance_is_euclidean():
@@ -300,6 +385,28 @@ def test_batched_max_dots_match_the_per_pair_maximum(action, pairs, density):
     _, els = action.grid(density)
     want = np.array([((els @ b) @ a).max() for a, b in zip(a_pts, b_pts)])
     assert np.max(np.abs(_batched_max_dots(action, a_pts, b_pts, density) - want)) < 1e-13
+
+
+def test_sector_climb_never_refines_the_same_pair_cold_twice_in_a_row(monkeypatch):
+    # A round without improvement leaves the pair as it was; the climb
+    # reuses the last cold refinement, which is deterministic.
+    refine = orbit_geometry._refined_sphere_dots
+    cold = []
+
+    def recording(action, a_pts, b_pts, start=None, stop=None):
+        if start is None and len(a_pts) == 1:
+            cold.append((a_pts.copy(), b_pts.copy()))
+        return refine(action, a_pts, b_pts, start, stop)
+
+    monkeypatch.setattr(orbit_geometry, "_refined_sphere_dots", recording)
+    action = get_action("so2xso3-r5")
+    sector_angle_estimate(action, 500, 0)
+    assert len(cold) >= 2
+    for (a0, b0), (a1, b1) in zip(cold, cold[1:]):
+        assert not (np.array_equal(a0, a1) and np.array_equal(b0, b1))
+    for a, b in cold:
+        first, again = refine(action, a, b), refine(action, a, b)
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
 
 
 def test_sector_estimate_trivial_plane():
