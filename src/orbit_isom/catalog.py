@@ -34,6 +34,8 @@ built from the generators in one batched product:
   (uniform nodes on periodic angles, Gauss-Legendre in cos(beta) for the
   SO(3) polar angle). Characters of g^2 are low-degree trigonometric
   polynomials, so indicator sums computed with it are exact to roundoff.
+  Only the verification route uses it: the analysis reads Schur types
+  from the commutant, and the structural suite compares the two.
 
 Everything else is read off the Lie algebra g of the image, the span of
 the generators closed under commutators (``algebra()``): its center gives
@@ -212,8 +214,8 @@ class CatalogAction:
         ])
 
     def fs_sample(self):
-        """(elements, weights) Haar quadrature for indicator sums: the
-        tensor product of the per-axis rules."""
+        """(elements, weights) Haar quadrature for the verification route's
+        indicator sums: the tensor product of the per-axis rules."""
         cached = self._cache.get("haar")
         if cached is None:
             nodes, weights = zip(*(ax.haar_rule() for ax in self.axes))

@@ -5,21 +5,25 @@ The commutant Hom_G(V, V) is the null space of the stacked Sylvester
 operators A -> A g - g A over the generators (commuting with generators is
 equivalent to commuting with the whole group). Isotypic components are
 recovered by the commutant-center split: eigenspaces of a randomly sampled
-symmetric element of the commutant's center. Component types follow the
-indicator sum s = (1/|G|) sum_g trace(P rho(g^2) P), cross-checked against
-the commutant dimension restricted to the component:
+symmetric element of the commutant's center. A component's type and
+multiplicity follow from its restricted commutant E = P C P alone. E is
+M_n(R), M_n(C) or M_n(H) with the transpose as its *-involution, so with
+c = dim E and k = dim Skew(E) the difference t = dim Sym(E) - dim Skew(E)
+= c - 2k is the Frobenius-Schur indicator sum (1/|G|) sum_g trace(P g^2 P):
 
-    s > 1/2   -> Real         n = round(s)        check c = n^2
-    s < -1/2  -> Quaternionic n = round(-s/2)     check c = 4 n^2
-    |s| <= 1/2 -> Complex     n = sqrt(c/2)       check integral
+    t > 0  -> Real         n = t            check c = n^2
+    t = 0  -> Complex      n = isqrt(c/2)   check c = 2 n^2
+    t < 0  -> Quaternionic n = -t/2         check c = 4 n^2
 
-(The raw sum equals -2n for quaternionic components; the stored fsSum is
-normalized to n*nu with nu in {+1, 0, -1}.) The identity component of the
-equivariant isometry group is then the product of SO(n)/U(n)/Sp(n) factors,
-with Lie algebra the skew-symmetric part of the commutant.
+All of these are integer comparisons; the group average itself is the
+second route, which the verification suite compares with t. The identity
+component of the equivariant isometry group is then the product of
+SO(n)/U(n)/Sp(n) factors, with Lie algebra the skew-symmetric part of the
+commutant.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,6 @@ from .errors import InternalCheckError, IsotypicSeparationError, TypeInconsisten
 GAP_TOL = 1e-6
 CLUSTER_TIGHT = 1e-9
 MAX_SPLIT_RETRIES = 10
-INTEGER_TOL = 1e-6
 
 REAL = "Real"
 COMPLEX = "Complex"
@@ -139,8 +142,8 @@ class IsotypicComponent:
     multiplicity: int        # n
     irreducible_dim: int     # dim V_i
     schur_type: str          # Real | Complex | Quaternionic
-    fs_sum: float            # normalized indicator sum, within 1e-6 of n*nu
-    commutant_dim: int       # commutant dimension restricted to the component
+    block_basis: np.ndarray  # (c, d, d) orthonormal basis of E = P C P
+    skew_basis: np.ndarray   # (k, d, d) orthonormal basis of Skew(E)
 
     @property
     def dimension(self) -> int:
@@ -151,83 +154,38 @@ class IsotypicComponent:
         return self.basis @ self.basis.T
 
 
-def _restricted_commutant_dim(basis: np.ndarray, commutant: np.ndarray) -> int:
-    restricted = np.einsum("ia,kij,jb->kab", basis, commutant, basis)
-    flat = restricted.reshape(restricted.shape[0], -1)
-    s = np.linalg.svd(flat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return num.split_spectrum(s, 1e-8 * s[0], "restricted commutant")
-
-
-def classify_component(subspace: ComponentSubspace, elements: np.ndarray,
-                       weights: np.ndarray, commutant: np.ndarray) -> IsotypicComponent:
-    """Type and multiplicity of one isotypic component.
-
-    ``elements``/``weights`` describe the group average: all elements with
-    uniform weights for a finite group, a Haar quadrature for catalog
-    actions. Raises TypeInconsistencyError when the indicator sum, the
-    restricted commutant dimension, and the component dimension disagree.
+def classify_component(subspace: ComponentSubspace, commutant: np.ndarray) -> IsotypicComponent:
+    """Type and multiplicity of one isotypic component from its restricted
+    commutant E = P C P: c = dim E, k = dim Skew(E) and t = c - 2k (see the
+    module docstring). Raises TypeInconsistencyError when c does not have
+    the form the sign of t asks for, or n does not divide dim W.
     """
-    basis = subspace.basis
-    m = basis.shape[1]
-    mean_square = np.tensordot(weights, elements @ elements, axes=1)
-    raw = float(np.sum(basis * (mean_square @ basis)))
-    c = _restricted_commutant_dim(basis, commutant)
-
-    nearest = round(raw)
-    if abs(raw - nearest) > INTEGER_TOL:
-        raise TypeInconsistencyError(
-            f"indicator sum {raw!r} is not within {INTEGER_TOL} of an integer"
-        )
-
-    if raw > 0.5:
-        schur = REAL
-        n = int(nearest)
-        if c != n * n:
-            raise TypeInconsistencyError(
-                f"Real component: commutant dim {c} != n^2 = {n * n} (s = {raw!r})"
-            )
-        stored = raw
-    elif raw < -0.5:
-        schur = QUATERNIONIC
-        n = int(round(-raw / 2.0))
-        if abs(raw + 2 * n) > INTEGER_TOL:
-            raise TypeInconsistencyError(
-                f"Quaternionic component: raw sum {raw!r} is not -2n"
-            )
-        if c != 4 * n * n:
-            raise TypeInconsistencyError(
-                f"Quaternionic component: commutant dim {c} != 4n^2 = {4 * n * n}"
-            )
-        stored = raw / 2.0
+    p = subspace.projector
+    block = num.span_basis(np.einsum("ij,kjl,lm->kim", p, commutant, p),
+                           rank_tol=1e-8, what="component block")
+    skew = _skew_subbasis(block)
+    c, k, m = block.shape[0], skew.shape[0], subspace.dimension
+    t = c - 2 * k
+    if t > 0:
+        schur, n, want = REAL, t, t * t
+    elif t == 0:
+        n = math.isqrt(c // 2)
+        schur, want = COMPLEX, 2 * n * n
     else:
-        schur = COMPLEX
-        if abs(raw) > INTEGER_TOL:
-            raise TypeInconsistencyError(
-                f"Complex component: indicator sum {raw!r} not within {INTEGER_TOL} of 0"
-            )
-        if c % 2 != 0:
-            raise TypeInconsistencyError(f"Complex component: commutant dim {c} is odd")
-        n_float = (c / 2.0) ** 0.5
-        n = int(round(n_float))
-        if abs(n_float - n) > INTEGER_TOL or n < 1:
-            raise TypeInconsistencyError(
-                f"Complex component: c/2 = {c / 2} is not a perfect square"
-            )
-        stored = raw
-
-    if n < 1 or m % n != 0:
+        n = -t // 2
+        schur, want = QUATERNIONIC, 4 * n * n
+    if c != want or n < 1 or m % n != 0:
         raise TypeInconsistencyError(
-            f"component dimension {m} is not a multiple of multiplicity {n}"
+            f"restricted commutant of dim {c} with {k} skew elements (t = {t}) "
+            f"reads {schur}({n}), which needs dim {want} and n dividing {m}"
         )
     return IsotypicComponent(
-        basis=basis,
+        basis=subspace.basis,
         multiplicity=n,
         irreducible_dim=m // n,
         schur_type=schur,
-        fs_sum=stored,
-        commutant_dim=c,
+        block_basis=block,
+        skew_basis=skew,
     )
 
 
@@ -337,29 +295,15 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
     cursor = 0
 
     for idx, comp in enumerate(components):
-        p = comp.projector
-        block_all = np.einsum("ij,kjl,lm->kim", p, commutant, p)
-        block_basis = num.span_basis(block_all, rank_tol=1e-8, what="component block")
-        if block_basis.shape[0] != comp.commutant_dim:
-            raise InternalCheckError(
-                f"component {idx}: block algebra dim {block_basis.shape[0]} != "
-                f"restricted commutant dim {comp.commutant_dim}"
-            )
-        skew = _skew_subbasis(block_basis)
-        expected = _skew_dim_formula(comp.schur_type, comp.multiplicity)
-        if skew.shape[0] != expected:
-            raise InternalCheckError(
-                f"component {idx}: skew dimension {skew.shape[0]} != "
-                f"{expected} for {comp.schur_type}({comp.multiplicity})"
-            )
-
+        skew = comp.skew_basis
+        k = skew.shape[0]
         center_index = None
         ordered = skew
         if comp.schur_type == REAL and comp.multiplicity == 2:
             # so(2) is 1-dimensional: the factor is its own central circle.
             center_index = cursor
         elif comp.schur_type == COMPLEX:
-            center_skew = _block_center_skew(block_basis)
+            center_skew = _block_center_skew(comp.block_basis)
             if center_skew.shape[0] != 1:
                 raise InternalCheckError(
                     f"component {idx}: expected a 1-dim central circle, got "
@@ -373,7 +317,7 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
                 j = -j
             rest = skew - np.einsum("kij,ij->k", skew, j)[:, None, None] * j
             rest = num.span_basis(rest, rank_tol=1e-8, what="non-central skew")
-            if rest.shape[0] != expected - 1:
+            if rest.shape[0] != k - 1:
                 raise InternalCheckError(
                     f"component {idx}: central complement dim {rest.shape[0]}"
                 )
@@ -385,11 +329,11 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
             multiplicity=comp.multiplicity,
             component_index=idx,
             lie_start=cursor,
-            lie_stop=cursor + expected,
+            lie_stop=cursor + k,
             center_circle_index=center_index,
         ))
-        cursor += expected
-        if expected:
+        cursor += k
+        if k:
             blocks.append(ordered)
 
     lie_basis = (np.concatenate(blocks) if blocks else np.zeros((0, d, d)))
@@ -399,17 +343,11 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
         for g in generators:
             if num.max_abs(a @ g - g @ a) > 1e-8:
                 raise InternalCheckError("lie basis element does not commute with a generator")
-
-    total = sum(f.dim for f in factors)
-    if total != lie_basis.shape[0]:
-        raise InternalCheckError(
-            f"total Lie dimension {lie_basis.shape[0]} != factor formula sum {total}"
-        )
     return EquivariantIsometryGroup(
         factors=tuple(factors),
         components=components,
         lie_basis=lie_basis,
-        dimension=total,
+        dimension=lie_basis.shape[0],
     )
 
 

@@ -39,8 +39,10 @@ class IsotypicSeparationError(AmbiguityError):
 
 
 class TypeInconsistencyError(AmbiguityError):
-    """Indicator sum, commutant dimension, and component dimension disagree
-    about the type/multiplicity of an isotypic component."""
+    """The restricted commutant of an isotypic component is not M_n(R),
+    M_n(C) or M_n(H) by its dimension and the dimension of its skew part,
+    or the multiplicity n it reads does not divide the component's
+    dimension."""
 
 
 class KernelAmbiguityError(AmbiguityError):

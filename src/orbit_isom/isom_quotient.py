@@ -566,9 +566,10 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
     ``source`` may be a spec file path, a parsed spec/dict, a catalog id of
     the form "catalog:<id>", or a CatalogAction. Only the preamble depends
     on the kind of source: it yields the action context restricted to the
-    moving part of V, generators whose commutant is the commutant of G, and
-    a weighted sample of G for the indicator sums. The stages from
-    ``commutant`` on are the same for both kinds.
+    moving part of V and generators whose commutant is the commutant of G.
+    The stages from ``commutant`` on are the same for both kinds and need
+    only those generators: the components are classified from the
+    commutant, with no average over G.
     """
     label, spec, action = _stage("parse", _resolve_source, source)
     group = None
@@ -587,8 +588,7 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
                 source=label, split=split, context=None, ambient_group=group,
                 equiv=None, kernel=kernel, boundary=False, report=report)
         ctx = _stage("restrict", restrict_group, group, split)
-        gens, elements = ctx.generators, ctx.elements
-        weights = np.full(ctx.order, 1.0 / ctx.order)
+        gens = ctx.generators
     else:
         # G is connected: commuting with the span of the X_j is commuting
         # with G. The span is smaller than the list when an Euler
@@ -598,14 +598,10 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
         split = _stage("trivial-split", _moving_split, action)
         gens = num.span_basis(np.stack(action.generators), rank_tol=LIE_RANK_FLOOR,
                               what="generator span")
-        elements, weights = action.fs_sample()
 
     commutant = _stage("commutant", commutant_basis, gens)
     parts = _stage("isotypic-split", isotypic_split, commutant, gens, seed)
-    components = [
-        _stage("classify", classify_component, p, elements, weights, commutant)
-        for p in parts
-    ]
+    components = [_stage("classify", classify_component, p, commutant) for p in parts]
     equiv = _stage("equivariant-group", equivariant_isometry_group,
                    components, commutant, gens)
     boundary = _stage("boundary", has_boundary, ctx)

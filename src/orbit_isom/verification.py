@@ -4,7 +4,8 @@ Nine numbered suites, each checking one acceptance contract end to end:
 the Hopf pipeline and its quotient metric, the lifting construction, the
 sector-angle estimates, the irreducible trichotomy, the kernel/center
 laws, the descend property of equivariant isometries, the structural
-report validators, and determinism of repeated runs.
+report validators (with the group-average indicator sums, the second route
+to each component's type), and determinism of repeated runs.
 
 `run_suites` executes a substring-filtered subset in numeric order and
 returns one SuiteResult per suite. Suite output never contains wall-clock
@@ -42,12 +43,14 @@ LIFT_TOL = 1e-8
 DESCEND_TOL = 1e-8
 SECTOR_TOL = 1e-2
 HOPF_METRIC_TOL = 1e-3
+INDICATOR_TOL = 1e-6
 HOPF_BUDGET_SECONDS = 30.0
 SECTOR_BUDGET_SECONDS = 60.0
 CATALOG_LABELS = tuple(f"catalog:{action_id}" for action_id in CATALOG)
 CIRCLE_TEST_TIMES = (0.1, 0.37, 1.01)
 
 _SCHUR_WEIGHT = {"Real": 1, "Complex": 2, "Quaternionic": 4}
+_INDICATOR = {"Real": 1, "Complex": 0, "Quaternionic": -2}
 _SKEW_DIM = {
     "Real": lambda n: n * (n - 1) // 2,
     "Complex": lambda n: n * n,
@@ -350,6 +353,24 @@ def _expected_skew_dim(rep: dict) -> int:
     return total
 
 
+def indicator_sums(result) -> list[float]:
+    """The group average (1/|G|) sum_g trace(P g^2 P) over each component
+    of an analysis: all elements of a finite group with equal weights, the
+    Haar quadrature ``fs_sample()`` of a catalog action. The analysis reads
+    type and multiplicity from the restricted commutant instead; this is
+    the second route, n, 0 or -2n by Frobenius-Schur."""
+    if result.equiv is None:
+        return []
+    ctx = result.context
+    if isinstance(ctx, FiniteGroupData):
+        elements, weights = ctx.elements, np.full(ctx.order, 1.0 / ctx.order)
+    else:
+        elements, weights = ctx.fs_sample()
+    mean_square = np.tensordot(weights, elements @ elements, axes=1)
+    return [float(np.sum(c.basis * (mean_square @ c.basis)))
+            for c in result.equiv.components]
+
+
 def _suite_structural(memo: _AnalysisMemo) -> SuiteResult:
     labels = list(FIXTURE_NAMES) + list(CATALOG_LABELS)
     problems = []
@@ -386,12 +407,20 @@ def _suite_structural(memo: _AnalysisMemo) -> SuiteResult:
                 f"{_expected_skew_dim(rep)}")
         if rep["notes"]["equivariantGroupDim"] != lie_dim:
             problems.append(f"{label}: reported equivariant dim inconsistent")
+        comps = () if result.equiv is None else result.equiv.components
+        for comp, s in zip(comps, indicator_sums(result)):
+            want = _INDICATOR[comp.schur_type] * comp.multiplicity
+            if abs(s - want) > INDICATOR_TOL:
+                problems.append(
+                    f"{label}: indicator sum {s!r} != {want} for "
+                    f"{comp.schur_type}({comp.multiplicity})")
     return SuiteResult(
         "8-structural",
         not problems,
         "; ".join(problems) if problems else
-        "schema, factor structure, commutant dimension identity, and "
-        "skew-dimension formulas hold on all eleven sources",
+        "schema, factor structure, commutant dimension identity, "
+        "skew-dimension formulas, and group-average indicator sums hold on "
+        "all eleven sources",
     )
 
 

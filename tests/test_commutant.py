@@ -6,13 +6,17 @@ import pytest
 from conftest import rot2
 from orbit_isom import _numerics as num
 from orbit_isom.commutant import (
+    ComponentSubspace,
+    classify_component,
     commutant_basis,
     commutant_center,
     isotypic_split,
     sample_equivariant_isometry,
 )
+from orbit_isom.errors import TypeInconsistencyError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.repr_model import enumerate_group, parse_spec
+from orbit_isom.verification import indicator_sums
 
 # dim of the commutant algebra on the full representation space,
 # checked against sum n_i^2 t_i + (fixed dim)^2 by hand
@@ -62,7 +66,8 @@ SPLIT_SHAPE = {
     "c3xd4-r4": (2, [1, 1]),
 }
 
-# fs_sum is the normalized indicator n*nu per component
+# the group average (1/|G|) sum trace(P g^2 P) per component, normalized
+# to n*nu (the raw sum is -2n for a quaternionic component)
 FS_SUMS = {
     "c5": [0.0], "d4": [1.0], "q8": [-1.0],
     "pm1-r4": [4.0], "pm1-r3": [3.0], "c3-fix": [0.0],
@@ -84,8 +89,20 @@ def test_isotypic_components(name, memo):
     assert len(comps) == count
     assert [c.multiplicity for c in comps] == mults
     assert [c.schur_type for c in comps] == SCHUR_TYPES[name]
-    for c, want in zip(comps, FS_SUMS[name]):
-        assert abs(c.fs_sum - want) < 1e-6
+    sums = indicator_sums(result)
+    assert len(sums) == count
+    for c, raw, want in zip(comps, sums, FS_SUMS[name]):
+        scale = 2.0 if c.schur_type == "Quaternionic" else 1.0
+        assert abs(raw / scale - want) < 1e-6
+
+
+def test_two_isotypic_components_read_as_one_raise(finite_group):
+    # The block algebra of the whole R^4 of c3xd4-r4 is R + C: c = 3 with one
+    # skew element, so t = 1 reads Real n = 1, which needs c = 1.
+    group = finite_group("c3xd4-r4")
+    commutant = commutant_basis(group.generators)
+    with pytest.raises(TypeInconsistencyError, match=r"dim 3 with 1 skew.*Real\(1\)"):
+        classify_component(ComponentSubspace(basis=np.eye(4)), commutant)
 
 
 def test_isotypic_split_bases_span_space(finite_group):

@@ -32,7 +32,7 @@ from orbit_isom.catalog import (
     trivial_action,
 )
 from orbit_isom.errors import InternalCheckError, KernelAmbiguityError, ValidationError
-from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
+from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document, fixture_spec
 from orbit_isom.isom_quotient import (
     center_of_group,
     classify_irreducible,
@@ -348,6 +348,41 @@ def test_catalog_report_does_not_depend_on_the_basis(action_id, basis_seed, draw
     for derived in ("algebra", "central_directions"):
         want = np.einsum("ij,kjl,ml->kim", q, getattr(action, derived)(), q)
         assert _same_span(getattr(moved, derived)(), want)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_direct_square_keeps_types_and_doubles_multiplicities(name, memo):
+    # V + V, generated by diag(g, g), in the fixture's file basis.
+    spec = fixture_spec(name)
+    base = memo.analysis(name).report
+    square = quotient_isometry_group(
+        spec_of([scipy.linalg.block_diag(g, g) for g in spec.generators], 2 * spec.dimension),
+        seed=memo.seed).report
+    assert [(f["type"], f["multiplicity"]) for f in square["compactFactors"]] == \
+        [(f["type"], 2 * f["multiplicity"]) for f in base["compactFactors"]]
+    assert square["euclideanFactorDim"] == 2 * base["euclideanFactorDim"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_a_trivial_summand_adds_to_the_euclidean_factor(name, k, seed):
+    # V + R^k, generated by diag(g, I_k), in the fixture's file basis.
+    spec = fixture_spec(name)
+    base = quotient_isometry_group(spec, seed=seed).report
+    plus = quotient_isometry_group(
+        spec_of([scipy.linalg.block_diag(g, np.eye(k)) for g in spec.generators],
+                spec.dimension + k), seed=seed).report
+    assert plus["euclideanFactorDim"] == base["euclideanFactorDim"] + k
+    assert plus["compactFactors"] == base["compactFactors"]
+
+
+def test_analyses_form_no_group_average(monkeypatch):
+    def average(*args, **kwargs):
+        raise AssertionError("an analysis asked for the Haar quadrature")
+
+    monkeypatch.setattr(CatalogAction, "fs_sample", average)
+    for action_id in CATALOG_IDS:
+        quotient_isometry_group(f"catalog:{action_id}")
 
 
 def test_catalog_analyses_never_consult_the_oracle(monkeypatch):
