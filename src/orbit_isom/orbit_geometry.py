@@ -395,24 +395,18 @@ def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarra
 
 
 def _refined_sphere_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
-                         start: np.ndarray | None = None, stop: float | None = None):
+                         stop: float | None = None):
     """(refined max over g of a^T g b, maximizing elements) for every pair
-    of rows of ``a_pts`` and ``b_pts``, refined together.
-
-    ``start`` (an element) warm-starts every ascent from a nearby pair's
-    maximizer instead of the grid argmax; a stale basin then under-resolves
-    the maximum, so warm-started values need periodic cold re-grounding. An
-    ascent that reaches ``stop`` ends there, short of the maximum.
+    of rows of ``a_pts`` and ``b_pts``, refined together, each from its
+    grid argmax. An ascent that reaches ``stop`` ends there, short of the
+    maximum.
     """
-    if start is None:
-        _, els = action.grid()
-        dots = np.einsum("gij,pi,pj->pg", els, a_pts, b_pts)
-        best = dots.argmax(axis=1)
-        g0 = els[best]
-        base = dots[np.arange(len(best)), best]
-    else:
-        g0 = np.broadcast_to(start, (len(a_pts),) + start.shape)
-        base = np.einsum("pi,ij,pj->p", a_pts, start, b_pts)
+    _, els = action.grid()
+    outer = (a_pts[:, :, None] * b_pts[:, None, :]).reshape(len(a_pts), -1)
+    dots = outer @ els.reshape(len(els), -1).T
+    best = dots.argmax(axis=1)
+    g0 = els[best]
+    base = dots[np.arange(len(best)), best]
     # Tolerances sized for the arccos: a dot resolved to ~1e-10 puts the
     # angle within ~1e-9/sin(theta). Tighter settings never terminate at
     # strata pairs, where the maximizer is a whole subgroup and the
@@ -430,11 +424,16 @@ def _arccos(dots):
 def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -> float:
     """Angle of the planar sector SV/G for a cohomogeneity-2 action.
 
-    The sector angle equals the diameter of SV/G, estimated as the maximum
-    sphere quotient distance over sampled unit-vector pairs followed by a
-    local hill-climb refinement from the best pair. Converges from below as
-    samples accumulate (pairs are drawn from a seeded stream, so runs with
-    nested sample counts see nested samples).
+    The sector angle equals the diameter of SV/G: the largest sphere
+    quotient distance arccos f(a, b), f(a, b) = max over g of a^T g b. The
+    best of the sampled unit-vector pairs (screened on the grid, the top
+    three refined) starts a descent of f on the pair of spheres. Where the
+    maximizer g* is unique, f has the envelope gradient g* b in a and
+    g*^T a in b (Danskin), so each step tries a few fractions of one step
+    along it, a then b, as one batch of refinements, and keeps the longest
+    that gains. The result is the converged refinement of the last pair
+    kept. It is not monotone in ``sample_count``: a better starting pair
+    can end its climb on a lower ridge.
     """
     if action.metadata.cohomogeneity != 2:
         raise ValidationError(
@@ -448,81 +447,51 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
     max_dots = _batched_max_dots(action, a_pts, b_pts)
     top = np.argsort(_arccos(max_dots))[::-1][:3]
 
-    # Every reported or compared value is a fully converged refinement: an
-    # under-resolved group maximum inflates the arccos, and one inflated
-    # climb value poisons the acceptance baseline for every later honest
-    # improvement.
-    vals = _arccos(_refined_sphere_dots(action, a_pts[top], b_pts[top])[0])
-    best_val = 0.0
-    best_pair = None
-    for idx, val in zip(top, vals):
-        if val > best_val:
-            best_val = float(val)
-            best_pair = (a_pts[idx].copy(), b_pts[idx].copy())
-    if best_pair is None:
-        return best_val
+    # Every reported or compared value is a fully converged refinement from
+    # the grid argmax: an under-resolved group maximum (or one from a stale
+    # basin) inflates the arccos, and one inflated value poisons the
+    # acceptance baseline for every later honest improvement.
+    dots, found = _refined_sphere_dots(action, a_pts[top], b_pts[top])
+    vals = _arccos(dots)
+    i = int(np.argmax(vals))
+    a, b = a_pts[top[i]], b_pts[top[i]]
+    current, g_best = float(vals[i]), found[i]
 
-    a, b = best_pair
-    # The last cold refinement: a round without improvement leaves (a, b)
-    # as they were, and refining the same pair again gives the same result.
-    last = None
-
-    def cold(a, b):
-        nonlocal last
-        if last is None or not (np.array_equal(a, last[0]) and np.array_equal(b, last[1])):
-            dot, g = _refined_sphere_dots(action, a[None], b[None])
-            last = (a, b, float(_arccos(dot[0])), g[0])
-        return last[2:]
-
-    current, g_best = cold(a, b)
-    # Row 2i moves coordinate i up by the step, row 2i + 1 moves it down.
-    moves = np.kron(np.eye(d), [[1.0], [-1.0]])
+    # Each batch tries the step and five halvings of it; a gain at the full
+    # step doubles the step, a batch without one halves it.
+    fractions = 0.5 ** np.arange(6)[:, None]
     step = 0.3
     budget = 1200
     while step >= 1e-4 and budget > 0:
-        improved = False
         for which in (0, 1):
-            cands = (a if which == 0 else b) + step * moves
+            point, other = (a, b) if which == 0 else (b, a)
+            # The envelope gradient, projected onto the sphere's tangent
+            # space at the point; it is zero only where a = +-g* b.
+            grad = g_best @ other if which == 0 else g_best.T @ other
+            grad -= (point @ grad) * point
+            cands = point - step * fractions * (grad / (np.linalg.norm(grad) or 1.0))
             cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-            # The candidates of one point are fixed before its sweep; only
-            # the warm start and the bar move when one is accepted. They are
-            # refined together from the current warm start, and the batch
-            # restarts after the first accepted one, so accept and reject
-            # follow the order of a one-by-one sweep.
-            first = 0
-            while first < len(cands):
-                batch = cands[first:]
-                other = np.broadcast_to(b if which == 0 else a, batch.shape)
-                # Margin above the warm-start value noise, or the climb
-                # walks on noise forever; gains under it are irrelevant at
-                # the accuracy the estimate targets. The ascent only raises
-                # the dot, so one that reaches the bar's cosine is rejected
-                # whatever it would converge to, and stops there.
-                bar = math.cos(current + 1e-5)
-                dots, found = _refined_sphere_dots(
-                    action, *((batch, other) if which == 0 else (other, batch)),
-                    start=g_best, stop=bar)
-                vals = _arccos(dots)
-                hits = np.flatnonzero((vals > current + 1e-5) & (dots < bar))
-                if not hits.size:
-                    budget -= len(batch)
-                    break
-                h = int(hits[0])
-                budget -= h + 1
-                first += h + 1
-                if which == 0:
-                    a = batch[h]
-                else:
-                    b = batch[h]
-                current, g_best = float(vals[h]), found[h]
-                improved = True
-        if not improved:
-            # Cold re-ground before shrinking the step: a warm-started
-            # climb can drift into a stale basin whose inflated values
-            # both block real moves and overstate the final answer.
-            cold_val, cold_g = cold(a, b)
-            if cold_val < current:
-                current, g_best = cold_val, cold_g
-            step *= 0.5
-    cold_val, _ = cold(a, b)
-    return max(best_val, min(current, cold_val))
+            others = np.broadcast_to(other, cands.shape)
+            # Margin above the refinement noise, or the climb walks on noise
+            # forever; gains under it are irrelevant at the accuracy the
+            # estimate targets. The ascent only raises the dot, so one that
+            # reaches the bar's cosine is rejected whatever it would
+            # converge to, and stops there.
+            bar = math.cos(current + 1e-5)
+            dots, found = _refined_sphere_dots(
+                action, *((cands, others) if which == 0 else (others, cands)), stop=bar)
+            budget -= len(cands)
+            vals = _arccos(dots)
+            hits = np.flatnonzero((vals > current + 1e-5) & (dots < bar))
+            if not hits.size:
+                step *= 0.5
+                continue
+            h = int(hits[0])
+            if which == 0:
+                a = cands[h]
+            else:
+                b = cands[h]
+            current, g_best = float(vals[h]), found[h]
+            if h == 0:
+                step *= 2.0
+    return current
