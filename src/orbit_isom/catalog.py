@@ -11,17 +11,18 @@ element at parameters t is the product of one-parameter subgroups
 
   g(t) = exp(t_1 X_1) ... exp(t_k X_k).
 
-Every generator satisfies X^3 = -X (its eigenvalues are 0 and +-i), so the
-exponential series collapses to the closed form
+Any skew X is allowed. With P_w the spectral projector of -X^2 for its
+eigenvalue w^2, w a frequency of X,
 
-  exp(t X) = I + sin(t) X + (1 - cos(t)) X^2,
+  exp(t X) = sum_w cos(w t) P_w + sin(w t) X P_w / w      (X P_0 = 0),
 
-which ``CatalogAction`` checks at construction. The circle of SO(2) is
-exp(t J); SO(3) is reached through the Euler angles Rz(alpha) Ry(beta)
-Rz(gamma). The parameters serve the grids, the quadrature and the
-golden-section fallback of the quotient-metric refinement; its Newton
-ascent moves group elements instead, g -> g exp(S) with S in the Lie
-algebra below, whose chart has no polar singularity.
+the form of ``_numerics.skew_exp`` grouped by frequency; ``CatalogAction``
+computes the P_w once. The circle of SO(2) is exp(t J); SO(3) is reached
+through the Euler angles Rz(alpha) Ry(beta) Rz(gamma). The parameters
+serve the grids, the quadrature and the golden-section fallback of the
+quotient-metric refinement; its Newton ascent moves group elements
+instead, g -> g exp(S) with S in the Lie algebra below, whose chart has no
+polar singularity.
 
 Each action exposes two discretizations, tuned to their consumers, each
 built from the generators in one batched product:
@@ -54,8 +55,8 @@ from . import _numerics as num
 from .errors import ValidationError
 
 DEFAULT_DENSITY = 2048
-# Skewness and X^3 = -X must hold to this absolute accuracy for the closed
-# form of exp(t X) to be exact to roundoff.
+# Skewness must hold to this absolute accuracy, and squared frequencies of
+# a generator this close share a spectral projector.
 GENERATOR_TOL = 1e-12
 # Absolute rank floor of the Lie-algebra systems, whose rows have unit
 # scale; the RANK_GUARD band above it aborts instead of guessing.
@@ -113,10 +114,11 @@ class CatalogAction:
     generators: tuple[np.ndarray, ...]
     axes: tuple[ParamAxis, ...]
     metadata: ActionMetadata
-    # Rows 3j, 3j+1, 3j+2 hold I, X_j, X_j^2 flattened into column block j,
-    # so one product with the coefficients (1, sin t_j, 1 - cos t_j) of
-    # every axis gives all factors exp(t_j X_j) at once.
+    # Row r of _basis is P_w of X_j (w = freq[r], coefficient cos(w t_j)) or,
+    # if sine[r], X_j P_w / w (coefficient sin(w t_j)), in column block
+    # j = axis[r] and zero elsewhere: one product gives every exp(t_j X_j).
     _basis: np.ndarray = field(init=False, repr=False)
+    _rows: tuple = field(init=False, repr=False)  # (axis, freq, sine)
     # Grids, the Haar quadrature, the Lie algebra and its center, per
     # instance: they follow from the generators, which two actions sharing
     # an id need not share.
@@ -128,51 +130,52 @@ class CatalogAction:
         if k != len(self.axes):
             raise ValidationError(f"{self.id}: {k} generators for {len(self.axes)} axes")
         d = gens[0].shape[0]
-        basis = np.zeros((3 * k, k * d * d))
+        rows = []
         for j, x in enumerate(gens):
             if x.shape != (d, d):
                 raise ValidationError(f"{self.id}: generator {j} is not {d}x{d}")
-            x2 = x @ x
-            if (np.abs(x + x.T).max() > GENERATOR_TOL
-                    or np.abs(x2 @ x + x).max() > GENERATOR_TOL):
+            if not np.abs(x + x.T).max() <= GENERATOR_TOL:  # false for NaN too
                 raise ValidationError(
-                    f"{self.id}: generator {j} must be skew with X^3 = -X "
-                    f"(within {GENERATOR_TOL:.0e}), or exp(tX) has no closed form")
-            basis[3 * j:3 * j + 3, j * d * d:(j + 1) * d * d] = (
-                np.stack([np.eye(d), x, x2]).reshape(3, d * d))
+                    f"{self.id}: generator {j} is not skew (within {GENERATOR_TOL:.0e})")
+            q, omega = num.skew_spectrum(x)
+            # A squared frequency more than GENERATOR_TOL above the one before
+            # starts a new frequency; group 0 is frequency 0.
+            group = np.cumsum(np.diff(omega ** 2, prepend=0.0) > GENERATOR_TOL)
+            for c in sorted(set(group.tolist())):
+                qc = q[:, group == c]
+                w = float(omega[group == c].mean()) if c else 0.0
+                p = qc @ qc.T
+                rows.append((j, w, False, p))
+                if c:
+                    rows.append((j, w, True, x @ p / w))
+        axis, freq, sine, blocks = (np.array(v) for v in zip(*rows))
+        basis = np.zeros((len(rows), k, d * d))
+        basis[np.arange(len(rows)), axis] = blocks.reshape(len(rows), d * d)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_basis", basis.reshape(len(rows), k * d * d))
+        object.__setattr__(self, "_rows", (axis, freq, sine))
 
     @property
     def dimension(self) -> int:
         return self.generators[0].shape[0]
 
-    def _factors(self, params) -> np.ndarray:
-        """(k, d, d) stack of E_j = exp(t_j X_j), from scalar sin/cos: the
-        single-element path."""
-        ts = np.asarray(params, dtype=float).tolist()
-        coeffs = [c for t in ts for c in (1.0, math.sin(t), 1.0 - math.cos(t))]
-        return np.dot(coeffs, self._basis).reshape((len(ts),) + self.generators[0].shape)
-
-    def _batch_factors(self, params: np.ndarray) -> np.ndarray:
-        """(N, k, d, d) stack of the factors E_j for every row of ``params``."""
-        t = np.asarray(params, dtype=float)
-        n, k = t.shape
-        coeffs = np.stack([np.ones_like(t), np.sin(t), 1.0 - np.cos(t)], axis=-1)
-        return (coeffs.reshape(n, 3 * k) @ self._basis).reshape(
-            (n, k) + self.generators[0].shape)
-
     def element(self, params) -> np.ndarray:
-        factors = self._factors(params)
-        g = factors[0]
-        for j in range(1, len(factors)):
-            g = np.dot(g, factors[j])
-        return g
+        return self.elements(np.asarray(params, dtype=float)[None])[0]
+
+    def _batch_factors(self, t: np.ndarray) -> np.ndarray:
+        """(N, k, d, d) factors exp(t_j X_j) for every row of ``t``; the (N, rows)
+        coefficients die on return, before ``elements`` multiplies them."""
+        if t.ndim != 2 or t.shape[1] != len(self.axes):
+            raise ValueError(f"{self.id}: params of shape {t.shape}, not (N, {len(self.axes)})")
+        axis, freq, sine = self._rows
+        wt = t[:, axis] * freq
+        coeffs = np.where(sine, np.sin(wt), np.cos(wt))
+        return (coeffs @ self._basis).reshape((len(t), len(self.axes)) + self.generators[0].shape)
 
     def elements(self, params: np.ndarray) -> np.ndarray:
         """g(t) for every row of ``params`` (N, k), as one batched product
         of (N, d, d) stacks."""
-        factors = self._batch_factors(params)
+        factors = self._batch_factors(np.asarray(params, dtype=float))
         out = factors[:, 0]
         for j in range(1, factors.shape[1]):
             out = out @ factors[:, j]

@@ -244,17 +244,13 @@ class EquivariantIsometryGroup:
 
 
 def _skew_subbasis(block_basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the skew-symmetric part of span{block_basis}."""
-    k = block_basis.shape[0]
-    sym = np.stack([b + b.T for b in block_basis]).reshape(k, -1).T
-    # block_basis is Frobenius-orthonormal, so an absolute tolerance is
-    # meaningful here; a relative one misreads an all-skew stack as full rank.
-    coeff_null, _ = num.nullspace(sym, rank_tol=1e-8, what="skew part")
-    if coeff_null.shape[1] == 0:
-        return block_basis[:0]
-    skew = np.einsum("kc,kij->cij", coeff_null, block_basis)
-    skew = (skew - np.transpose(skew, (0, 2, 1))) / 2.0
-    return num.span_basis(skew, what="skew basis")
+    """Orthonormal basis of the skew-symmetric part of span{block_basis},
+    which is closed under transposition T: the span of (B - B^T) / 2. That
+    stack's Gram matrix is (I - T) / 2, T being an orthogonal involution, so
+    its singular values are 0 or 1 and an absolute floor separates them (a
+    relative one misreads an all-symmetric stack's roundoff as rank)."""
+    skew = (block_basis - block_basis.swapaxes(1, 2)) / 2.0
+    return num.span_basis(skew, rank_tol=1e-8, what="skew part")
 
 
 def _block_center_skew(block_basis: np.ndarray) -> np.ndarray:

@@ -72,14 +72,16 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def _moving_split(action: CatalogAction) -> TrivialSplit:
     """The trivial split of a catalog action, which must have no invariant
-    vectors: exp(X_j) fixes exactly ker X_j (X_j^3 = -X_j)."""
-    split = fixed_subspace(action.elements(np.eye(len(action.generators))),
-                           action.dimension)
-    if split.fixed_dim != 0:
+    vectors. G is connected, so it fixes exactly the common null space of
+    the X_j; exp(X_j) may fix more, once a frequency is a multiple of 2 pi."""
+    null, _ = num.nullspace(np.vstack(action.generators), rank_tol=LIE_RANK_FLOOR,
+                            what="fixed subspace")
+    if null.shape[1] != 0:
         raise InternalCheckError(
             f"catalog action {action.id} has invariant vectors; the catalog "
             f"assumes a fully moving action")
-    return split
+    return TrivialSplit(np.zeros((action.dimension, 0)), np.eye(action.dimension),
+                        action.generators)
 
 
 def center_of_group(group: FiniteGroupData) -> np.ndarray:

@@ -58,6 +58,8 @@ class QuotientPoint:
             raise ValidationError(
                 f"point has shape {rep.shape}, context dimension is {d}"
             )
+        if not np.isfinite(rep).all():
+            raise ValidationError(f"point has non-finite coordinates: {rep}")
 
 
 def _dot_jets(alg: np.ndarray, b: np.ndarray):
@@ -99,18 +101,18 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     their absolute values, floored at HESSIAN_FLOOR |a_i| |b_i|, so it
     climbs at saddles and stays bounded where the maximizer is a whole
     subgroup. The line search halves the step until the Armijo condition
-    holds. S commutes with -S^2 = Q diag(omega^2) Q^T, so
+    holds. With -S^2 = Q diag(omega^2) Q^T (``num.skew_spectrum``),
     exp(tS) = Q cos(omega t) Q^T + S Q (sin(omega t) / omega) Q^T and, with
     u = g^T a, phi_i(g exp(tS)) = sum_k alpha_k cos(omega_k t)
     + beta_k sin(omega_k t) / omega_k for alpha = (u^T Q) * (Q^T b) and
     beta = (u^T S Q) * (Q^T b): every trial step is read off one real
     eigendecomposition (the eigenvalues of the Hermitian iS are +-omega_k),
-    and g exp(tS) is formed once, at the accepted t. A row has converged
-    when max |grad phi_i| <= ``gtol``, its relative gain <= ``ftol``
-    (against max(|phi_i|, 1)), or phi_i >= ``stop``; maxiter steps or a
-    failed line search leave it unconverged. Rows step in lockstep but stop
-    on their own rule alone, so a row's result does not depend on the other
-    rows.
+    and g exp(tS) is formed once, at the accepted t (``num.skew_exp``). A
+    row has converged when max |grad phi_i| <= ``gtol``, its relative gain
+    <= ``ftol`` (against max(|phi_i|, 1)), or phi_i >= ``stop``; maxiter
+    steps or a failed line search leave it unconverged. Rows step in
+    lockstep but stop on their own rule alone, so a row's result does not
+    depend on the other rows.
     """
     g = np.array(g0, dtype=float)
     alg = action.algebra()
@@ -141,8 +143,7 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
         step = (vec @ coef[:, :, None])[:, :, 0]
         slope = np.einsum("ij,ij->i", grad, step)
         sk = (step @ alg_flat).reshape(g.shape)
-        mu, q = np.linalg.eigh(-(sk @ sk))
-        omega = np.sqrt(np.maximum(mu, 0.0))
+        q, omega = num.skew_spectrum(sk)
         qb = (b[:, None, :] @ q)[:, 0]
         alpha = (u[:, None, :] @ q)[:, 0] * qb
         beta = (u[:, None, :] @ sk @ q)[:, 0] * qb
@@ -160,9 +161,7 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
         flat = ok & (phi_q - phi_0 <= ftol * np.maximum(np.abs(phi_q), 1.0))
         converged[rows[flat]] = True
         retired = flat | ~ok
-        t = _TRIALS[first[ok], None, None]
-        q, qt, ot = q[ok], q[ok].swapaxes(1, 2), t * omega[ok, None, :]
-        g[ok] = g[ok] @ ((q * np.cos(ot)) @ qt + sk[ok] @ ((q * (t * np.sinc(ot / math.pi))) @ qt))
+        g[ok] = g[ok] @ num.skew_exp(sk[ok], q[ok], omega[ok], _TRIALS[first[ok]])
         u[ok] = (a[rows[ok], None, :] @ g[ok])[:, 0]
         phi, grad, hess = _dot_derivatives(u, b, jets)
         out_g[rows], out_phi[rows] = g, phi

@@ -18,6 +18,7 @@ Orthogonality drift is checked on each batch's new elements as they arrive.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,7 +59,6 @@ class RepresentationSpec:
     kind: str = "finite"
     tolerance: float = DEFAULT_TOLERANCE
     group_size_cap: int = DEFAULT_GROUP_SIZE_CAP
-    seed: int = DEFAULT_SEED
 
     @property
     def catalog_id(self) -> str | None:
@@ -67,7 +67,7 @@ class RepresentationSpec:
         return None
 
 
-_SPEC_KEYS = {"dimension", "kind", "generators", "tolerance", "groupSizeCap", "seed"}
+_SPEC_KEYS = {"dimension", "kind", "generators", "tolerance", "groupSizeCap"}
 
 
 def _parse_matrix(raw, dim: int, index: int) -> np.ndarray:
@@ -91,6 +91,9 @@ def _parse_matrix(raw, dim: int, index: int) -> np.ndarray:
                 raise ValidationError(
                     f"generator {index}, entry ({i},{j}): {entry!r} is not a decimal"
                 ) from exc
+            if not math.isfinite(out[i, j]):
+                raise ValidationError(
+                    f"generator {index}, entry ({i},{j}): {entry!r} is not finite")
     return out
 
 
@@ -121,14 +124,12 @@ def parse_spec(document: str | bytes | dict) -> RepresentationSpec:
         raise ValidationError(f"kind must be 'finite' or 'catalog:<id>', got {kind!r}")
 
     tolerance = doc.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or tolerance <= 0:
-        raise ValidationError("tolerance must be a positive number")
+    if (not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool)
+            or not 0 < tolerance < math.inf):
+        raise ValidationError("tolerance must be a positive finite number")
     cap = doc.get("groupSizeCap", DEFAULT_GROUP_SIZE_CAP)
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValidationError("groupSizeCap must be a positive integer")
-    seed = doc.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("seed must be an integer")
 
     raw_gens = doc.get("generators", [])
     if kind == "finite" and not raw_gens:
@@ -153,7 +154,6 @@ def parse_spec(document: str | bytes | dict) -> RepresentationSpec:
         kind=kind,
         tolerance=float(tolerance),
         group_size_cap=cap,
-        seed=seed,
     )
 
 

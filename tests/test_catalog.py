@@ -10,8 +10,11 @@ from conftest import rot2, so3_zyz
 from orbit_isom import _numerics as num
 from orbit_isom import orbit_geometry
 from orbit_isom.catalog import CatalogAction, ParamAxis, _block_diag, get_action, trivial_action
-from orbit_isom.errors import ValidationError
+from orbit_isom.errors import KernelAmbiguityError, ValidationError
+from orbit_isom.isom_quotient import quotient_isometry_group, report_json
 from orbit_isom.orbit_geometry import QuotientPoint, quotient_distance
+
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # Each action's elements written out as explicit rotation matrices: rot2,
 # Euler-angle rotations of R^3, block sums and Kronecker products.
@@ -135,12 +138,12 @@ def _one_axis_action(generator):
 
 
 @pytest.mark.parametrize("generator", [
-    2.0 * np.array([[0.0, -1.0], [1.0, 0.0]]),     # skew, but X^3 = -4X
-    np.array([[0.0, -2.0], [0.5, 0.0]]),           # X^3 = -X, but not skew
+    np.array([[0.0, -2.0], [0.5, 0.0]]),           # not skew
     np.array([[0.0, -1.0], [1.0 + 1e-11, 0.0]]),   # skew only to 1e-11
-])
-def test_generator_without_the_closed_form_is_rejected(generator):
-    with pytest.raises(ValidationError):
+    np.array([[0.0, -np.nan], [np.nan, 0.0]]),     # NaN compares false
+], ids=["not-skew", "skew-to-1e-11", "nan"])
+def test_non_skew_generator_is_rejected(generator):
+    with pytest.raises(ValidationError, match="not skew"):
         _one_axis_action(generator)
 
 
@@ -149,6 +152,90 @@ def test_unit_circle_generator_is_accepted():
     assert np.abs(action.element([0.4]) - rot2(0.4)).max() <= 1e-15
 
 
+def test_weight_two_circle_generator_is_accepted():
+    # Frequency 2: X^3 = -4X, not -X.
+    action = _one_axis_action(2.0 * _J)
+    for t in np.linspace(0.0, 7.0, 71):
+        assert np.abs(action.element([t]) - rot2(2.0 * t)).max() <= 1e-15
+
+
 def test_wrong_parameter_count_is_rejected():
     with pytest.raises(ValueError):
         get_action("so2xso3-r5").element([0.1, 0.2])
+
+
+@pytest.fixture(scope="module")
+def weight_12():
+    """The circle acting on C^2 with weights 1 and 2: two frequencies in one
+    generator."""
+    return CatalogAction(
+        id="weight-12-r4", generators=(_block_diag(_J, 2.0 * _J),),
+        axes=(ParamAxis(2.0 * math.pi, True, 1.0, 64),),
+        metadata=get_action("hopf-u1-r4").metadata)
+
+
+def test_weight_12_circle_elements_match_the_rotation_blocks(weight_12):
+    for t in np.linspace(0.0, 7.0, 701):
+        want = _block_diag(rot2(t), rot2(2.0 * t))
+        assert np.abs(weight_12.element([t]) - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weight_12_circle_distance_matches_a_dense_circle_search(weight_12, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(4), rng.standard_normal(4)
+    got = quotient_distance(QuotientPoint(x, weight_12), QuotientPoint(y, weight_12))
+    t = np.linspace(0.0, 2.0 * math.pi, 400_001)
+    h = t[1]
+    gy = np.stack([np.cos(t) * y[0] - np.sin(t) * y[1], np.sin(t) * y[0] + np.cos(t) * y[1],
+                   np.cos(2 * t) * y[2] - np.sin(2 * t) * y[3],
+                   np.sin(2 * t) * y[2] + np.cos(2 * t) * y[3]], axis=1)
+    search = np.linalg.norm(x - gy, axis=1).min()
+    # |x - g(t) y|^2 has second derivative at most 8 |x| |y| (weights <= 2),
+    # so the search overshoots its square by at most |x| |y| h^2 and the
+    # distance by at most that over 2 |x - g y|.
+    assert -1e-12 <= search - got <= np.linalg.norm(x) * np.linalg.norm(y) * h * h / (2 * got)
+
+
+def test_weight_12_circle_kernel_is_a_subtorus_and_exits_2(weight_12):
+    # The kernel is the (1, 2) subtorus of the center torus U(1) x U(1),
+    # which the report cannot state yet.
+    with pytest.raises(KernelAmbiguityError, match="beyond whole factors") as err:
+        quotient_isometry_group(weight_12)
+    assert err.value.stage == "kernel"
+
+
+def test_hopf_circle_with_frequency_2pi_and_period_1_is_the_same_action():
+    # exp(2 pi (J + J)) = I: the fixed space of exp(X) at unit parameter is
+    # all of R^4, that of the generator {0}.
+    hopf = get_action("hopf-u1-r4")
+    scaled = dataclasses.replace(hopf, generators=(2.0 * math.pi * _block_diag(_J, _J),),
+                                 axes=(ParamAxis(1.0, True, 1.0, 64),))
+    assert (report_json(quotient_isometry_group(scaled).report)
+            == report_json(quotient_isometry_group(hopf).report))
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        x, y = rng.standard_normal(4), rng.standard_normal(4)
+        want = quotient_distance(QuotientPoint(x, hopf), QuotientPoint(y, hopf))
+        got = quotient_distance(QuotientPoint(x, scaled), QuotientPoint(y, scaled))
+        assert abs(got - want) <= 1e-15
+
+
+def test_a_frequency_of_2pi_fixes_no_vector_of_a_moving_action():
+    # T^2 on C + C, once with the first circle written as 2 pi J + 0 of
+    # period 1. exp of that generator at unit parameter is the identity up
+    # to roundoff, so a fixed space read off the unit-parameter elements
+    # would find the first plane invariant; the generators' common null
+    # space is {0} either way.
+    z = np.zeros((2, 2))
+
+    def torus(scale):
+        return CatalogAction(
+            id="t2-r4", generators=(_block_diag(scale * _J, z), _block_diag(z, _J)),
+            axes=(ParamAxis(2.0 * math.pi / scale, True, 1.0, 8),
+                  ParamAxis(2.0 * math.pi, True, 1.0, 8)),
+            metadata=get_action("so2xso3-r5").metadata)
+
+    scaled = quotient_isometry_group(torus(2.0 * math.pi))
+    assert scaled.split.fixed_dim == 0
+    assert report_json(scaled.report) == report_json(quotient_isometry_group(torus(1.0)).report)

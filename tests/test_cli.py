@@ -95,6 +95,22 @@ def test_metric_dimension_mismatch(capsys):
     assert "dimension" in err
 
 
+def test_metric_rejects_non_finite_coordinates(capsys):
+    code, out, err = run(capsys, "metric", "--input", "catalog:hopf-u1-r4",
+                         "nan,0,0,0", "1,0,0,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error") and err.count("\n") == 1
+
+
+def test_analyze_rejects_a_nan_generator_entry(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dimension": 2, "generators": [[["nan", "0"], ["0", "1"]]]}))
+    code, _, err = run(capsys, "analyze", "--input", str(path))
+    assert code == 1
+    assert "not finite" in err
+
+
 def test_metric_text_format(capsys):
     code, out, _ = run(capsys, "metric", "--input", C5, "1,0", "0,1",
                        "--format", "text")

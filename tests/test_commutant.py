@@ -130,6 +130,19 @@ def test_expm_matches_rotation():
     assert num.max_abs(num.expm(gen) - rot2(theta)) < 1e-14
 
 
+@pytest.mark.parametrize("weights", [(1.0, 2.0), (2.0 * np.pi, 1.0), (2.0 * np.pi, 0.0)])
+def test_expm_matches_exact_rotation_blocks(weights):
+    # Norms up to 14, and 2 pi, where exp(X) is the identity on a plane.
+    w1, w2 = weights
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for t in np.linspace(0.0, 14.0 / max(weights), 701):
+        gen = np.zeros((5, 5))
+        gen[:2, :2], gen[2:4, 2:4] = t * w1 * j, t * w2 * j
+        want = np.eye(5)
+        want[:2, :2], want[2:4, 2:4] = rot2(t * w1), rot2(t * w2)
+        assert num.max_abs(num.expm(gen) - want) <= 1e-15
+
+
 def test_expm_orthogonal_on_random_skew():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -57,6 +57,30 @@ def test_parse_rejects_bad_entry():
         parse_spec(doc)
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_entries(entry):
+    # NaN compares false, so the orthogonality residual alone lets it
+    # through, and the enumeration then asks for gigabytes.
+    doc = {"dimension": 2, "generators": [[[entry, "0"], ["0", "1"]]]}
+    with pytest.raises(ValidationError, match="not finite"):
+        parse_spec(doc)
+
+
+@pytest.mark.parametrize("tolerance", ["NaN", "Infinity"])
+def test_parse_rejects_a_non_finite_tolerance(tolerance):
+    text = json.dumps(fixture_document("c5"))[:-1] + f', "tolerance": {tolerance}}}'
+    with pytest.raises(ValidationError, match="tolerance"):
+        parse_spec(text)
+
+
+def test_parse_rejects_a_seed_field():
+    # The seed comes from the caller, never from the spec.
+    doc = fixture_document("c5")
+    doc["seed"] = 3
+    with pytest.raises(ValidationError, match=r"unknown spec fields: \['seed'\]"):
+        parse_spec(doc)
+
+
 def test_parse_rejects_malformed_json_text():
     with pytest.raises(ValidationError, match="malformed JSON"):
         parse_spec("{nope")
