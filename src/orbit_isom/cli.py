@@ -22,7 +22,7 @@ from .catalog import catalog_summary
 from .errors import AmbiguityError, InternalCheckError, ValidationError
 from .isom_quotient import DEFAULT_SAMPLE_COUNT, quotient_isometry_group, report_json
 from .lift_verify import lift_rotation, quat_to_rotation
-from .orbit_geometry import QuotientPoint, quotient_distance
+from .orbit_geometry import QuotientPoint, check_sampling, quotient_distance
 from .repr_model import enumerate_group, load_spec
 from .verification import run_suites
 
@@ -261,8 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = os.path.dirname(os.path.abspath(args.output))
     try:
         seed = args.seed if args.seed is not None else _default_seed()
+        check_sampling(args.samples, seed)
+        if args.output != "-" and not os.path.isdir(out_dir):
+            raise ValidationError(f"the output directory {out_dir} does not exist")
     except ValidationError as err:
         _print_error(err)
         return 1

@@ -5,11 +5,14 @@ The commutant Hom_G(V, V) is the null space of the stacked Sylvester
 operators A -> A g - g A over the generators (commuting with generators is
 equivalent to commuting with the whole group). Isotypic components are
 recovered by the commutant-center split: eigenspaces of a randomly sampled
-symmetric element of the commutant's center. A component's type and
-multiplicity follow from its restricted commutant E = P C P alone. E is
-M_n(R), M_n(C) or M_n(H) with the transpose as its *-involution, so with
-c = dim E and k = dim Skew(E) the difference t = dim Sym(E) - dim Skew(E)
-= c - 2k is the Frobenius-Schur indicator sum (1/|G|) sum_g trace(P g^2 P):
+symmetric element of the commutant's center. The skew part of the same
+center holds each Complex component's central circle, its unit complex
+scalar J_i; the split hands it to the component, and no second system is
+solved for it. A component's type and multiplicity follow from its
+restricted commutant E = P C P alone. E is M_n(R), M_n(C) or M_n(H) with
+the transpose as its *-involution, so with c = dim E and k = dim Skew(E)
+the difference t = dim Sym(E) - dim Skew(E) = c - 2k is the
+Frobenius-Schur indicator sum (1/|G|) sum_g trace(P g^2 P):
 
     t > 0  -> Real         n = t            check c = n^2
     t = 0  -> Complex      n = isqrt(c/2)   check c = 2 n^2
@@ -76,9 +79,11 @@ def commutant_center(generators, commutant: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComponentSubspace:
-    """One isotypic eigenspace, as orthonormal basis columns."""
+    """One isotypic eigenspace, as orthonormal basis columns, and the unit
+    skew element of the commutant's center on it, if there is one."""
 
-    basis: np.ndarray  # (d, m) orthonormal columns
+    basis: np.ndarray          # (d, m) orthonormal columns
+    circle: np.ndarray | None  # (d, d) unit skew central element
 
     @property
     def dimension(self) -> int:
@@ -90,20 +95,23 @@ class ComponentSubspace:
 
 
 def isotypic_split(commutant: np.ndarray, generators, seed: int) -> list[ComponentSubspace]:
-    """Isotypic components as eigenspaces of a random symmetric center element.
+    """Isotypic components as eigenspaces of a random symmetric center
+    element, each with its circle from the center's skew part.
 
-    The symmetric part of the center is exactly span{P_i} over the isotypic
-    projectors, so a random symmetric center element is sum a_i P_i with
-    generic coefficients and its eigenvalue clusters are the components.
-    Clusters must be separated by more than GAP_TOL and internally tight;
-    otherwise the draw is repeated with an advanced seed, up to
-    MAX_SPLIT_RETRIES times. The components come out in eigenvalue order,
-    which depends on the seed; equivariant_isometry_group orders them.
+    The center is span{P_i} + span{J_i : i Complex}, J_i the unit complex
+    scalar on a Complex component. A random symmetric center element is
+    sum a_i P_i with generic coefficients, and its eigenvalue clusters are
+    the components. Clusters must be separated by more than GAP_TOL and
+    internally tight; otherwise the draw is repeated with an advanced seed,
+    up to MAX_SPLIT_RETRIES times. The components come out in eigenvalue
+    order, which depends on the seed; equivariant_isometry_group orders
+    them.
     """
     d = commutant.shape[1]
     center = commutant_center(generators, commutant)
     if center.shape[0] == 0:
         raise InternalCheckError("commutant center is empty (identity is always central)")
+    circles = _skew_subbasis(center)
 
     for attempt in range(MAX_SPLIT_RETRIES):
         rng = np.random.default_rng([seed, attempt])
@@ -126,7 +134,7 @@ def isotypic_split(commutant: np.ndarray, generators, seed: int) -> list[Compone
         if not tight:
             continue
 
-        return [ComponentSubspace(basis=evecs[:, c[0]:c[-1] + 1].copy())
+        return [_with_circle(evecs[:, c[0]:c[-1] + 1].copy(), circles)
                 for c in clusters]
 
     raise IsotypicSeparationError(
@@ -134,31 +142,32 @@ def isotypic_split(commutant: np.ndarray, generators, seed: int) -> list[Compone
     )
 
 
+def _with_circle(basis: np.ndarray, circles: np.ndarray) -> ComponentSubspace:
+    """The component spanned by ``basis``, with the span of P S P over the
+    center's skew elements S as its circle: one unit element, or none."""
+    p = basis @ basis.T
+    on = num.span_basis(np.einsum("ij,kjl,lm->kim", p, circles, p),
+                        rank_tol=1e-8, what="component circle")
+    if on.shape[0] > 1:
+        raise InternalCheckError(f"{on.shape[0]} central circles on one component")
+    return ComponentSubspace(basis=basis, circle=on[0] if on.shape[0] else None)
+
+
 @dataclass(frozen=True)
-class IsotypicComponent:
+class IsotypicComponent(ComponentSubspace):
     """A classified isotypic component W = V_i^(n) inside the active space."""
 
-    basis: np.ndarray        # (d, dim) orthonormal columns
     multiplicity: int        # n
-    irreducible_dim: int     # dim V_i
     schur_type: str          # Real | Complex | Quaternionic
-    block_basis: np.ndarray  # (c, d, d) orthonormal basis of E = P C P
     skew_basis: np.ndarray   # (k, d, d) orthonormal basis of Skew(E)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.basis.shape[1])
-
-    @property
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
 
 
 def classify_component(subspace: ComponentSubspace, commutant: np.ndarray) -> IsotypicComponent:
     """Type and multiplicity of one isotypic component from its restricted
     commutant E = P C P: c = dim E, k = dim Skew(E) and t = c - 2k (see the
     module docstring). Raises TypeInconsistencyError when c does not have
-    the form the sign of t asks for, or n does not divide dim W.
+    the form the sign of t asks for, or n does not divide dim W, or when the
+    type is Complex and the component has no circle, or the reverse.
     """
     p = subspace.projector
     block = num.span_basis(np.einsum("ij,kjl,lm->kim", p, commutant, p),
@@ -179,14 +188,12 @@ def classify_component(subspace: ComponentSubspace, commutant: np.ndarray) -> Is
             f"restricted commutant of dim {c} with {k} skew elements (t = {t}) "
             f"reads {schur}({n}), which needs dim {want} and n dividing {m}"
         )
-    return IsotypicComponent(
-        basis=subspace.basis,
-        multiplicity=n,
-        irreducible_dim=m // n,
-        schur_type=schur,
-        block_basis=block,
-        skew_basis=skew,
-    )
+    if (schur == COMPLEX) != (subspace.circle is not None):
+        raise TypeInconsistencyError(
+            f"restricted commutant reads {schur}({n}), but the commutant's "
+            f"center has {'a' if subspace.circle is not None else 'no'} circle on it")
+    return IsotypicComponent(basis=subspace.basis, circle=subspace.circle,
+                             multiplicity=n, schur_type=schur, skew_basis=skew)
 
 
 def _skew_dim_formula(schur_type: str, n: int) -> int:
@@ -253,37 +260,18 @@ def _skew_subbasis(block_basis: np.ndarray) -> np.ndarray:
     return num.span_basis(skew, rank_tol=1e-8, what="skew part")
 
 
-def _block_center_skew(block_basis: np.ndarray) -> np.ndarray:
-    """Skew part of the center of the block algebra span{block_basis}."""
-    k = block_basis.shape[0]
-    rows = []
-    for b in block_basis:
-        comm = np.einsum("kij,jl->kil", block_basis, b) - np.einsum(
-            "ij,kjl->kil", b, block_basis)
-        rows.append(comm.reshape(k, -1).T)
-    # Absolute tolerance: for a commutative block algebra the whole stack is
-    # numerically zero and a relative cutoff would report an empty center.
-    coeff_null, _ = num.nullspace(np.vstack(rows), rank_tol=1e-8, what="block center")
-    if coeff_null.shape[1] == 0:
-        return block_basis[:0]
-    center = np.einsum("kc,kij->cij", coeff_null, block_basis)
-    center = (center - np.transpose(center, (0, 2, 1))) / 2.0
-    kept = num.span_basis(center, rank_tol=1e-8, what="center skew")
-    return kept
-
-
 def equivariant_isometry_group(components, commutant: np.ndarray,
                                generators) -> EquivariantIsometryGroup:
     """Assemble the factor list and an orthonormal Lie algebra basis.
 
-    Components are ordered by (dimension, Schur type, multiplicity,
-    irreducible dimension), which depends on the representation only. The
-    Lie basis is grouped factor by factor; for U(n) and SO(2) factors the
-    first element of the factor's slice generates the central circle. Every
-    element is exactly skew and commutes with the generators within 1e-8.
+    Components are ordered by (dimension, Schur type, multiplicity), which
+    depends on the representation only. The Lie basis is grouped factor by
+    factor; for U(n) and SO(2) factors the first element of the factor's
+    slice generates the central circle. Every element is exactly skew and
+    commutes with the generators within 1e-8.
     """
     components = tuple(sorted(components, key=lambda c: (
-        c.dimension, c.schur_type, c.multiplicity, c.irreducible_dim)))
+        c.dimension, c.schur_type, c.multiplicity)))
     d = commutant.shape[1] if commutant.size else (
         components[0].basis.shape[0] if components else 0)
     blocks: list[np.ndarray] = []
@@ -299,18 +287,9 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
             # so(2) is 1-dimensional: the factor is its own central circle.
             center_index = cursor
         elif comp.schur_type == COMPLEX:
-            center_skew = _block_center_skew(comp.block_basis)
-            if center_skew.shape[0] != 1:
-                raise InternalCheckError(
-                    f"component {idx}: expected a 1-dim central circle, got "
-                    f"{center_skew.shape[0]}"
-                )
-            j = center_skew[0]
             # Sign convention for determinism: first significant entry positive.
-            flat = j.ravel()
-            lead = flat[np.argmax(np.abs(flat) > 1e-8)]
-            if lead < 0:
-                j = -j
+            flat = comp.circle.ravel()
+            j = comp.circle * np.sign(flat[np.argmax(np.abs(flat) > 1e-8)])
             rest = skew - np.einsum("kij,ij->k", skew, j)[:, None, None] * j
             rest = num.span_basis(rest, rank_tol=1e-8, what="non-central skew")
             if rest.shape[0] != k - 1:

@@ -8,7 +8,8 @@ p: Isom_G(V)_0 -> Isom(V/G)_0. Only the preamble differs: a finite spec is
 enumerated and restricted to the moving part of V, and a catalog action is
 checked to move every vector and contributes the span of its generators.
 For a finite G the kernel is computed exactly, with or without boundary: it
-is the set of central elements of G lying in the identity component. For a
+is the set of central elements of G lying in the identity component, picked
+by their signs ±I on the components (Schur's lemma). For a
 catalog action its identity component is computed from its Lie algebra, the
 equivariant directions tangent to every orbit, a linear system over generic
 points; only the -I blocks outside it are tested against the orbit oracle.
@@ -37,7 +38,8 @@ from .commutant import (
     isotypic_split,
 )
 from .errors import InternalCheckError, KernelAmbiguityError, OrbitIsomError, ValidationError
-from .orbit_geometry import has_boundary, orbit_equivalence_test, sample_generic_point
+from .orbit_geometry import (check_sampling, has_boundary, orbit_equivalence_test,
+                             sample_generic_point)
 from .repr_model import (
     DEDUP_GUARD,
     DEDUP_TOL,
@@ -116,55 +118,36 @@ def center_of_group(group: FiniteGroupData) -> np.ndarray:
     return central
 
 
-def _central_element_in_component(z: np.ndarray, equiv: EquivariantIsometryGroup) -> bool:
-    total = np.zeros_like(z)
-    for comp in equiv.components:
-        p = comp.projector
-        total += p @ z @ p
-    if num.max_abs(z - total) > CENTRAL_TOL:
-        raise InternalCheckError(
-            "central element does not preserve the isotypic components")
-
-    for factor in equiv.factors:
-        if factor.schur_type != REAL:
-            continue  # U(n), Sp(n) connected: no condition
-        comp = equiv.components[factor.component_index]
-        b = comp.basis
-        zc = b.T @ z @ b
-        if num.max_abs(zc.T @ zc - np.eye(zc.shape[0])) > CENTRAL_TOL:
-            raise InternalCheckError(
-                "coordinate extraction residual too large for a central element")
-        # sign of det of the multiplicity-space coordinate matrix C: each
-        # -1 eigenvalue of C appears irreducible_dim times in zc, complex
-        # pairs contribute +1, so sign(det C) = (-1)^(m_minus / dim V_i).
-        s = np.linalg.svd(zc + np.eye(zc.shape[0]), compute_uv=False)
-        m_minus = int((s < 1e-6).sum())
-        rest = s[s >= 1e-6]
-        if rest.size and float(rest.min()) < 1e-3:
-            raise InternalCheckError(
-                "cannot resolve the -1 eigenvalue multiplicity of a central element")
-        di = comp.irreducible_dim
-        if m_minus % di != 0:
-            raise InternalCheckError(
-                "central element eigenvalues violate the isotypic block structure")
-        if (m_minus // di) % 2 == 1:
-            return False
-    return True
-
-
 def center_in_component(center_elements, equiv: EquivariantIsometryGroup):
     """Central elements lying in the identity component prod H_i.
 
-    Real-type factors require the multiplicity-space coordinate matrix to
-    have positive determinant (membership in SO(n)); Complex and
-    Quaternionic factors impose no condition.
+    By Schur's lemma a central z is eps I on a Real or Quaternionic
+    component W, eps = tr(B^T z B) / dim W = ±1, and a unit complex scalar,
+    which U(n) contains, on a Complex one. Sp(n) contains -I and SO(n) does
+    iff n is even, so z is in prod H_i unless eps = -1 on a Real component
+    of odd multiplicity. That z keeps each component and is ±I on it is
+    checked at CENTRAL_TOL.
     """
-    kept = []
-    for z in center_elements:
-        z = np.asarray(z, dtype=float)
-        if _central_element_in_component(z, equiv):
-            kept.append(z)
-    return kept
+    z = np.asarray(center_elements, dtype=float)
+    restricted = [np.einsum("ji,kjl,lm->kim", c.basis, z, c.basis)
+                  for c in equiv.components]
+    rebuilt = sum(c.basis @ zw @ c.basis.T for c, zw in zip(equiv.components, restricted))
+    if num.max_abs(z - rebuilt) > CENTRAL_TOL:
+        raise InternalCheckError(
+            "central element does not preserve the isotypic components")
+    kept = np.ones(len(z), dtype=bool)
+    for comp, zw in zip(equiv.components, restricted):
+        if comp.schur_type == COMPLEX:
+            continue
+        eps = np.trace(zw, axis1=1, axis2=2) / comp.dimension
+        off = max(num.max_abs(zw - eps[:, None, None] * np.eye(comp.dimension)),
+                  num.max_abs(np.abs(eps) - 1.0))
+        if off > CENTRAL_TOL:
+            raise InternalCheckError(
+                f"central element is off ±I on a {comp.schur_type} component by {off:.3e}")
+        if comp.schur_type == REAL and comp.multiplicity % 2:
+            kept &= eps > 0
+    return list(z[kept])
 
 
 @dataclass(frozen=True)
@@ -275,8 +258,9 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
         finite_part = center_in_component(center_of_group(ctx), equiv)
         factor_discrete = []
         for fi, factor in enumerate(equiv.factors):
+            # A -I block commutes with G and lies in H_0: in the kernel iff in G.
             z = _discrete_center_candidate(factor, equiv, d)
-            if z is not None and any(num.max_abs(z - k) <= DEDUP_TOL for k in finite_part):
+            if z is not None and ctx.find(z) is not None:
                 factor_discrete.append(fi)
         return KernelDescription(
             finite_part=tuple(finite_part), continuous_part=(),
@@ -573,6 +557,7 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
     only those generators: the components are classified from the
     commutant, with no average over G.
     """
+    _stage("parse", check_sampling, sample_count, seed)
     label, spec, action = _stage("parse", _resolve_source, source)
     group = None
     if action is None:

@@ -331,6 +331,15 @@ def sample_generic_point(ctx: Context, rng: np.random.Generator) -> np.ndarray:
     raise ValidationError("could not sample a generic point (singular action?)")
 
 
+def check_sampling(sample_count: int, seed: int) -> None:
+    """Raises ValidationError for a negative seed, which numpy rejects, or
+    for no samples, over which every orbit test passes vacuously."""
+    if seed < 0:
+        raise ValidationError(f"the seed must be non-negative, got {seed}")
+    if sample_count < 1:
+        raise ValidationError(f"the sample count must be at least 1, got {sample_count}")
+
+
 def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: int,
                            seed: int) -> bool:
     """Does ``candidate`` map every G-orbit to itself?
@@ -339,6 +348,7 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
     x must be <= 1e-7. A distance inside (1e-7, 1e-6] aborts as ambiguous
     (tolerance boundary); anything larger is a clean failure.
     """
+    check_sampling(sample_count, seed)
     candidate = np.asarray(candidate, dtype=float)
     d = ctx.dimension
     if candidate.shape != (d, d):

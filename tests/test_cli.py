@@ -185,3 +185,24 @@ def test_analyze_round_trip_schema(capsys, tmp_path):
                          "--output", str(out_path))
         assert code == 0
         validate_report_schema(json.loads(out_path.read_text()))
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--input", C5, "--seed", "-1"),
+    ("lift", "--seed", "-1"),
+    ("analyze", "--input", C5, "--samples", "0"),
+    ("verify", "--only", "6-", "--samples", "0"),
+    ("analyze", "--input", C5, "--output", "/nonexistent/x.json"),
+])
+def test_bad_run_parameters_end_in_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("ORBIT_ISOM_SEED", "-4")
+    code, _, err = run(capsys, "analyze", "--input", C5)
+    assert code == 1
+    assert err == "error: the seed must be non-negative, got -4\n"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rot2
 from orbit_isom import _numerics as num
+from orbit_isom.catalog import CATALOG
 from orbit_isom.commutant import (
     ComponentSubspace,
     classify_component,
@@ -102,7 +103,42 @@ def test_two_isotypic_components_read_as_one_raise(finite_group):
     group = finite_group("c3xd4-r4")
     commutant = commutant_basis(group.generators)
     with pytest.raises(TypeInconsistencyError, match=r"dim 3 with 1 skew.*Real\(1\)"):
-        classify_component(ComponentSubspace(basis=np.eye(4)), commutant)
+        classify_component(ComponentSubspace(basis=np.eye(4), circle=None), commutant)
+
+
+@pytest.mark.parametrize("name, circle, match", [
+    # c5 rotates R^2 by 2 pi / 5: Complex, its circle the rotation generator.
+    ("c5", None, r"Complex\(1\).*no circle"),
+    ("d4", np.array([[0.0, -1.0], [1.0, 0.0]]) / math.sqrt(2.0), r"Real\(1\).*a circle"),
+], ids=["c5-without", "d4-with"])
+def test_a_circle_on_exactly_the_complex_components(name, circle, match, finite_group):
+    commutant = commutant_basis(finite_group(name).generators)
+    with pytest.raises(TypeInconsistencyError, match=match):
+        classify_component(ComponentSubspace(basis=np.eye(2), circle=circle), commutant)
+
+
+@pytest.mark.parametrize("label", [n for n in FIXTURE_NAMES if n != "trivial-r3"]
+                         + [f"catalog:{a}" for a in CATALOG])
+def test_the_circle_of_a_complex_component_is_its_unit_complex_scalar(label, memo):
+    # J is the unit complex scalar of W scaled to Frobenius norm 1, so that
+    # J^2 = -P / dim W; every other component has no circle.
+    result = memo.analysis(label)
+    for comp in result.equiv.components:
+        j = comp.circle
+        if comp.schur_type != "Complex":
+            assert j is None
+            continue
+        assert num.max_abs(j + j.T) <= 1e-12
+        assert num.max_abs(j @ j + comp.projector / comp.dimension) <= 1e-12
+        for g in result.context.generators:
+            assert num.max_abs(j @ g - g @ j) <= 1e-12
+
+
+def test_the_hopf_circle_is_the_diagonal_complex_structure(memo):
+    (comp,) = memo.analysis("catalog:hopf-u1-r4").equiv.components
+    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    want = np.kron(np.eye(2), j2) / 2.0
+    assert min(num.max_abs(comp.circle - want), num.max_abs(comp.circle + want)) <= 1e-14
 
 
 def test_isotypic_split_bases_span_space(finite_group):

@@ -41,7 +41,7 @@ from orbit_isom.isom_quotient import (
     validate_report_schema,
     verify_theorem_B,
 )
-from orbit_isom.orbit_geometry import sample_generic_point
+from orbit_isom.orbit_geometry import orbit_equivalence_test, sample_generic_point
 from orbit_isom.repr_model import FiniteGroupData, enumerate_group, parse_spec
 
 # frozen expected reports: factors as (name, type, multiplicity), kernel as
@@ -212,6 +212,27 @@ def test_a_commutator_in_the_guard_band_is_ambiguous():
         center_of_group(group)
 
 
+def test_a_central_element_that_is_not_scalar_on_a_component_is_an_internal_error(memo):
+    with pytest.raises(InternalCheckError, match="±I on a Real component"):
+        isom_quotient.center_in_component([np.diag([1.0, -1.0])], memo.analysis("d4").equiv)
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"sample_count": 0}])
+@pytest.mark.parametrize("source", ["c5", "catalog:hopf-u1-r4"])
+def test_a_negative_seed_or_no_samples_is_rejected(source, kwargs):
+    if not source.startswith("catalog:"):
+        source = fixture_spec(source)
+    with pytest.raises(ValidationError) as err:
+        quotient_isometry_group(source, **kwargs)
+    assert err.value.stage == "parse"
+
+
+def test_an_orbit_test_over_no_samples_is_rejected(finite_group):
+    group = finite_group("d4")
+    with pytest.raises(ValidationError, match="sample count"):
+        orbit_equivalence_test(group, -np.eye(2), 0, 0)
+
+
 def test_kernel_finite_part_is_a_group(memo):
     kernel = memo.analysis("q8").kernel
     els = list(kernel.finite_part)
@@ -361,6 +382,10 @@ def test_a_direct_square_keeps_types_and_doubles_multiplicities(name, memo):
     assert [(f["type"], f["multiplicity"]) for f in square["compactFactors"]] == \
         [(f["type"], 2 * f["multiplicity"]) for f in base["compactFactors"]]
     assert square["euclideanFactorDim"] == 2 * base["euclideanFactorDim"]
+    # Every multiplicity is even, so every central element lies in H_0 (SO(2n)
+    # holds -I) and the kernel is all of Z(G); on V alone it is smaller for
+    # d4, pm1-r3 and c3xd4-r4.
+    assert square["kernel"]["finiteOrder"] == len(center_of_group(enumerate_group(spec)))
 
 
 @settings(max_examples=40, deadline=None)
