@@ -40,9 +40,10 @@ built from the generators in one batched product:
 
 Everything else is read off the Lie algebra g of the image, the span of
 the generators closed under commutators (``algebra()``): its center gives
-the central circles (``central_directions()``), and a point is generic when
-g.x has the generic orbit dimension d - cohomogeneity (``is_generic``). G is
-connected, so commuting with every X_j is commuting with G.
+the central circles (``central_directions()``), the orbit rank at random
+points the cohomogeneity, and a point is generic when g.x has the generic
+orbit dimension d - cohomogeneity (``is_generic``). G is connected, so
+commuting with every X_j is commuting with G.
 """
 from __future__ import annotations
 
@@ -99,7 +100,6 @@ class ParamAxis:
 @dataclass(frozen=True)
 class ActionMetadata:
     has_boundary: bool
-    cohomogeneity: int
     expected_sector_angle: float | None
     singular_isotropy_note: str | None
 
@@ -119,9 +119,9 @@ class CatalogAction:
     # j = axis[r] and zero elsewhere: one product gives every exp(t_j X_j).
     _basis: np.ndarray = field(init=False, repr=False)
     _rows: tuple = field(init=False, repr=False)  # (axis, freq, sine)
-    # Grids, the Haar quadrature, the Lie algebra and its center, per
-    # instance: they follow from the generators, which two actions sharing
-    # an id need not share.
+    # Grids, the Haar quadrature, the Lie algebra, its center and the
+    # cohomogeneity, per instance: they follow from the generators, which
+    # two actions sharing an id need not share.
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -258,13 +258,27 @@ class CatalogAction:
             self._cache["center"] = center
         return center
 
+    @property
+    def cohomogeneity(self) -> int:
+        """d minus the generic orbit dimension: the largest rank of the
+        tangent vectors A x over the algebra basis at four seeded random
+        unit points, which are generic almost surely. The rows have unit
+        scale, so the ranks take the absolute floor LIE_RANK_FLOOR."""
+        if "cohomogeneity" not in self._cache:
+            x = num.random_unit_vectors(np.random.default_rng(7919), 2, self.dimension)
+            tangents = np.einsum("aij,pj->pai", self.algebra(), x.reshape(4, -1))
+            s = np.linalg.svd(tangents, compute_uv=False)
+            rank = max(num.split_spectrum(row, LIE_RANK_FLOOR, "orbit rank") for row in s)
+            self._cache["cohomogeneity"] = self.dimension - rank
+        return self._cache["cohomogeneity"]
+
     def is_generic(self, x: np.ndarray) -> bool:
         """Whether the orbit through x has the generic dimension
         r = d - cohomogeneity with margin: the r-th singular value of the
         tangent vectors A x over the algebra basis is at least
         GENERIC_MARGIN |x|. With r = 0 every nonzero x is generic."""
         x = np.asarray(x, dtype=float)
-        r = self.dimension - self.metadata.cohomogeneity
+        r = self.dimension - self.cohomogeneity
         if r == 0:
             return bool(np.any(x))
         scale = float(np.linalg.norm(x))
@@ -305,7 +319,6 @@ CATALOG: dict[str, CatalogAction] = {
         axes=(ParamAxis(2.0 * math.pi, True, 1.0, 64),),
         metadata=ActionMetadata(
             has_boundary=False,
-            cohomogeneity=3,
             expected_sector_angle=None,
             singular_isotropy_note=None,
         ),
@@ -317,7 +330,6 @@ CATALOG: dict[str, CatalogAction] = {
         axes=_FOUR_AXES,
         metadata=ActionMetadata(
             has_boundary=True,
-            cohomogeneity=2,
             expected_sector_angle=math.pi / 2.0,
             singular_isotropy_note=(
                 "boundary rays carry singular orbits isometric to a 2-sphere "
@@ -332,7 +344,6 @@ CATALOG: dict[str, CatalogAction] = {
         axes=_FOUR_AXES,
         metadata=ActionMetadata(
             has_boundary=True,
-            cohomogeneity=2,
             expected_sector_angle=math.pi / 4.0,
             singular_isotropy_note=(
                 "boundary rays have non-conjugate isotropy (a circle vs. a "
@@ -363,7 +374,7 @@ def catalog_summary() -> list[dict]:
             "dimension": act.dimension,
             "parameters": len(act.axes),
             "boundary": md.has_boundary,
-            "cohomogeneity": md.cohomogeneity,
+            "cohomogeneity": act.cohomogeneity,
             "expectedSectorAngle": md.expected_sector_angle,
             "note": md.singular_isotropy_note,
         })
@@ -386,7 +397,6 @@ def trivial_action(dimension: int) -> CatalogAction:
         axes=(ParamAxis(2.0 * math.pi, True, 1.0, 1),),
         metadata=ActionMetadata(
             has_boundary=False,
-            cohomogeneity=dimension,
             expected_sector_angle=math.pi if dimension == 2 else None,
             singular_isotropy_note=None,
         ),

@@ -267,6 +267,8 @@ def main(argv=None) -> int:
         check_sampling(args.samples, seed)
         if args.output != "-" and not os.path.isdir(out_dir):
             raise ValidationError(f"the output directory {out_dir} does not exist")
+        if os.path.isdir(args.output):
+            raise ValidationError(f"the output path {args.output} is a directory")
     except ValidationError as err:
         _print_error(err)
         return 1

@@ -150,6 +150,13 @@ def center_in_component(center_elements, equiv: EquivariantIsometryGroup):
     return list(z[kept])
 
 
+# What ker p holds of one factor, besides nothing (None), spelled as the
+# factor's annotation in the report.
+MINUS_I = "{±I}"         # its -I block
+CIRCLE = "center"        # its center circle
+WHOLE = "whole-factor"   # the whole factor
+
+
 @dataclass(frozen=True)
 class KernelDescription:
     """ker(p) for p: Isom_G(V)_0 -> Isom(V/G)_0.
@@ -157,20 +164,24 @@ class KernelDescription:
     finite_part lists the elements of the kernel's finite part, a group that
     always contains the identity: exactly Z(G) meet Isom_G(V)_0 for a finite
     G, and the products of the orbit-trivial -I blocks for a catalog action.
-    continuous_part lists the center-circle lie-basis indices inside the
-    kernel algebra (catalog actions only); with the whole factors they span
-    it exactly.
+    parts holds, per factor of H, what of it the kernel holds: None,
+    MINUS_I, CIRCLE or WHOLE. For a catalog action the whole factors and
+    the center circles span the kernel algebra exactly.
+
+    contains_center_of_g: for a finite G, whether the kernel is all of
+    Z(G); for a catalog action, whether it holds the identity component of
+    the center of the image, which ``compute_kernel`` checks.
     """
 
     finite_part: tuple
-    continuous_part: tuple
+    parts: tuple
     contains_center_of_g: bool
-    whole_factors: tuple        # factor indices entirely orbit-trivial
-    factor_discrete: tuple      # factor indices whose -I block is in the kernel
 
-    @property
-    def finite_order(self) -> int:
-        return len(self.finite_part)
+    def circle_indices(self, factors) -> list[int]:
+        """Lie-basis indices of the kernel circles: the center circle of
+        each factor whose circle or whole self is in the kernel."""
+        return [f.center_circle_index for f, part in zip(factors, self.parts)
+                if part in (CIRCLE, WHOLE) and f.center_circle_index is not None]
 
 
 def _discrete_center_candidate(factor, equiv: EquivariantIsometryGroup,
@@ -255,46 +266,37 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
     """
     d = ctx.dimension
     if isinstance(ctx, FiniteGroupData):
-        finite_part = center_in_component(center_of_group(ctx), equiv)
-        factor_discrete = []
-        for fi, factor in enumerate(equiv.factors):
-            # A -I block commutes with G and lies in H_0: in the kernel iff in G.
-            z = _discrete_center_candidate(factor, equiv, d)
-            if z is not None and ctx.find(z) is not None:
-                factor_discrete.append(fi)
-        return KernelDescription(
-            finite_part=tuple(finite_part), continuous_part=(),
-            contains_center_of_g=True, whole_factors=(),
-            factor_discrete=tuple(factor_discrete))
+        center = center_of_group(ctx)
+        finite_part = tuple(center_in_component(center, equiv))
+        # A -I block commutes with G and lies in H_0: in the kernel iff in G.
+        blocks = [_discrete_center_candidate(f, equiv, d) for f in equiv.factors]
+        parts = tuple(None if z is None or ctx.find(z) is None else MINUS_I for z in blocks)
+        return KernelDescription(finite_part, parts, len(finite_part) == len(center))
 
     null, complement = kernel_algebra(equiv, ctx, seed)
     eye = np.eye(equiv.lie_basis.shape[0])
-    continuous: list[int] = []
-    whole: list[int] = []
-    factor_discrete: list[int] = []
+    parts = []
     # The -I blocks sit on distinct components, so they are commuting
     # involutions and their group is the set of their 2^k subset products.
     finite_part = [np.eye(d)]
     explained: list[int] = []  # lie-basis indices of whole factors and circles
 
-    for fi, factor in enumerate(equiv.factors):
-        if factor.dim == 0:
-            continue  # SO(1): trivial factor
+    for factor in equiv.factors:
         circle = factor.center_circle_index
-        if _in_kernel_algebra(complement, eye[:, factor.lie_start:factor.lie_stop]):
-            whole.append(fi)
-            explained += range(factor.lie_start, factor.lie_stop)
-            if circle is not None:
-                continuous.append(circle)
-            continue
-        if circle is not None and _in_kernel_algebra(complement, eye[:, circle]):
-            continuous.append(circle)
-            explained.append(circle)
-            continue
         z = _discrete_center_candidate(factor, equiv, d)
-        if z is not None and orbit_equivalence_test(ctx, z, sample_count, seed):
-            factor_discrete.append(fi)
+        part = None
+        # an SO(1) factor has no Lie slice and is never in the kernel
+        if factor.dim and _in_kernel_algebra(
+                complement, eye[:, factor.lie_start:factor.lie_stop]):
+            part = WHOLE
+            explained += range(factor.lie_start, factor.lie_stop)
+        elif circle is not None and _in_kernel_algebra(complement, eye[:, circle]):
+            part = CIRCLE
+            explained.append(circle)
+        elif z is not None and orbit_equivalence_test(ctx, z, sample_count, seed):
+            part = MINUS_I
             finite_part += [k @ z for k in finite_part]
+        parts.append(part)
 
     if null.shape[1] != len(explained):
         residual = null - eye[:, explained] @ null[explained]
@@ -314,13 +316,7 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
                 "a central circle of the action is outside the computed "
                 "kernel algebra; the kernel must contain the center of the image")
 
-    return KernelDescription(
-        finite_part=tuple(finite_part),
-        continuous_part=tuple(continuous),
-        contains_center_of_g=True,
-        whole_factors=tuple(whole),
-        factor_discrete=tuple(factor_discrete),
-    )
+    return KernelDescription(tuple(finite_part), tuple(parts), contains_center_of_g=True)
 
 
 def _assert_boundary_free_kernel(kernel: KernelDescription, action: CatalogAction,
@@ -331,11 +327,11 @@ def _assert_boundary_free_kernel(kernel: KernelDescription, action: CatalogActio
     central direction in the kernel; this checks that no whole factor and
     no non-central circle is in it. The finite part may exceed the
     identity: the center of SU(2) acting on H^2 is {±I}."""
-    if kernel.whole_factors:
+    if WHOLE in kernel.parts:
         raise InternalCheckError(
             "boundary-free catalog quotient has a whole factor in its kernel")
     span = action.central_directions()
-    for i in kernel.continuous_part:
+    for i in kernel.circle_indices(equiv.factors):
         a = equiv.lie_basis[i]
         proj = np.tensordot(np.einsum("kij,ij->k", span, a), span, axes=1)
         if num.max_abs(a - proj) > CENTRAL_TOL:
@@ -348,16 +344,12 @@ _FACTOR_NAME_RE = re.compile(r"^(SO|U|Sp)\((\d+)\)$")
 _CENTRAL_ANNOTATIONS = ("", "/{±I}", "/center", "/whole-factor")
 
 
-def _annotated_name(fi: int, factor, kernel: KernelDescription) -> str:
-    if fi in kernel.whole_factors:
-        suffix = "/center" if factor.center_circle_index is not None else "/whole-factor"
-        return factor.name + suffix
-    if (factor.center_circle_index is not None
-            and factor.center_circle_index in kernel.continuous_part):
-        return factor.name + "/center"
-    if fi in kernel.factor_discrete:
-        return factor.name + "/{±I}"
-    return factor.name
+def _annotated_name(factor, part) -> str:
+    """The factor's name over what of it the kernel holds; a whole factor
+    with a center circle is annotated as its center."""
+    if part == WHOLE and factor.center_circle_index is not None:
+        part = CIRCLE
+    return factor.name if part is None else f"{factor.name}/{part}"
 
 
 def verify_theorem_B(report: dict) -> str:
@@ -396,34 +388,21 @@ def classify_irreducible(report: dict) -> str:
     }[entry["type"]]
 
 
-def _quotient_description(equiv, kernel: KernelDescription,
+def _quotient_description(factors, kernel: KernelDescription,
                           euclidean_dim: int) -> str:
-    pieces = []
-    if euclidean_dim > 0:
-        pieces.append(f"Isom(R^{euclidean_dim})_0")
-    if equiv is not None:
-        for fi, factor in enumerate(equiv.factors):
-            if factor.dim == 0:
-                continue  # SO(1) contributes nothing
-            if fi in kernel.whole_factors:
-                continue  # quotients to a point
-            circle_in = (factor.center_circle_index is not None
-                         and factor.center_circle_index in kernel.continuous_part)
-            if circle_in:
-                if factor.schur_type == COMPLEX and factor.multiplicity >= 2:
-                    piece = f"PSU({factor.multiplicity})"
-                    if factor.multiplicity == 2:
-                        piece += " (= SO(3))"
-                else:
-                    piece = factor.name + "/center"
-            elif fi in kernel.factor_discrete:
-                if factor.schur_type == QUATERNIONIC and factor.multiplicity == 1:
-                    piece = "SO(3) (= Sp(1)/{±I})"
-                else:
-                    piece = factor.name + "/{±I}"
-            else:
-                piece = factor.name
-            pieces.append(piece)
+    """The annotated names, with SO(1) and whole factors dropped (they
+    quotient to a point) and PSU(n) and SO(3) = Sp(1)/{±I} named."""
+    pieces = [f"Isom(R^{euclidean_dim})_0"] if euclidean_dim > 0 else []
+    for factor, part in zip(factors, kernel.parts):
+        n = factor.multiplicity
+        if factor.dim == 0 or part == WHOLE:
+            continue
+        if part == CIRCLE and factor.schur_type == COMPLEX and n >= 2:
+            pieces.append(f"PSU({n})" + (" (= SO(3))" if n == 2 else ""))
+        elif part == MINUS_I and factor.schur_type == QUATERNIONIC and n == 1:
+            pieces.append("SO(3) (= Sp(1)/{±I})")
+        else:
+            pieces.append(_annotated_name(factor, part))
     return " x ".join(pieces) if pieces else "trivial"
 
 
@@ -444,26 +423,20 @@ class AnalysisResult:
 def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
                   boundary: bool, seed: int, sample_count: int,
                   catalog: CatalogAction | None) -> dict:
-    factors = [] if equiv is None else list(equiv.factors)
-    compact = [
-        {
-            "name": _annotated_name(fi, f, kernel),
-            "type": f.schur_type,
-            "multiplicity": int(f.multiplicity),
-        }
-        for fi, f in enumerate(factors)
-    ]
+    factors = () if equiv is None else equiv.factors
+    compact = [{"name": _annotated_name(f, part), "type": f.schur_type,
+                "multiplicity": int(f.multiplicity)} for f, part in zip(factors, kernel.parts)]
     # rank(H / ker p) = rank H - rank(ker p)_0: whole factors drop out and
     # every other kernel circle takes one.
-    rank = sum(f.rank - (f.center_circle_index in kernel.continuous_part)
-               for fi, f in enumerate(factors) if fi not in kernel.whole_factors)
+    rank = sum(f.rank - (part == CIRCLE)
+               for f, part in zip(factors, kernel.parts) if part != WHOLE)
 
     report = {
         "euclideanFactorDim": int(euclidean_dim),
         "compactFactors": compact,
         "kernel": {
-            "finiteOrder": int(kernel.finite_order),
-            "circleDirections": int(len(kernel.continuous_part)),
+            "finiteOrder": len(kernel.finite_part),
+            "circleDirections": len(kernel.circle_indices(factors)),
             "containsCenterOfG": bool(kernel.contains_center_of_g),
         },
         "boundary": bool(boundary),
@@ -495,11 +468,12 @@ def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
         "sampleCount": int(sample_count),
         "equivariantGroupDim": 0 if equiv is None else int(equiv.dimension),
         "euclideanIsometryDim": int(euclidean_dim + euclidean_dim * (euclidean_dim - 1) // 2),
-        "quotientDescription": _quotient_description(equiv, kernel, euclidean_dim),
+        "quotientDescription": _quotient_description(factors, kernel, euclidean_dim),
         "irreducibleClass": trichotomy,
     }
-    if kernel.whole_factors and equiv is not None:
-        notes["kernelWholeFactors"] = [equiv.factors[i].name for i in kernel.whole_factors]
+    if WHOLE in kernel.parts:
+        notes["kernelWholeFactors"] = [f.name for f, part in zip(factors, kernel.parts)
+                                       if part == WHOLE]
     if catalog is not None:
         notes["catalogDiscretization"] = {
             "density": DEFAULT_DENSITY,
@@ -565,9 +539,7 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
         split = _stage("trivial-split", fixed_subspace, group.generators,
                        group.dimension, tolerance=spec.tolerance)
         if split.complement_dim == 0:
-            kernel = KernelDescription(
-                finite_part=(np.eye(0),), continuous_part=(),
-                contains_center_of_g=True, whole_factors=(), factor_discrete=())
+            kernel = KernelDescription((np.eye(0),), parts=(), contains_center_of_g=True)
             report = _build_report(
                 euclidean_dim=split.fixed_dim, equiv=None, kernel=kernel,
                 boundary=False, seed=seed, sample_count=sample_count, catalog=None)

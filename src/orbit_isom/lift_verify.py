@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .orbit_geometry import (
     QuotientPoint,
     _batched_max_dots,
+    check_sampling,
     quotient_distance,
     sector_angle_estimate,
 )
@@ -155,6 +156,7 @@ def lift_rotation(r: np.ndarray, *, sample_count: int = 100,
     The lift is right multiplication by the unit quaternion covering
     S R^T S (S the axis swap relating h to the quaternion frame map).
     """
+    check_sampling(sample_count, seed)
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise ValidationError("lift_rotation expects a 3x3 matrix")
@@ -189,6 +191,7 @@ def verify_hopf_metric(sample_count: int = 100, seed: int = 0, *,
     against half the angle between the h-images. The residual is
     nonnegative and shrinks as the density grows.
     """
+    check_sampling(sample_count, seed)
     action = get_action(HOPF_ACTION_ID)
     pairs = num.random_unit_vectors(np.random.default_rng([seed]), sample_count, 4)
     a_pts, b_pts = pairs[:, 0], pairs[:, 1]
@@ -211,6 +214,7 @@ def descend_check(x_iso: np.ndarray, context, sample_count: int,
     This is the easy descending direction: an equivariant isometry permutes
     orbits, so the quotient distance is preserved.
     """
+    check_sampling(sample_count, seed)
     x_iso = np.asarray(x_iso, dtype=float)
     if not isinstance(context, (FiniteGroupData, CatalogAction)):
         raise ValidationError("descend_check expects a finite group or catalog action")

@@ -333,7 +333,7 @@ def sample_generic_point(ctx: Context, rng: np.random.Generator) -> np.ndarray:
 
 def check_sampling(sample_count: int, seed: int) -> None:
     """Raises ValidationError for a negative seed, which numpy rejects, or
-    for no samples, over which every orbit test passes vacuously."""
+    for no samples, over which every sampled check passes vacuously."""
     if seed < 0:
         raise ValidationError(f"the seed must be non-negative, got {seed}")
     if sample_count < 1:
@@ -444,10 +444,11 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
     kept. It is not monotone in ``sample_count``: a better starting pair
     can end its climb on a lower ridge.
     """
-    if action.metadata.cohomogeneity != 2:
+    check_sampling(sample_count, seed)
+    if action.cohomogeneity != 2:
         raise ValidationError(
             f"sector_angle_estimate requires cohomogeneity 2, "
-            f"{action.id} has {action.metadata.cohomogeneity}"
+            f"{action.id} has {action.cohomogeneity}"
         )
     d = action.dimension
     pairs = num.random_unit_vectors(np.random.default_rng([seed]), sample_count, d)

@@ -25,7 +25,10 @@ from .catalog import CATALOG, get_action, trivial_action
 from .commutant import commutant_basis, sample_equivariant_isometry
 from .fixtures import FIXTURE_NAMES, fixture_document
 from .isom_quotient import (
+    CIRCLE,
     DEFAULT_SAMPLE_COUNT,
+    MINUS_I,
+    WHOLE,
     _discrete_center_candidate,
     center_in_component,
     center_of_group,
@@ -223,19 +226,18 @@ def _catalog_kernel_problems(label: str, memo: _AnalysisMemo) -> list[str]:
         return orbit_equivalence_test(ctx, z, memo.sample_count, memo.seed)
 
     problems = []
-    for i in kernel.continuous_part:
+    for i in kernel.circle_indices(equiv.factors):
         if not all(orbit_trivial(num.expm(t * equiv.lie_basis[i])) for t in CIRCLE_TEST_TIMES):
             problems.append(f"{label}: kernel circle {i} moves an orbit")
-    for fi, factor in enumerate(equiv.factors):
+    for factor, part in zip(equiv.factors, kernel.parts):
         if factor.dim == 0:
             continue
         coeff = num.random_unit_vector(rng, factor.dim)
-        whole = fi in kernel.whole_factors
-        if (not whole and factor.dim > 1
-                and factor.center_circle_index in kernel.continuous_part):
-            # The slice starts with the center circle; a probe near a kernel
-            # circle would move orbits by too little to fail cleanly.
-            coeff[0] = 0.0
+        whole = part == WHOLE
+        if part == CIRCLE and factor.dim > 1:
+            # A probe near a kernel circle would move orbits by too little
+            # to fail cleanly.
+            coeff[factor.center_circle_index - factor.lie_start] = 0.0
             coeff /= np.linalg.norm(coeff)
         probe = num.expm(np.tensordot(coeff, equiv.factor_lie_basis(factor), axes=1))
         if orbit_trivial(probe) != whole:
@@ -253,12 +255,14 @@ def _finite_kernel_problems(name: str, memo: _AnalysisMemo) -> list[str]:
     every -I block left out of the kernel moves some orbit. (Central
     elements outside the identity component lie in G and map every orbit
     to itself, so the oracle cannot reject them; only the comparison with
-    the in-component center keeps them out.)"""
+    the in-component center keeps them out.) A factor's kernel part reads
+    MINUS_I exactly when its -I block is in the finite part, and
+    containsCenterOfG exactly when all of Z(G) is."""
     problems = []
     result = memo.analysis(name)
     rep = result.report
-    if result.kernel.continuous_part:
-        problems.append(f"{name}: continuous kernel directions on a finite group")
+    if CIRCLE in result.kernel.parts or WHOLE in result.kernel.parts:
+        problems.append(f"{name}: continuous kernel parts on a finite group")
     if rep["kernel"]["circleDirections"] != 0:
         problems.append(f"{name}: reported circle directions nonzero")
     ctx = result.context
@@ -271,7 +275,7 @@ def _finite_kernel_problems(name: str, memo: _AnalysisMemo) -> list[str]:
     if missing:
         problems.append(
             f"{name}: {len(missing)} central in-component elements not in kernel")
-    if rep["kernel"]["containsCenterOfG"] is not (not missing):
+    if rep["kernel"]["containsCenterOfG"] is not all(_matched(z, kernel) for z in center):
         problems.append(f"{name}: containsCenterOfG flag inconsistent")
     extra = [k for k in kernel if not _matched(k, in_component)]
     if extra:
@@ -284,9 +288,13 @@ def _finite_kernel_problems(name: str, memo: _AnalysisMemo) -> list[str]:
     moving = [k for k in kernel if not orbit_trivial(k)]
     if moving:
         problems.append(f"{name}: {len(moving)} kernel elements move an orbit")
-    for factor in result.equiv.factors:
+    for factor, part in zip(result.equiv.factors, result.kernel.parts):
         z = _discrete_center_candidate(factor, result.equiv, ctx.dimension)
-        if z is not None and not _matched(z, kernel) and orbit_trivial(z):
+        in_kernel = z is not None and _matched(z, kernel)
+        if (part == MINUS_I) != in_kernel:
+            problems.append(f"{name}: the kernel part of {factor.name} disagrees "
+                            f"with the finite part")
+        if z is not None and not in_kernel and orbit_trivial(z):
             problems.append(
                 f"{name}: the -I block of {factor.name} fixes every orbit "
                 f"but is not in the kernel")

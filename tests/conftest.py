@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,15 @@ def in_random_basis(generators, seed):
     """The generators conjugated by a Haar-random orthogonal matrix."""
     q = random_orthogonal(generators[0].shape[0], seed)
     return [q @ g @ q.T for g in generators]
+
+
+def with_kernel_edit(result, *, parts=None, center_circle_index=None):
+    """The analysis ``result`` with its kernel's per-factor parts, or the
+    center circle index of its first factor, replaced."""
+    kernel, equiv = result.kernel, result.equiv
+    if parts is not None:
+        kernel = dataclasses.replace(kernel, parts=parts)
+    if center_circle_index is not None:
+        first = dataclasses.replace(equiv.factors[0], center_circle_index=center_circle_index)
+        equiv = dataclasses.replace(equiv, factors=(first,) + equiv.factors[1:])
+    return dataclasses.replace(result, kernel=kernel, equiv=equiv)

@@ -201,6 +201,13 @@ def test_bad_run_parameters_end_in_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_an_output_directory_is_rejected_before_the_run(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", "--input", C5, "--output", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: the output path {tmp_path} is a directory\n"
+
+
 def test_negative_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("ORBIT_ISOM_SEED", "-4")
     code, _, err = run(capsys, "analyze", "--input", C5)

@@ -20,6 +20,7 @@ from conftest import (
     rot2,
     signed_permutations,
     spec_of,
+    with_kernel_edit,
 )
 from orbit_isom import _numerics as num
 from orbit_isom import isom_quotient
@@ -55,7 +56,7 @@ EXPECTED = {
     },
     "d4": {
         "euclid": 0, "factors": [("SO(1)", "Real", 1)],
-        "kernel": (1, 0, True), "boundary": True,
+        "kernel": (1, 0, False), "boundary": True,
         "formula": "central-kernel-search", "rank": 0, "theoremC": "pass",
         "irreducible": "finite-group",
     },
@@ -73,7 +74,7 @@ EXPECTED = {
     },
     "pm1-r3": {
         "euclid": 0, "factors": [("SO(3)", "Real", 3)],
-        "kernel": (1, 0, True), "boundary": False,
+        "kernel": (1, 0, False), "boundary": False,
         "formula": "proposition-4.1b", "rank": 1, "theoremC": "n/a",
         "irreducible": "not-irreducible",
     },
@@ -91,7 +92,7 @@ EXPECTED = {
     },
     "c3xd4-r4": {
         "euclid": 0, "factors": [("U(1)", "Complex", 1), ("SO(1)", "Real", 1)],
-        "kernel": (3, 0, True), "boundary": True,
+        "kernel": (3, 0, False), "boundary": True,
         "formula": "central-kernel-search", "rank": 1, "theoremC": "n/a",
         "irreducible": "not-irreducible",
     },
@@ -174,6 +175,14 @@ CENTER_SIZES = {"c5": 5, "d4": 2, "q8": 2, "c3xd4-r4": 6}
 def test_center_sizes(name, finite_group):
     group = finite_group(name)
     assert len(center_of_group(group)) == CENTER_SIZES[name]
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_SIZES))
+def test_contains_center_of_g_compares_the_kernel_with_the_center(name, memo):
+    # D4 and C3 x D4 keep central elements outside the identity component
+    kernel = memo.analysis(name).report["kernel"]
+    assert kernel["containsCenterOfG"] is (kernel["finiteOrder"] == CENTER_SIZES[name])
+    assert kernel["containsCenterOfG"] is (name in ("c5", "q8"))
 
 
 def _all_elements_center(group):
@@ -435,6 +444,12 @@ def test_hopf_kernel_algebra_is_the_diagonal_circle(memo):
     assert min(num.max_abs(direction - want), num.max_abs(direction + want)) <= 1e-14
 
 
+# The cohomogeneity of each catalog action, from its geometry: the Hopf
+# circle's orbits are circles in R^4; SO(2) x SO(3) has circle times sphere
+# orbits in R^2 + R^3 and 4-dimensional ones in R^2 (x) R^3.
+CATALOG_COHOMOGENEITY = {"hopf-u1-r4": 3, "so2xso3-r5": 2, "so2-tensor-so3-r6": 2}
+
+
 @pytest.mark.parametrize("action_id", CATALOG_IDS)
 def test_generic_orbits_have_the_cohomogeneity_as_normal_dimension(action_id):
     # r5 and r6 reach SO(3) through Euler generators (L_z, L_y, L_z), which
@@ -446,7 +461,18 @@ def test_generic_orbits_have_the_cohomogeneity_as_normal_dimension(action_id):
     for _ in range(4):
         x = sample_generic_point(action, rng)
         normal = isom_quotient.orbit_normal_space(algebra, x)
-        assert normal.shape == (action.dimension, action.metadata.cohomogeneity)
+        assert normal.shape == (action.dimension, CATALOG_COHOMOGENEITY[action_id])
+
+
+def test_the_cohomogeneity_is_computed_from_the_orbit_rank():
+    # the trivial action's orbits are points; unit quaternions act on H^k
+    # with 3-sphere orbits
+    actions = [get_action(a) for a in CATALOG_IDS] + [
+        trivial_action(2), trivial_action(3),
+        _left_unit_quaternions(1, has_boundary=True),
+        _left_unit_quaternions(2, has_boundary=False)]
+    assert [a.cohomogeneity for a in actions] == [
+        CATALOG_COHOMOGENEITY[a] for a in CATALOG_IDS] + [2, 3, 1, 5]
 
 
 def _left_unit_quaternions(copies, *, has_boundary):
@@ -461,8 +487,8 @@ def _left_unit_quaternions(copies, *, has_boundary):
         generators=tuple(scipy.linalg.block_diag(*[x] * copies) for x in (l_i, l_j, l_i)),
         # the half-angle b in [0, pi/2] carries Haar density sin(2b)
         axes=(circle, ParamAxis(math.pi / 2.0, False, 0.5, 8), circle),
-        metadata=ActionMetadata(has_boundary=has_boundary, cohomogeneity=4 * copies - 3,
-                                expected_sector_angle=None, singular_isotropy_note=None),
+        metadata=ActionMetadata(has_boundary=has_boundary, expected_sector_angle=None,
+                                singular_isotropy_note=None),
     )
 
 
@@ -491,6 +517,24 @@ def test_a_boundary_free_kernel_may_have_a_finite_center():
     assert rep["notes"]["quotientDescription"] == "Sp(2)/{±I}"
 
 
+def test_a_circle_on_c3_quotients_u3_by_its_center():
+    # The diagonal circle J + J + J on C^3 commutes with U(3) and is its
+    # center circle, so the kernel is that circle: U(3)/center = PSU(3).
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    action = CatalogAction(
+        id="u1-diagonal-c3", generators=(scipy.linalg.block_diag(j, j, j),),
+        axes=(ParamAxis(2.0 * math.pi, True, 1.0, 16),),
+        metadata=ActionMetadata(has_boundary=False, expected_sector_angle=None,
+                                singular_isotropy_note=None),
+    )
+    rep = quotient_isometry_group(action).report
+    assert rep["compactFactors"] == [
+        {"name": "U(3)/center", "type": "Complex", "multiplicity": 3}]
+    assert (rep["kernel"]["finiteOrder"], rep["kernel"]["circleDirections"]) == (1, 1)
+    assert rep["rank"] == 2
+    assert rep["notes"]["quotientDescription"] == "PSU(3)"
+
+
 def test_a_kernel_the_report_cannot_express_is_ambiguous():
     # T^2 on C^3 with weights (1, 0), (0, 1), (1, 1): three distinct
     # characters, so H = U(1)^3, and the kernel is the 2-dimensional image
@@ -501,8 +545,8 @@ def test_a_kernel_the_report_cannot_express_is_ambiguous():
     axis = ParamAxis(2.0 * math.pi, True, 1.0, 16)
     action = CatalogAction(
         id="t2-weights-c3", generators=(x1, x2), axes=(axis, axis),
-        metadata=ActionMetadata(has_boundary=True, cohomogeneity=4,
-                                expected_sector_angle=None, singular_isotropy_note=None),
+        metadata=ActionMetadata(has_boundary=True, expected_sector_angle=None,
+                                singular_isotropy_note=None),
     )
     with pytest.raises(KernelAmbiguityError, match="beyond whole factors") as err:
         quotient_isometry_group(action)
@@ -520,15 +564,15 @@ def test_a_central_direction_outside_the_kernel_algebra_is_an_internal_error(mon
 
 
 @pytest.mark.parametrize("edit", [
-    {"continuous_part": (0, 1)},   # index 1 of U(2) lies in su(2), not the center
-    {"whole_factors": (0,)},
+    {"center_circle_index": 1},   # index 1 of U(2) lies in su(2), not the center
+    {"parts": (isom_quotient.WHOLE,)},
 ])
 def test_boundary_free_kernel_check_rejects_more_than_the_central_circles(edit, memo):
     result = memo.analysis("catalog:hopf-u1-r4")
     isom_quotient._assert_boundary_free_kernel(result.kernel, result.context, result.equiv)
+    bad = with_kernel_edit(result, **edit)
     with pytest.raises(InternalCheckError):
-        isom_quotient._assert_boundary_free_kernel(
-            dataclasses.replace(result.kernel, **edit), result.context, result.equiv)
+        isom_quotient._assert_boundary_free_kernel(bad.kernel, bad.context, bad.equiv)
 
 
 def _loaded_after(code, module):

@@ -158,3 +158,22 @@ def test_non_lift_demo_text():
     assert "1.570" in text
     with pytest.raises(ValidationError):
         non_lift_demo("hopf-u1-r4")
+
+
+@pytest.mark.parametrize("sample_count, seed", [(0, 0), (10, -1)])
+def test_lift_rotation_rejects_bad_sampling(sample_count, seed):
+    # no samples would report a residual of 0.0, a vacuous pass
+    with pytest.raises(ValidationError):
+        lift_rotation(np.eye(3), sample_count=sample_count, seed=seed)
+
+
+@pytest.mark.parametrize("sample_count, seed", [(0, 0), (3, -1)])
+def test_descend_check_rejects_bad_sampling(sample_count, seed):
+    with pytest.raises(ValidationError):
+        descend_check(np.eye(4), get_action("hopf-u1-r4"), sample_count, seed)
+
+
+@pytest.mark.parametrize("sample_count, seed", [(0, 0), (10, -1)])
+def test_verify_hopf_metric_rejects_bad_sampling(sample_count, seed):
+    with pytest.raises(ValidationError):
+        verify_hopf_metric(sample_count, seed)

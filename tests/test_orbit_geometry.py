@@ -462,6 +462,12 @@ def test_sector_climb_refines_cold_and_returns_a_refined_pair(monkeypatch):
     assert abs(math.acos(dot[0]) - est) <= 1e-12
 
 
+@pytest.mark.parametrize("sample_count, seed", [(0, 0), (10, -1)])
+def test_sector_estimate_rejects_bad_sampling(sample_count, seed):
+    with pytest.raises(ValidationError):
+        sector_angle_estimate(get_action("so2xso3-r5"), sample_count, seed)
+
+
 def test_sector_estimate_trivial_plane():
     assert abs(sector_angle_estimate(trivial_action(2), 400, 0) - math.pi) < 1e-2
 

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 
+from conftest import with_kernel_edit
 from orbit_isom import _numerics as num
+from orbit_isom.isom_quotient import WHOLE
 from orbit_isom.verification import (
     SUITE_IDS,
     _AnalysisMemo,
@@ -52,35 +54,41 @@ def test_kernel_suite_fails_when_q8_loses_minus_identity():
     assert "q8: the -I block of Sp(1) fixes every orbit but is not in the kernel" in problems
 
 
+def test_kernel_suite_fails_when_q8_loses_the_part_of_its_factor():
+    bad = _AnalysisMemo(seed=0, sample_count=200)
+    bad._cache["q8"] = with_kernel_edit(bad.analysis("q8"), parts=(None,))
+    assert _finite_kernel_problems("q8", bad) == [
+        "q8: the kernel part of Sp(1) disagrees with the finite part"]
+
+
 def test_kernel_suite_fails_when_c5_gains_a_noncentral_element():
     reflection = np.diag([1.0, -1.0])
     problems = _finite_kernel_with("c5", lambda part: list(part) + [reflection])
     assert "c5: 1 kernel elements move an orbit" in problems
 
 
-def _catalog_kernel_with(label, **fields):
-    """Oracle cross-check of ``label`` on a memo whose kernel has ``fields``
-    replaced."""
+def _catalog_kernel_with(label, **edit):
+    """Oracle cross-check of ``label`` on a memo whose analysis has the
+    ``with_kernel_edit`` ``edit``."""
     bad = _AnalysisMemo(seed=0, sample_count=200)
-    result = bad.analysis(label)
-    bad._cache[label] = dataclasses.replace(
-        result, kernel=dataclasses.replace(result.kernel, **fields))
+    bad._cache[label] = with_kernel_edit(bad.analysis(label), **edit)
     return _catalog_kernel_problems(label, bad)
 
 
 def test_catalog_kernel_check_fails_when_hopf_claims_its_whole_factor():
-    problems = _catalog_kernel_with("catalog:hopf-u1-r4", whole_factors=(0,))
+    problems = _catalog_kernel_with("catalog:hopf-u1-r4", parts=(WHOLE,))
     assert problems == ["catalog:hopf-u1-r4: a random element of U(2) moves an orbit, "
                         "but the factor is in the kernel"]
 
 
 def test_catalog_kernel_check_fails_when_r5_loses_its_whole_factor():
-    problems = _catalog_kernel_with("catalog:so2xso3-r5", whole_factors=())
+    problems = _catalog_kernel_with("catalog:so2xso3-r5", parts=(None, None))
     assert problems == ["catalog:so2xso3-r5: a random element of U(1) fixes every "
                         "orbit, but the factor is not in the kernel"]
 
 
 def test_catalog_kernel_check_fails_when_hopf_claims_a_moving_circle():
-    # lie-basis index 1 of U(2) is a direction of su(2), not the center
-    problems = _catalog_kernel_with("catalog:hopf-u1-r4", continuous_part=(0, 1))
+    # the kernel holds the center circle of U(2), which is made to point at
+    # lie-basis index 1, a direction of su(2)
+    problems = _catalog_kernel_with("catalog:hopf-u1-r4", center_circle_index=1)
     assert problems == ["catalog:hopf-u1-r4: kernel circle 1 moves an orbit"]
