@@ -45,8 +45,11 @@ def banded_row_max(rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def orthogonality_residual(g: np.ndarray) -> float:
-    """Max-norm of g^T g - I."""
+    """Max-norm of g^T g - I; inf for non-finite g, so that a check
+    ``residual > tol`` rejects it (NaN compares False)."""
     g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        return math.inf
     return max_abs(g.T @ g - np.eye(g.shape[0]))
 
 
@@ -105,17 +108,21 @@ def skew_spectrum(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, np.sqrt(np.maximum(mu, 0.0))
 
 
+def rotation_terms(w: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos(w t), sin(w t) / w) for frequencies w >= 0 and times t, broadcast
+    together; sin(w t) / w is t where w = 0. (np.sinc, whose argument is
+    rescaled by pi, would cost up to 1.8e-15 at w t = 14.)"""
+    wt = w * t
+    sinc = np.divide(np.sin(wt), w, out=np.broadcast_to(t, wt.shape).copy(), where=w > 0)
+    return np.cos(wt), sinc
+
+
 def skew_exp(s: np.ndarray, q: np.ndarray, omega: np.ndarray, t=1.0) -> np.ndarray:
     """exp(t S) = Q cos(Omega t) Q^T + S Q (sin(Omega t) / Omega) Q^T from
-    ``skew_spectrum(S)``, for a skew S or a stack of them with one t each;
-    sin(Omega t) / Omega is t on the null space. (np.sinc, whose argument
-    is rescaled by pi, would cost up to 1.8e-15 at Omega t = 14.)"""
-    t = np.asarray(t, dtype=float)[..., None, None]
-    w = omega[..., None, :]
-    ot = t * w
-    sinc = np.divide(np.sin(ot), w, out=np.broadcast_to(t, ot.shape).copy(), where=w > 0)
+    ``skew_spectrum(S)``, for a skew S or a stack of them with one t each."""
+    cos, sinc = rotation_terms(omega[..., None, :], np.asarray(t, dtype=float)[..., None, None])
     qt = q.swapaxes(-1, -2)
-    return (q * np.cos(ot)) @ qt + s @ ((q * sinc) @ qt)
+    return (q * cos) @ qt + s @ ((q * sinc) @ qt)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -197,18 +204,18 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / n
 
 
-def random_unit_vectors(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """(n, 2, dim) array of n pairs of unit vectors from one draw of normals.
+def random_unit_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit vectors along the last axis of ``shape``, from one draw of normals.
 
-    The stream is the one that 2n calls of ``random_unit_vector`` read, in
-    the same order. A row of norm under 1e-12 (probability ~0) is drawn
-    again; rows after it then differ from the one-by-one stream.
+    The stream is the one that as many calls of ``random_unit_vector`` read,
+    in C order. A row of norm under 1e-12 (probability ~0) is drawn again;
+    rows after it then differ from the one-by-one stream.
     """
-    v = rng.standard_normal((n, 2, dim))
+    v = rng.standard_normal(shape)
     # The stacked product sums like the dot product inside np.linalg.norm
     # of one vector, so the rows match the one-by-one draws bit for bit.
-    norms = np.sqrt(v[:, :, None, :] @ v[:, :, :, None])[:, :, 0]
-    for i, j in zip(*np.nonzero(norms[:, :, 0] < 1e-12)):
-        v[i, j] = random_unit_vector(rng, dim)
-        norms[i, j] = 1.0
+    norms = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    for row in zip(*np.nonzero(norms[..., 0] < 1e-12)):
+        v[row] = random_unit_vector(rng, shape[-1])
+        norms[row] = 1.0
     return v / norms

@@ -265,8 +265,8 @@ class CatalogAction:
         unit points, which are generic almost surely. The rows have unit
         scale, so the ranks take the absolute floor LIE_RANK_FLOOR."""
         if "cohomogeneity" not in self._cache:
-            x = num.random_unit_vectors(np.random.default_rng(7919), 2, self.dimension)
-            tangents = np.einsum("aij,pj->pai", self.algebra(), x.reshape(4, -1))
+            x = num.random_unit_rows(np.random.default_rng(7919), (4, self.dimension))
+            tangents = np.einsum("aij,pj->pai", self.algebra(), x)
             s = np.linalg.svd(tangents, compute_uv=False)
             rank = max(num.split_spectrum(row, LIE_RANK_FLOOR, "orbit rank") for row in s)
             self._cache["cohomogeneity"] = self.dimension - rank

@@ -173,13 +173,9 @@ def lift_rotation(r: np.ndarray, *, sample_count: int = 100,
     if num.max_abs(lift @ _CIRCLE_GENERATOR - _CIRCLE_GENERATOR @ lift) > 1e-9:
         raise ValidationError("constructed lift does not commute with the action")
 
-    rng = np.random.default_rng([seed])
-    residual = 0.0
-    for _ in range(sample_count):
-        x = num.random_unit_vector(rng, 4)
-        err = float(np.linalg.norm(hopf_map(lift @ x) - r @ hopf_map(x)))
-        residual = max(residual, err)
-    return LiftWitness(quotient_isometry=r, lift=lift, residual=residual)
+    xs = num.random_unit_rows(np.random.default_rng([seed]), (sample_count, 4))
+    errs = np.linalg.norm(hopf_map(xs @ lift.T) - hopf_map(xs) @ r.T, axis=1)
+    return LiftWitness(quotient_isometry=r, lift=lift, residual=float(errs.max()))
 
 
 def verify_hopf_metric(sample_count: int = 100, seed: int = 0, *,
@@ -193,7 +189,7 @@ def verify_hopf_metric(sample_count: int = 100, seed: int = 0, *,
     """
     check_sampling(sample_count, seed)
     action = get_action(HOPF_ACTION_ID)
-    pairs = num.random_unit_vectors(np.random.default_rng([seed]), sample_count, 4)
+    pairs = num.random_unit_rows(np.random.default_rng([seed]), (sample_count, 2, 4))
     a_pts, b_pts = pairs[:, 0], pairs[:, 1]
 
     max_dots = _batched_max_dots(action, a_pts, b_pts, density)
@@ -218,12 +214,17 @@ def descend_check(x_iso: np.ndarray, context, sample_count: int,
     x_iso = np.asarray(x_iso, dtype=float)
     if not isinstance(context, (FiniteGroupData, CatalogAction)):
         raise ValidationError("descend_check expects a finite group or catalog action")
+    d = context.dimension
+    if x_iso.shape != (d, d):
+        raise ValidationError(
+            f"descend_check expects a {d}x{d} matrix, got shape {x_iso.shape}")
+    if num.orthogonality_residual(x_iso) > 1e-9:
+        raise ValidationError("descend_check expects an orthogonal matrix")
     for g in context.generators:
         if num.max_abs(x_iso @ g - g @ x_iso) > 1e-8:
             raise ValidationError("descend_check requires an equivariant isometry")
 
     rng = np.random.default_rng([seed])
-    d = context.dimension
     worst = 0.0
     for _ in range(sample_count):
         a = rng.standard_normal(d)

@@ -8,11 +8,18 @@ O(1/m)), then local refinement: a damped Newton ascent of phi(g) = a^T g b
 over the group image, stepping g -> g exp(S) with S in its Lie algebra, with
 the exact gradient and Hessian of s -> a^T g exp(sum_j s_j A_j) b and a line
 search read off one eigendecomposition of S^2; golden-section sweeps over
-the sampler parameters run only when the ascent does not converge. Only
-``_batched_max_dots`` reads a grid of another density, for the unrefined
-Hopf metric check.
+the sampler parameters run only when the ascent does not converge. Every
+grid pass is one product of the flattened grid with flattened outer
+products a b^T, since a^T g b = <a b^T, g>_F; a distance forms ||a - g b||
+only at the argmax. Only ``_batched_max_dots`` reads a grid of another
+density, for the unrefined Hopf metric check.
 Refined values always upper-bound the true distance, since they are minima
 over a finite subset of the group.
+
+The sector estimator screens its sampled pairs on the grid with a bound:
+the maximum over every SCREEN_STRIDE-th grid element is a lower bound on a
+pair's grid maximum, and only the pairs whose bound can still place them
+among the three smallest maxima get the full grid pass.
 
 Boundary detection for finite groups looks for a hyperplane reflection: an
 element whose fixed subspace has dimension exactly dim V - 1, equivalently
@@ -107,7 +114,9 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     + beta_k sin(omega_k t) / omega_k for alpha = (u^T Q) * (Q^T b) and
     beta = (u^T S Q) * (Q^T b): every trial step is read off one real
     eigendecomposition (the eigenvalues of the Hermitian iS are +-omega_k),
-    and g exp(tS) is formed once, at the accepted t (``num.skew_exp``). A
+    in one table of cos(omega_k t) and sin(omega_k t) / omega_k over the
+    _TRIALS fractions (``num.rotation_terms``, t where omega_k = 0), and
+    g exp(tS) is formed once, at the accepted t (``num.skew_exp``). A
     row has converged when max |grad phi_i| <= ``gtol``, its relative gain
     <= ``ftol`` (against max(|phi_i|, 1)), or phi_i >= ``stop``; maxiter
     steps or a failed line search leave it unconverged. Rows step in
@@ -121,9 +130,10 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     u = (a[:, None, :] @ g)[:, 0]
     phi, grad, hess = _dot_derivatives(u, b, jets)
     floor = HESSIAN_FLOOR * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    out_g, out_phi = g.copy(), phi.copy()
+    out_g, out_phi = np.empty_like(g), np.empty_like(phi)
     converged = np.zeros(len(g), dtype=bool)
-    # Live rows are kept compacted; ``rows`` maps them back to the input.
+    # Live rows are kept compacted; ``rows`` maps them back to the input,
+    # and a row's result is written out when it leaves them.
     rows = np.arange(len(g))
     retired = np.zeros(len(g), dtype=bool)
     for it in range(maxiter + 1):
@@ -133,8 +143,9 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
         converged[rows[done]] = True
         live = ~(done | retired)
         if not live.all():
-            rows, g, u, phi, grad, hess, b, floor = (
-                x[live] for x in (rows, g, u, phi, grad, hess, b, floor))
+            out_g[rows[~live]], out_phi[rows[~live]] = g[~live], phi[~live]
+            rows, g, u, phi, grad, hess, a, b, floor = (
+                x[live] for x in (rows, g, u, phi, grad, hess, a, b, floor))
             jets = tuple(x[live] for x in jets)
         if not rows.size or it == maxiter:
             break
@@ -150,9 +161,8 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
         # Column 0 is t = 0: Armijo compares the closed form with itself.
         # Against the derivative pass' phi, roundoff fails the tiny final
         # steps of the ftol = 1e-16 distance ascents.
-        wt = _TRIALS[:, None] * omega[:, None, :]
-        phi_t = (np.cos(wt) @ alpha[:, :, None] + (_TRIALS[:, None] * np.sinc(wt / math.pi))
-                 @ beta[:, :, None])[:, :, 0]
+        cos, sinc = num.rotation_terms(omega[:, None, :], _TRIALS[:, None])
+        phi_t = (cos @ alpha[:, :, None] + sinc @ beta[:, :, None])[:, :, 0]
         phi_0 = phi_t[:, 0]
         passes = phi_t[:, 1:] >= phi_0[:, None] + ARMIJO * _TRIALS[1:] * slope[:, None]
         ok = passes.any(axis=1)
@@ -161,10 +171,14 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
         flat = ok & (phi_q - phi_0 <= ftol * np.maximum(np.abs(phi_q), 1.0))
         converged[rows[flat]] = True
         retired = flat | ~ok
-        g[ok] = g[ok] @ num.skew_exp(sk[ok], q[ok], omega[ok], _TRIALS[first[ok]])
-        u[ok] = (a[rows[ok], None, :] @ g[ok])[:, 0]
+        if ok.all():
+            g = g @ num.skew_exp(sk, q, omega, _TRIALS[first])
+            u = (a[:, None, :] @ g)[:, 0]
+        else:
+            g[ok] = g[ok] @ num.skew_exp(sk[ok], q[ok], omega[ok], _TRIALS[first[ok]])
+            u[ok] = (a[ok, None, :] @ g[ok])[:, 0]
         phi, grad, hess = _dot_derivatives(u, b, jets)
-        out_g[rows], out_phi[rows] = g, phi
+    out_g[rows], out_phi[rows] = g, phi
     return out_g, out_phi, converged
 
 
@@ -209,6 +223,14 @@ def _catalog_refine(action: CatalogAction, f, a: np.ndarray, b: np.ndarray,
     return best
 
 
+def _grid_argmax(els: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
+    """Index of the grid element g maximizing a^T g b = <a b^T, g>_F, from
+    one product of the flattened grid with the flattened outer product. It
+    also minimizes ||a - g b||, since ||a - g b||^2 = ||a||^2 + ||b||^2 - 2
+    a^T g b for orthogonal g."""
+    return int(np.argmax(els.reshape(len(els), -1) @ np.outer(a, b).ravel()))
+
+
 def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
                       rounds: int = 3, sweeps: int = 8,
                       stop: float | None = None,
@@ -220,9 +242,8 @@ def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
     clearly-large grid value cannot refine into the pass region).
     """
     params, els = action.grid()
-    vals = np.linalg.norm(a[None, :] - els @ b, axis=1)
-    i = int(np.argmin(vals))
-    grid_best = float(vals[i])
+    i = _grid_argmax(els, a, b)
+    grid_best = float(np.linalg.norm(a - els[i] @ b))
     if refine_cutoff is not None and grid_best > refine_cutoff:
         return grid_best
 
@@ -237,9 +258,8 @@ def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
 def _catalog_max_dot(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
                      rounds: int = 1, sweeps: int = 6) -> float:
     params, els = action.grid()
-    dots = (els @ b) @ a
-    i = int(np.argmax(dots))
-    grid_best = float(dots[i])
+    i = _grid_argmax(els, a, b)
+    grid_best = float(a @ (els[i] @ b))
 
     def f(g):
         return -float(a @ (g @ b))
@@ -272,8 +292,12 @@ def sphere_quotient_distance(a, b, context: Context) -> float:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    d = context.dimension
     for v in (a, b):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-6:
+        if v.shape != (d,):
+            raise ValidationError(
+                f"sphere_quotient_distance: point has shape {v.shape}, context dimension is {d}")
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:  # false for NaN too
             raise ValidationError("sphere_quotient_distance requires unit vectors")
     if isinstance(context, FiniteGroupData):
         best = float(((context.elements @ b) @ a).max())
@@ -383,16 +407,13 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
     return True
 
 
-def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
-                      density: int | None = None) -> np.ndarray:
-    """max over the grid of ``density`` elements (DEFAULT_DENSITY if None)
-    of a_p^T g_n b_p for every pair p, unrefined.
+def _grid_maxima(els: np.ndarray, a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
+    """max over the elements ``els`` of a_p^T g b_p for every pair p.
 
     a^T g b = <a b^T, g>_F, so each chunk of 256 pairs is one product of
     its flattened outer products (256, d^2) with the flattened grid (d^2, N).
     """
     chunk = 256
-    _, els = action.grid(density)
     flat = els.reshape(len(els), -1).T
     out = np.empty(len(a_pts))
     for start in range(0, len(a_pts), chunk):
@@ -401,6 +422,42 @@ def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarra
         outer = (asl[:, :, None] * bsl[:, None, :]).reshape(len(asl), -1)
         out[start:start + chunk] = (outer @ flat).max(axis=1)
     return out
+
+
+def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
+                      density: int | None = None) -> np.ndarray:
+    """max over the grid of ``density`` elements (DEFAULT_DENSITY if None)
+    of a_p^T g_n b_p for every pair p, unrefined."""
+    return _grid_maxima(action.grid(density)[1], a_pts, b_pts)
+
+
+# Sector screening: the maximum over every SCREEN_STRIDE-th grid element
+# bounds a pair's grid maximum from below, the grid maxima are completed
+# SCREEN_CHUNK pairs at a time, and SCREEN_MARGIN covers the roundoff
+# between the two products.
+SCREEN_STRIDE = 8
+SCREEN_CHUNK = 64
+SCREEN_MARGIN = 1e-12
+
+
+def _screen_pairs(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
+    """The three pairs with the largest arccos of their grid maximum
+    (``_batched_max_dots``), largest first, without forming every pair's.
+
+    Pairs are completed in ascending order of their lower bound, and the
+    rest are skipped once the next bound exceeds the third smallest grid
+    maximum found: every later pair's maximum is at least its bound.
+    """
+    _, els = action.grid()
+    bound = _grid_maxima(els[::SCREEN_STRIDE], a_pts, b_pts)
+    order = np.argsort(bound, kind="stable")
+    maxima = []
+    for start in range(0, len(order), SCREEN_CHUNK):
+        if start and bound[order[start]] > np.partition(maxima, 2)[2] + SCREEN_MARGIN:
+            break
+        chunk = order[start:start + SCREEN_CHUNK]
+        maxima = np.concatenate([maxima, _grid_maxima(els, a_pts[chunk], b_pts[chunk])])
+    return order[np.argsort(_arccos(maxima))[::-1][:3]]
 
 
 def _refined_sphere_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
@@ -435,8 +492,13 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
 
     The sector angle equals the diameter of SV/G: the largest sphere
     quotient distance arccos f(a, b), f(a, b) = max over g of a^T g b. The
-    best of the sampled unit-vector pairs (screened on the grid, the top
-    three refined) starts a descent of f on the pair of spheres. Where the
+    best of the sampled unit-vector pairs starts a descent of f on the pair
+    of spheres: the three pairs of smallest grid maximum are refined. The
+    screening (``_screen_pairs``) bounds each pair's grid maximum from
+    below on every SCREEN_STRIDE-th grid element and completes the full
+    maxima only of pairs whose bound can still rank them in the top three,
+    so it picks the same three pairs, in the same order, as ranking every
+    pair's grid maximum. Where the
     maximizer g* is unique, f has the envelope gradient g* b in a and
     g*^T a in b (Danskin), so each step tries a few fractions of one step
     along it, a then b, as one batch of refinements, and keeps the longest
@@ -451,11 +513,10 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
             f"{action.id} has {action.cohomogeneity}"
         )
     d = action.dimension
-    pairs = num.random_unit_vectors(np.random.default_rng([seed]), sample_count, d)
+    pairs = num.random_unit_rows(np.random.default_rng([seed]), (sample_count, 2, d))
     a_pts, b_pts = pairs[:, 0], pairs[:, 1]
 
-    max_dots = _batched_max_dots(action, a_pts, b_pts)
-    top = np.argsort(_arccos(max_dots))[::-1][:3]
+    top = _screen_pairs(action, a_pts, b_pts)
 
     # Every reported or compared value is a fully converged refinement from
     # the grid argmax: an under-resolved group maximum (or one from a stale

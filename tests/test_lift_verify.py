@@ -92,6 +92,20 @@ def test_lift_residuals_small():
         assert num.orthogonality_residual(w.lift) < 1e-9
 
 
+def test_lift_residual_matches_a_per_sample_loop():
+    # the batch reads the stream of sample_count single draws, in order
+    rng = np.random.default_rng(15)
+    for seed in (0, 1, 2):
+        r = random_rotation(rng)
+        w = lift_rotation(r, seed=seed)
+        draws = np.random.default_rng([seed])
+        want = 0.0
+        for _ in range(100):
+            x = num.random_unit_vector(draws, 4)
+            want = max(want, float(np.linalg.norm(hopf_map(w.lift @ x) - r @ hopf_map(x))))
+        assert abs(w.residual - want) <= 1e-15
+
+
 def test_lift_rejects_reflection():
     refl = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValidationError, match="orientation-reversing"):
@@ -177,3 +191,29 @@ def test_descend_check_rejects_bad_sampling(sample_count, seed):
 def test_verify_hopf_metric_rejects_bad_sampling(sample_count, seed):
     with pytest.raises(ValidationError):
         verify_hopf_metric(sample_count, seed)
+
+
+def test_orthogonality_residual_is_infinite_off_the_finite_matrices():
+    assert num.orthogonality_residual(np.full((3, 3), np.nan)) == math.inf
+    assert num.orthogonality_residual(np.diag([1.0, np.inf])) == math.inf
+    assert num.orthogonality_residual(np.eye(3)) == 0.0
+
+
+def test_lift_rotation_rejects_nan():
+    with pytest.raises(ValidationError, match="orthogonal"):
+        lift_rotation(np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("x_iso", [np.eye(3), np.eye(5), np.eye(4)[:, :3]],
+                         ids=["3x3", "5x5", "4x3"])
+def test_descend_check_rejects_a_wrong_shape(x_iso):
+    with pytest.raises(ValidationError, match="4x4"):
+        descend_check(x_iso, get_action("hopf-u1-r4"), 5, 0)
+
+
+@pytest.mark.parametrize("x_iso", [2.0 * np.eye(4), np.full((4, 4), np.nan)],
+                         ids=["scaled", "nan"])
+def test_descend_check_rejects_a_non_isometry(x_iso):
+    # 2I commutes with the circle, so only the isometry check stops it
+    with pytest.raises(ValidationError, match="orthogonal"):
+        descend_check(x_iso, get_action("hopf-u1-r4"), 5, 0)

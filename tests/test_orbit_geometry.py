@@ -190,7 +190,7 @@ def test_unconverged_refinement_falls_back_to_golden_sections(monkeypatch):
 
 def _sector_pair(index):
     """Pair ``index`` of the sector estimator's seed-0 stream on R^6."""
-    pairs = num.random_unit_vectors(np.random.default_rng([0]), 5000, 6)
+    pairs = num.random_unit_rows(np.random.default_rng([0]), (5000, 2, 6))
     return pairs[index, 0], pairs[index, 1]
 
 
@@ -326,6 +326,22 @@ def test_orbit_equivalence_guard_band(memo):
         orbit_equivalence_test(ctx, rot2(2.0 * math.pi / 5 + 5e-7), 50, seed=0)
 
 
+def test_orbit_equivalence_rejects_nan():
+    with pytest.raises(ValidationError, match="orthogonal"):
+        orbit_equivalence_test(get_action("hopf-u1-r4"), np.full((4, 4), np.nan), 3, 0)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),
+    ([1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]),
+    ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+    ([1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]),
+], ids=["nan", "not-unit", "short", "long"])
+def test_sphere_distance_rejects_bad_points(a, b):
+    with pytest.raises(ValidationError):
+        sphere_quotient_distance(a, b, get_action("hopf-u1-r4"))
+
+
 def test_orbit_equivalence_below_tolerance_accepts(memo):
     ctx = memo.analysis("c5").context
     assert orbit_equivalence_test(ctx, rot2(2.0 * math.pi / 5 + 5e-8), 50, seed=0)
@@ -394,7 +410,7 @@ def test_sector_screening_maximum_grows_with_nested_samples(seed):
     action = get_action("so2xso3-r5")
     screened = []
     for n in (500, 1000, 2000):
-        pairs = num.random_unit_vectors(np.random.default_rng([seed]), n, action.dimension)
+        pairs = num.random_unit_rows(np.random.default_rng([seed]), (n, 2, action.dimension))
         dots = _batched_max_dots(action, pairs[:, 0], pairs[:, 1])
         screened.append(np.arccos(np.clip(dots, -1.0, 1.0)).max())
     assert screened[0] <= screened[1] + 1e-12
@@ -409,6 +425,50 @@ def test_sector_screening_maximum_grows_with_nested_samples(seed):
 def test_sector_estimate_within_its_accuracy_window(action_id, target, seed, n):
     est = sector_angle_estimate(get_action(action_id), n, seed)
     assert target - 5e-5 <= est <= target + 1e-4
+
+
+def _full_ranking(action, a_pts, b_pts):
+    """The screening's reference: every pair's grid maximum, ranked."""
+    dots = _batched_max_dots(action, a_pts, b_pts)
+    return np.argsort(np.arccos(np.clip(dots, -1.0, 1.0)))[::-1][:3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 5000])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("action_id", ["so2xso3-r5", "so2-tensor-so3-r6"])
+def test_bounded_screening_picks_the_pairs_of_the_full_ranking(action_id, seed, n):
+    # n straddles the three picks and the 64-pair completion chunks
+    action = get_action(action_id)
+    pairs = num.random_unit_rows(np.random.default_rng([seed]), (n, 2, action.dimension))
+    a_pts, b_pts = pairs[:, 0], pairs[:, 1]
+    got = orbit_geometry._screen_pairs(action, a_pts, b_pts)
+    assert np.array_equal(got, _full_ranking(action, a_pts, b_pts))
+
+
+@pytest.mark.parametrize("action_id, want", [
+    ("so2xso3-r5", (1.57078330810137, 1.5707831792818827, 1.5707875856726299)),
+    ("so2-tensor-so3-r6", (0.7853774718716493, 0.7853840983561149, 0.7853939914671381)),
+], ids=["so2xso3-r5", "so2-tensor-so3-r6"])
+def test_sector_estimates_at_5000_samples_stay_pinned(action_id, want):
+    # the values of the full screening, before it was bounded
+    action = get_action(action_id)
+    for seed, value in enumerate(want):
+        assert abs(sector_angle_estimate(action, 5000, seed) - value) <= 1e-12
+
+
+@pytest.mark.parametrize("action_id", ["hopf-u1-r4", "so2xso3-r5", "so2-tensor-so3-r6"])
+def test_flat_grid_scan_finds_the_norm_scans_argmin(action_id):
+    # The Euler grids hold each element at the poles beta = 0, pi under
+    # several parameter tuples, equal to roundoff, and roundoff picks one of
+    # them; the scans must agree on the element, and on its index elsewhere.
+    action = get_action(action_id)
+    _, els = action.grid()
+    rng = np.random.default_rng(16)
+    for a, b in rng.standard_normal((200, 2, action.dimension)):
+        i = orbit_geometry._grid_argmax(els, a, b)
+        for j in (int(np.argmin(np.linalg.norm(a[None, :] - els @ b, axis=1))),
+                  int(np.argmax((els @ b) @ a))):
+            assert i == j or np.abs(els[i] - els[j]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("action", [get_action("hopf-u1-r4"), get_action("so2xso3-r5"),
@@ -473,10 +533,20 @@ def test_sector_estimate_trivial_plane():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unit_vector_rows_match_the_per_call_stream(seed):
+    n, d = 100, 4
+    rows = num.random_unit_rows(np.random.default_rng([seed]), (n, d))
+    rng = np.random.default_rng([seed])
+    want = np.array([num.random_unit_vector(rng, d) for _ in range(n)])
+    assert rows.shape == (n, d)
+    assert np.all(np.abs(rows - want) <= np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_unit_vector_pairs_match_the_per_call_stream(seed):
     # one draw of normals reads the stream of 2n single draws, in order
     n, d = 500, 6
-    pairs = num.random_unit_vectors(np.random.default_rng([seed]), n, d)
+    pairs = num.random_unit_rows(np.random.default_rng([seed]), (n, 2, d))
     rng = np.random.default_rng([seed])
     want = np.array([[num.random_unit_vector(rng, d) for _ in range(2)] for _ in range(n)])
     assert pairs.shape == (n, 2, d)
