@@ -182,6 +182,9 @@ class CatalogAction:
         return out
 
     def grid_counts(self, density: int) -> tuple[int, ...]:
+        """Samples per axis of the grid of ``density``, at least 3 each."""
+        if density < 1:
+            raise ValidationError(f"the grid density must be at least 1, got {density}")
         weights = [ax.weight for ax in self.axes]
         prod_w = math.prod(weights)
         base = (density / prod_w) ** (1.0 / len(self.axes))
@@ -209,12 +212,18 @@ class CatalogAction:
         return self._cache[density]
 
     def grid_spacings(self, density: int | None = None) -> np.ndarray:
+        """Parameter step of each axis of the grid of ``density``. Cached
+        per density, read-only."""
         density = DEFAULT_DENSITY if density is None else int(density)
-        counts = self.grid_counts(density)
-        return np.array([
-            ax.length / n if ax.periodic else ax.length / max(n - 1, 1)
-            for ax, n in zip(self.axes, counts)
-        ])
+        key = ("spacings", density)
+        if key not in self._cache:
+            spacings = np.array([
+                ax.length / n if ax.periodic else ax.length / max(n - 1, 1)
+                for ax, n in zip(self.axes, self.grid_counts(density))
+            ])
+            spacings.setflags(write=False)
+            self._cache[key] = spacings
+        return self._cache[key]
 
     def fs_sample(self):
         """(elements, weights) Haar quadrature for the verification route's

@@ -20,10 +20,11 @@ import numpy as np
 from . import _numerics as num
 from .catalog import catalog_summary
 from .errors import AmbiguityError, InternalCheckError, ValidationError
-from .isom_quotient import DEFAULT_SAMPLE_COUNT, quotient_isometry_group, report_json
+from .isom_quotient import (DEFAULT_SAMPLE_COUNT, _resolve_source, quotient_isometry_group,
+                            report_json)
 from .lift_verify import lift_rotation, quat_to_rotation
 from .orbit_geometry import QuotientPoint, check_sampling, quotient_distance
-from .repr_model import enumerate_group, load_spec
+from .repr_model import enumerate_group
 from .verification import run_suites
 
 ENV_SEED = "ORBIT_ISOM_SEED"
@@ -124,15 +125,11 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _metric_context(input_path: str):
-    if input_path.startswith("catalog:"):
-        from .catalog import get_action
-
-        action = get_action(input_path.split(":", 1)[1])
-        meta = {"method": "coarse-grid-with-refinement", "action": action.id}
-        return action, meta
-    group = enumerate_group(load_spec(input_path))
-    meta = {"method": "exact-minimum-over-group", "groupOrder": group.order}
-    return group, meta
+    _, spec, action = _resolve_source(input_path)
+    if action is not None:
+        return action, {"method": "coarse-grid-with-refinement", "action": action.id}
+    group = enumerate_group(spec)
+    return group, {"method": "exact-minimum-over-group", "groupOrder": group.order}
 
 
 def cmd_metric(config: RunConfig, point_a: str, point_b: str) -> int:

@@ -50,6 +50,7 @@ from .repr_model import (
     enumerate_group,
     fixed_subspace,
     load_spec,
+    parse_spec,
     restrict_group,
 )
 
@@ -499,24 +500,33 @@ def _kernel_method_text(boundary: bool, finite: bool) -> str:
 
 
 def _resolve_source(source):
-    """Returns (label, spec | None, action | None)."""
+    """Returns (label, spec | None, action | None).
+
+    A spec of catalog kind resolves to its catalog action whether it
+    arrives as a path, a dict or a RepresentationSpec, and must describe
+    that action: its dimension, and no generators of its own.
+    """
     if isinstance(source, CatalogAction):
         return f"catalog:{source.id}", None, source
-    if isinstance(source, RepresentationSpec):
-        if source.kind.startswith("catalog:"):
-            return source.kind, None, get_action(source.catalog_id)
-        return "finite-spec", source, None
+    if isinstance(source, str) and source.startswith("catalog:"):
+        return source, None, get_action(source.split(":", 1)[1])
     if isinstance(source, str):
-        if source.startswith("catalog:"):
-            return source, None, get_action(source.split(":", 1)[1])
-        return source, load_spec(source), None
-    if isinstance(source, dict):
-        from .repr_model import parse_spec
-        spec = parse_spec(source)
-        if spec.kind.startswith("catalog:"):
-            return spec.kind, None, get_action(spec.catalog_id)
-        return "finite-spec", spec, None
-    raise ValidationError(f"unsupported analysis source: {type(source).__name__}")
+        label, spec = source, load_spec(source)
+    elif isinstance(source, dict):
+        label, spec = "finite-spec", parse_spec(source)
+    elif isinstance(source, RepresentationSpec):
+        label, spec = "finite-spec", source
+    else:
+        raise ValidationError(f"unsupported analysis source: {type(source).__name__}")
+    if spec.catalog_id is None:
+        return label, spec, None
+    action = get_action(spec.catalog_id)
+    if spec.dimension != action.dimension:
+        raise ValidationError(
+            f"{spec.kind} acts on R^{action.dimension}, the spec has dimension {spec.dimension}")
+    if spec.generators:
+        raise ValidationError(f"a {spec.kind} spec takes no generators")
+    return spec.kind, None, action
 
 
 def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,

@@ -240,6 +240,9 @@ def descend_check(x_iso: np.ndarray, context, sample_count: int,
 def normalizer_check(group: FiniteGroupData, f: np.ndarray) -> bool:
     """Whether conjugation by f maps the group onto itself."""
     f = np.asarray(f, dtype=float)
+    d = group.dimension
+    if f.shape != (d, d):
+        raise ValidationError(f"normalizer_check expects a {d}x{d} matrix, got shape {f.shape}")
     if num.orthogonality_residual(f) > 1e-9:
         raise ValidationError("normalizer_check expects an orthogonal matrix")
     return bool(np.all(group.lookup(f @ group.elements @ f.T) >= 0))

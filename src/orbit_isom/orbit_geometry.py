@@ -14,7 +14,9 @@ products a b^T, since a^T g b = <a b^T, g>_F; a distance forms ||a - g b||
 only at the argmax. Only ``_batched_max_dots`` reads a grid of another
 density, for the unrefined Hopf metric check.
 Refined values always upper-bound the true distance, since they are minima
-over a finite subset of the group.
+over a finite subset of the group. One routine, ``_group_min``, serves both
+kinds of context, so the distances and the orbit test are one call each:
+the finite scan is the grid pass, run over the elements.
 
 The sector estimator screens its sampled pairs on the grid with a bound:
 the maximum over every SCREEN_STRIDE-th grid element is a lower bound on a
@@ -39,7 +41,6 @@ from .repr_model import FiniteGroupData
 
 ORBIT_MEMBERSHIP_TOL = 1e-7
 ORBIT_GUARD = 10.0
-GENERIC_MIN_MOVE = 1e-4
 # Newton ascent: Hessian eigenvalues are floored at this fraction of |a| |b|,
 # the Armijo constant, and the smallest step fraction before the line search
 # gives up.
@@ -231,58 +232,41 @@ def _grid_argmax(els: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
     return int(np.argmax(els.reshape(len(els), -1) @ np.outer(a, b).ravel()))
 
 
-def _catalog_min_norm(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
-                      rounds: int = 3, sweeps: int = 8,
-                      stop: float | None = None,
-                      refine_cutoff: float | None = None) -> float:
-    """min over g of ||a - g b||: the default grid, then refinement.
+def _gap(a: np.ndarray, b: np.ndarray):
+    """g -> ||a - g b||."""
+    return lambda g: float(np.linalg.norm(a - g @ b))
 
-    ``refine_cutoff`` skips refinement when the grid value is already large
-    (refinement only lowers the estimate toward the true distance, so a
-    clearly-large grid value cannot refine into the pass region).
+
+def _group_min(ctx: Context, f, a: np.ndarray, b: np.ndarray, *, rounds: int,
+               sweeps: int, stop: float | None = None, cutoff: bool = False) -> float:
+    """min over the group of f(g), f(g) = ||a - g b|| or -a^T g b, both
+    smallest where a^T g b is largest: exact over a finite group's elements
+    (f at the ``_grid_argmax`` index); over a catalog action, the default
+    grid, then ``_catalog_refine`` with ``rounds``, ``sweeps`` and ``stop``.
+    With ``cutoff`` a grid value above max(0.01, twice the grid cell's
+    diagonal) is returned unrefined: a true zero of the distance can sit
+    anywhere in a cell (unit vectors give a Lipschitz constant of about 1
+    per parameter), so refinement cannot bring it into the pass region.
     """
-    params, els = action.grid()
+    if isinstance(ctx, FiniteGroupData):
+        return f(ctx.elements[_grid_argmax(ctx.elements, a, b)])
+    params, els = ctx.grid()
     i = _grid_argmax(els, a, b)
-    grid_best = float(np.linalg.norm(a - els[i] @ b))
-    if refine_cutoff is not None and grid_best > refine_cutoff:
-        return grid_best
-
-    def f(g):
-        return float(np.linalg.norm(a - g @ b))
-
-    refined = _catalog_refine(action, f, a, b, params[i],
-                              rounds=rounds, sweeps=sweeps, stop=stop)
-    return min(grid_best, refined)
-
-
-def _catalog_max_dot(action: CatalogAction, a: np.ndarray, b: np.ndarray, *,
-                     rounds: int = 1, sweeps: int = 6) -> float:
-    params, els = action.grid()
-    i = _grid_argmax(els, a, b)
-    grid_best = float(a @ (els[i] @ b))
-
-    def f(g):
-        return -float(a @ (g @ b))
-
-    refined = -_catalog_refine(action, f, a, b, params[i],
-                               rounds=rounds, sweeps=sweeps, stop=None)
-    return max(grid_best, refined)
+    best = f(els[i])
+    if cutoff and best > max(0.01, 2.0 * float(np.linalg.norm(ctx.grid_spacings()))):
+        return best
+    return min(best, _catalog_refine(ctx, f, a, b, params[i], rounds=rounds,
+                                     sweeps=sweeps, stop=stop))
 
 
 def quotient_distance(a: QuotientPoint, b: QuotientPoint) -> float:
-    """Quotient metric d(Gx, Gy) = min_g ||x - g y||.
-
-    Exact for finite contexts; grid + refinement for catalog contexts.
-    """
+    """Quotient metric d(Gx, Gy) = min_g ||x - g y|| (``_group_min``)."""
     # Contexts compare by identity: two actions may share an id and differ
     # in their generators.
     if a.context is not b.context:
         raise ValidationError("quotient_distance: points live in different contexts")
-    ctx = a.context
     x, y = a.representative, b.representative
-    if isinstance(ctx, FiniteGroupData):
-        return float(np.linalg.norm(x[None, :] - ctx.elements @ y, axis=1).min())
-    return _catalog_min_norm(ctx, x, y)
+    return _group_min(a.context, _gap(x, y), x, y, rounds=3, sweeps=8)
 
 
 def sphere_quotient_distance(a, b, context: Context) -> float:
@@ -299,10 +283,7 @@ def sphere_quotient_distance(a, b, context: Context) -> float:
                 f"sphere_quotient_distance: point has shape {v.shape}, context dimension is {d}")
         if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:  # false for NaN too
             raise ValidationError("sphere_quotient_distance requires unit vectors")
-    if isinstance(context, FiniteGroupData):
-        best = float(((context.elements @ b) @ a).max())
-    else:
-        best = _catalog_max_dot(context, a, b)
+    best = -_group_min(context, lambda g: -float(a @ (g @ b)), a, b, rounds=1, sweeps=6)
     return float(math.acos(min(1.0, max(-1.0, best))))
 
 
@@ -331,27 +312,16 @@ def has_boundary(ctx: Context) -> bool:
 
 
 def sample_generic_point(ctx: Context, rng: np.random.Generator) -> np.ndarray:
-    """A unit vector with trivial isotropy margin.
-
-    Finite case: rejected while any nonidentity element moves the point by
-    less than GENERIC_MIN_MOVE. Catalog case: rejected unless
-    ``CatalogAction.is_generic`` holds, i.e. the orbit has the generic
+    """A random unit vector on which ``ctx.is_generic`` holds: for a finite
+    group, every nonidentity element moves it by more than
+    GENERIC_MIN_MOVE; for a catalog action, its orbit has the generic
     dimension with GENERIC_MARGIN to spare, away from singular strata.
     Gives up after 1000 rejected draws.
     """
-    d = ctx.dimension
     for _ in range(1000):
-        x = num.random_unit_vector(rng, d)
-        if isinstance(ctx, FiniteGroupData):
-            if ctx.order == 1:
-                return x
-            moved = np.linalg.norm(x[None, :] - ctx.elements @ x, axis=1)
-            moved[ctx.identity_index] = np.inf
-            if moved.min() > GENERIC_MIN_MOVE:
-                return x
-        else:
-            if ctx.is_generic(x):
-                return x
+        x = num.random_unit_vector(rng, ctx.dimension)
+        if ctx.is_generic(x):
+            return x
     raise ValidationError("could not sample a generic point (singular action?)")
 
 
@@ -379,23 +349,12 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
         raise ValidationError("candidate shape does not match context dimension")
     if num.orthogonality_residual(candidate) > 1e-8:
         raise ValidationError("candidate is not orthogonal")
-    if isinstance(ctx, CatalogAction):
-        # A true zero of the distance can sit anywhere inside a grid cell,
-        # so the skip-refinement cutoff must dominate the cell diagonal
-        # (unit vectors give Lipschitz constant about 1 per parameter).
-        cell = float(np.linalg.norm(ctx.grid_spacings()))
     rng = np.random.default_rng([seed])
     for _ in range(sample_count):
         x = sample_generic_point(ctx, rng)
         y = candidate @ x
-        if isinstance(ctx, FiniteGroupData):
-            dist = float(np.linalg.norm(y[None, :] - ctx.elements @ x, axis=1).min())
-        else:
-            dist = _catalog_min_norm(
-                ctx, y, x, rounds=4, sweeps=8,
-                stop=ORBIT_MEMBERSHIP_TOL * 0.05,
-                refine_cutoff=max(0.01, 2.0 * cell),
-            )
+        dist = _group_min(ctx, _gap(y, x), y, x, rounds=4, sweeps=8,
+                          stop=ORBIT_MEMBERSHIP_TOL * 0.05, cutoff=True)
         if dist <= ORBIT_MEMBERSHIP_TOL:
             continue
         if dist <= ORBIT_GUARD * ORBIT_MEMBERSHIP_TOL:

@@ -37,6 +37,9 @@ DEFAULT_SEED = 0
 
 DEDUP_TOL = 1e-8
 DEDUP_GUARD = 10.0
+# ``FiniteGroupData.is_generic`` needs every nonidentity element to move the
+# point by more than this.
+GENERIC_MIN_MOVE = 1e-4
 # The dedup key's projection comes from a constant seed, not the user's: it
 # decides which elements get compared, never a verdict.
 _KEY_SEED = 4
@@ -324,6 +327,22 @@ class FiniteGroupData:
     @property
     def dimension(self) -> int:
         return int(self.elements.shape[1])
+
+    def is_generic(self, x: np.ndarray) -> bool:
+        """Whether x has trivial isotropy with margin: every nonidentity
+        element moves it by more than GENERIC_MIN_MOVE. In the trivial
+        group every x is generic."""
+        if self.order == 1:
+            return True
+        x = np.asarray(x, dtype=float)
+        moved = np.linalg.norm(x[None, :] - self.elements @ x, axis=1)
+        moved[self.identity_index] = np.inf
+        return bool(moved.min() > GENERIC_MIN_MOVE)
+
+    def fs_sample(self) -> tuple[np.ndarray, np.ndarray]:
+        """(elements, weights) averaging over the group exactly: every
+        element, with weight 1/|G|."""
+        return self.elements, np.full(self.order, 1.0 / self.order)
 
     def lookup(self, mats: np.ndarray) -> np.ndarray:
         """Index of the stored element matching each matrix of an (n, d, d)

@@ -266,7 +266,7 @@ def _finite_kernel_problems(name: str, memo: _AnalysisMemo) -> list[str]:
     if rep["kernel"]["circleDirections"] != 0:
         problems.append(f"{name}: reported circle directions nonzero")
     ctx = result.context
-    if not isinstance(ctx, FiniteGroupData) or ctx.dimension == 0:
+    if ctx is None:
         return problems
     kernel = result.kernel.finite_part
     center = center_of_group(ctx)
@@ -363,17 +363,13 @@ def _expected_skew_dim(rep: dict) -> int:
 
 def indicator_sums(result) -> list[float]:
     """The group average (1/|G|) sum_g trace(P g^2 P) over each component
-    of an analysis: all elements of a finite group with equal weights, the
-    Haar quadrature ``fs_sample()`` of a catalog action. The analysis reads
-    type and multiplicity from the restricted commutant instead; this is
-    the second route, n, 0 or -2n by Frobenius-Schur."""
+    of an analysis, over the context's ``fs_sample()``: every element of a
+    finite group with weight 1/|G|, or a catalog action's Haar quadrature.
+    The analysis reads type and multiplicity from the restricted commutant
+    instead; this is the second route, n, 0 or -2n by Frobenius-Schur."""
     if result.equiv is None:
         return []
-    ctx = result.context
-    if isinstance(ctx, FiniteGroupData):
-        elements, weights = ctx.elements, np.full(ctx.order, 1.0 / ctx.order)
-    else:
-        elements, weights = ctx.fs_sample()
+    elements, weights = result.context.fs_sample()
     mean_square = np.tensordot(weights, elements @ elements, axes=1)
     return [float(np.sum(c.basis * (mean_square @ c.basis)))
             for c in result.equiv.components]

@@ -105,6 +105,13 @@ def test_grid_holds_the_identity_and_quadrature_weights_sum_to_one():
         assert abs(weights.sum() - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("density", [0, -8, 0.5])
+@pytest.mark.parametrize("method", ["grid", "grid_spacings", "grid_counts"])
+def test_a_grid_density_below_1_is_rejected(method, density):
+    with pytest.raises(ValidationError, match="density must be at least 1"):
+        getattr(get_action("so2xso3-r5"), method)(density)
+
+
 def test_actions_sharing_an_id_keep_their_own_grids(monkeypatch):
     # Grids and quadratures are cached per instance: a copy under the same
     # id with conjugated generators must not reuse the original's.

@@ -213,3 +213,41 @@ def test_negative_env_seed(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "--input", C5)
     assert code == 1
     assert err == "error: the seed must be non-negative, got -4\n"
+
+
+def _catalog_spec_file(tmp_path, **doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dimension": 4, "kind": "catalog:hopf-u1-r4", **doc}))
+    return str(path)
+
+
+def test_analyze_reads_a_catalog_kind_spec_file(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", "--input", _catalog_spec_file(tmp_path))
+    assert code == 0, err
+    rep = json.loads(out)
+    assert [f["name"] for f in rep["compactFactors"]] == ["U(2)/center"]
+    code, want, _ = run(capsys, "analyze", "--input", "catalog:hopf-u1-r4")
+    assert out == want
+
+
+def test_metric_reads_a_catalog_kind_spec_file(capsys, tmp_path):
+    code, out, err = run(capsys, "metric", "--input", _catalog_spec_file(tmp_path),
+                         "1,0,0,0", "0,1,0,0")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["action"] == "hopf-u1-r4"
+    assert abs(payload["distance"]) <= 1e-12  # (0, 1) is i (1, 0) in C^2
+    _, want, _ = run(capsys, "metric", "--input", "catalog:hopf-u1-r4", "1,0,0,0", "0,1,0,0")
+    assert out == want
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["metric", "1,0,0,0", "0,1,0,0"]])
+@pytest.mark.parametrize("doc", [{"dimension": 7}, {"generators": [np.eye(4).tolist()]}],
+                         ids=["wrong-dimension", "generators"])
+def test_a_catalog_kind_spec_file_that_misdescribes_its_action_exits_1(
+        capsys, tmp_path, command, doc):
+    path = _catalog_spec_file(tmp_path, **doc)
+    code, out, err = run(capsys, command[0], "--input", path, *command[1:])
+    assert code == 1
+    assert not out
+    assert "hopf-u1-r4" in err

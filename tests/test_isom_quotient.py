@@ -236,6 +236,39 @@ def test_a_negative_seed_or_no_samples_is_rejected(source, kwargs):
     assert err.value.stage == "parse"
 
 
+HOPF_DOC = {"dimension": 4, "kind": "catalog:hopf-u1-r4"}
+
+
+def _as_source(doc, form, tmp_path):
+    """The spec document as a path, a dict or a parsed spec."""
+    if form == "path":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+    return doc if form == "dict" else parse_spec(doc)
+
+
+@pytest.mark.parametrize("form", ["path", "dict", "spec"])
+def test_a_catalog_kind_spec_analyzes_as_its_action_in_every_form(form, tmp_path):
+    result = quotient_isometry_group(_as_source(HOPF_DOC, form, tmp_path))
+    assert result.source == "catalog:hopf-u1-r4"
+    assert result.context is get_action("hopf-u1-r4")
+    want = quotient_isometry_group("catalog:hopf-u1-r4").report
+    assert report_json(result.report) == report_json(want)
+    assert [f["name"] for f in result.report["compactFactors"]] == ["U(2)/center"]
+
+
+@pytest.mark.parametrize("form", ["path", "dict", "spec"])
+@pytest.mark.parametrize("doc, match", [
+    ({"dimension": 7, "kind": "catalog:hopf-u1-r4"}, "acts on R\\^4"),
+    ({**HOPF_DOC, "generators": [np.eye(4).tolist()]}, "takes no generators"),
+], ids=["wrong-dimension", "generators"])
+def test_a_catalog_kind_spec_must_describe_its_action(doc, match, form, tmp_path):
+    with pytest.raises(ValidationError, match=match) as err:
+        quotient_isometry_group(_as_source(doc, form, tmp_path))
+    assert err.value.stage == "parse"
+
+
 def test_an_orbit_test_over_no_samples_is_rejected(finite_group):
     group = finite_group("d4")
     with pytest.raises(ValidationError, match="sample count"):

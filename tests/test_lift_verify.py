@@ -166,6 +166,18 @@ def test_normalizer_check(finite_group):
     assert normalizer_check(c5, rot2_embedding(0.3))
 
 
+@pytest.mark.parametrize("f", [np.eye(3), np.eye(2, 3), np.ones(4)], ids=["3x3", "2x3", "vector"])
+def test_normalizer_check_rejects_a_matrix_of_the_wrong_shape(finite_group, f):
+    with pytest.raises(ValidationError, match="2x2"):
+        normalizer_check(finite_group("c5"), f)
+
+
+@pytest.mark.parametrize("density", [0, -5])
+def test_verify_hopf_metric_rejects_a_density_below_1(density):
+    with pytest.raises(ValidationError, match="density"):
+        verify_hopf_metric(10, 0, density=density)
+
+
 def test_non_lift_demo_text():
     text = non_lift_demo("so2xso3-r5", sample_count=500, seed=0)
     assert "sector angle estimate" in text

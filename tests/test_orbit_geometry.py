@@ -574,3 +574,26 @@ def test_has_boundary_agrees_with_the_full_rank_test(name):
     generators = BOUNDARY_CASES[name]
     group = enumerate_group(spec_of(generators, len(generators[0])))
     assert has_boundary(group) is full_svd_boundary(group)
+
+
+# Every fixture with a moving part, as the analysis restricts it, and B4.
+_FINITE_CONTEXTS = [name for name in FIXTURE_NAMES if name != "trivial-r3"] + ["B4"]
+
+
+@pytest.mark.parametrize("name", _FINITE_CONTEXTS)
+def test_finite_distances_are_the_brute_force_extrema(name, memo):
+    # The finite route takes one element from a scan of a^T g b; the
+    # distances must be the extrema over all elements, formed one by one.
+    if name == "B4":
+        group = enumerate_group(spec_of(signed_permutations(4), 4))
+    else:
+        group = memo.analysis(name).context
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        x, y = rng.standard_normal((2, group.dimension))
+        want = min(float(np.linalg.norm(x - g @ y)) for g in group.elements)
+        got = quotient_distance(QuotientPoint(x, group), QuotientPoint(y, group))
+        assert abs(got - want) <= 1e-14
+        a, b = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        want = max(float(a @ (g @ b)) for g in group.elements)
+        assert abs(math.cos(sphere_quotient_distance(a, b, group)) - want) <= 1e-14
