@@ -19,10 +19,9 @@ eigenvalue w^2, w a frequency of X,
 the form of ``_numerics.skew_exp`` grouped by frequency; ``CatalogAction``
 computes the P_w once. The circle of SO(2) is exp(t J); SO(3) is reached
 through the Euler angles Rz(alpha) Ry(beta) Rz(gamma). The parameters
-serve the grids, the quadrature and the golden-section fallback of the
-quotient-metric refinement; its Newton ascent moves group elements
-instead, g -> g exp(S) with S in the Lie algebra below, whose chart has no
-polar singularity.
+serve the grids and the quadrature only: the quotient-metric refinement,
+a Newton ascent, moves group elements, g -> g exp(S) with S in the Lie
+algebra below, whose chart has no polar singularity.
 
 Each action exposes two discretizations, tuned to their consumers, each
 built from the generators in one batched product:
@@ -210,20 +209,6 @@ class CatalogAction:
         params = _mesh(axes_vals)
         self._cache[density] = (params, self.elements(params))
         return self._cache[density]
-
-    def grid_spacings(self, density: int | None = None) -> np.ndarray:
-        """Parameter step of each axis of the grid of ``density``. Cached
-        per density, read-only."""
-        density = DEFAULT_DENSITY if density is None else int(density)
-        key = ("spacings", density)
-        if key not in self._cache:
-            spacings = np.array([
-                ax.length / n if ax.periodic else ax.length / max(n - 1, 1)
-                for ax, n in zip(self.axes, self.grid_counts(density))
-            ])
-            spacings.setflags(write=False)
-            self._cache[key] = spacings
-        return self._cache[key]
 
     def fs_sample(self):
         """(elements, weights) Haar quadrature for the verification route's

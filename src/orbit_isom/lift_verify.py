@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numerics as num
-from .catalog import CatalogAction, get_action
+from .catalog import get_action
 from .errors import ValidationError
 from .orbit_geometry import (
     QuotientPoint,
     _batched_max_dots,
+    check_context,
     check_sampling,
     quotient_distance,
     sector_angle_estimate,
@@ -212,8 +213,7 @@ def descend_check(x_iso: np.ndarray, context, sample_count: int,
     """
     check_sampling(sample_count, seed)
     x_iso = np.asarray(x_iso, dtype=float)
-    if not isinstance(context, (FiniteGroupData, CatalogAction)):
-        raise ValidationError("descend_check expects a finite group or catalog action")
+    check_context(context, "descend_check")
     d = context.dimension
     if x_iso.shape != (d, d):
         raise ValidationError(

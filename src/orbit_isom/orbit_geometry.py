@@ -1,22 +1,22 @@
 """Quotient-metric oracle and orbit-space geometry probes.
 
 The quotient distance between orbits is d(Gx, Gy) = min_g ||x - g y||. For
-finite groups the minimum is exact over the enumerated elements. For catalog
-actions it is approximated from above in value: a pass over the action's
-default grid (DEFAULT_DENSITY elements; density m has chordal error
-O(1/m)), then local refinement: a damped Newton ascent of phi(g) = a^T g b
-over the group image, stepping g -> g exp(S) with S in its Lie algebra, with
-the exact gradient and Hessian of s -> a^T g exp(sum_j s_j A_j) b and a line
-search read off one eigendecomposition of S^2; golden-section sweeps over
-the sampler parameters run only when the ascent does not converge. Every
-grid pass is one product of the flattened grid with flattened outer
-products a b^T, since a^T g b = <a b^T, g>_F; a distance forms ||a - g b||
-only at the argmax. Only ``_batched_max_dots`` reads a grid of another
-density, for the unrefined Hopf metric check.
+finite groups the minimum is exact: the distance is formed for every
+enumerated element. For catalog actions it is approximated from above in
+value: a pass over the action's default grid (DEFAULT_DENSITY elements;
+density m has chordal error O(1/m)), then one refinement, a damped Newton
+ascent of phi(g) = a^T g b over the group image, stepping g -> g exp(S)
+with S in its Lie algebra, with the exact gradient and Hessian of
+s -> a^T g exp(sum_j s_j A_j) b and a line search read off one
+eigendecomposition of S^2. An ascent that does not converge raises
+AmbiguityError; there is no second refinement to fall back on. Every grid
+pass is one product of the flattened grid with flattened outer products
+a b^T, since a^T g b = <a b^T, g>_F; a distance forms ||a - g b|| only at
+the argmax and at the ascent's end. Only ``_batched_max_dots`` reads a grid
+of another density, for the unrefined Hopf metric check.
 Refined values always upper-bound the true distance, since they are minima
 over a finite subset of the group. One routine, ``_group_min``, serves both
-kinds of context, so the distances and the orbit test are one call each:
-the finite scan is the grid pass, run over the elements.
+kinds of context, so the distances and the orbit test are one call each.
 
 The sector estimator screens its sampled pairs on the grid with a bound:
 the maximum over every SCREEN_STRIDE-th grid element is a lower bound on a
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _numerics as num
 from .catalog import CatalogAction
-from .errors import KernelAmbiguityError, ValidationError
+from .errors import AmbiguityError, KernelAmbiguityError, ValidationError
 from .repr_model import FiniteGroupData
 
 ORBIT_MEMBERSHIP_TOL = 1e-7
@@ -59,6 +59,7 @@ class QuotientPoint:
     context: Context
 
     def __post_init__(self):
+        check_context(self.context, "QuotientPoint")
         rep = np.asarray(self.representative, dtype=float)
         object.__setattr__(self, "representative", rep)
         d = self.context.dimension
@@ -68,6 +69,14 @@ class QuotientPoint:
             )
         if not np.isfinite(rep).all():
             raise ValidationError(f"point has non-finite coordinates: {rep}")
+
+
+def check_context(ctx, what: str) -> None:
+    """Raises ValidationError unless ``ctx`` is a finite group or a catalog
+    action, the two contexts of every oracle entry point."""
+    if not isinstance(ctx, Context):
+        raise ValidationError(
+            f"{what} expects a finite group or catalog action, got {type(ctx).__name__}")
 
 
 def _dot_jets(alg: np.ndarray, b: np.ndarray):
@@ -183,47 +192,6 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     return out_g, out_phi, converged
 
 
-def _catalog_refine(action: CatalogAction, f, a: np.ndarray, b: np.ndarray,
-                    p0: np.ndarray, *, rounds: int, sweeps: int,
-                    stop: float | None) -> float:
-    """Local refinement of f from the grid parameters ``p0``, where f(g) is
-    ||a - g b|| or -a^T g b on group elements.
-
-    Both are smallest where phi = a^T g b is largest, since
-    ||a - g b||^2 = ||a||^2 + ||b||^2 - 2 phi for orthogonal g, so the
-    Newton ascent of phi runs first, from the grid element rebuilt by
-    ``action.element``. ``stop`` is a value of the distance f; reaching it
-    ends the ascent. Only an unconverged ascent falls through to
-    derivative-free golden-section coordinate sweeps of f over the Euler
-    parameters (``rounds`` of them from ``p0``, spans halving per round,
-    from the default grid spacing).
-    """
-    g0 = action.element(p0)
-    best = f(g0)
-    phi_stop = None if stop is None else 0.5 * (a @ a + b @ b - stop * stop)
-    # gtol bounds the gradient of ||a - g b||^2, which is -2 grad phi.
-    g, _, converged = _newton_ascent(action, a[None], b[None], g0[None], gtol=0.5e-12,
-                                     ftol=1e-16, maxiter=300, stop=phi_stop)
-    best = min(best, f(g[0]))
-    if converged[0] or (stop is not None and best <= stop):
-        return best
-
-    def sweep_f(p):
-        return f(action.element(p))
-
-    spans0 = action.grid_spacings()
-    p = np.array(p0, dtype=float)
-    for r in range(rounds):
-        p, val = num.coordinate_descent(
-            sweep_f, p, spans0 * (0.5 ** r), sweeps=sweeps, xtol=1e-13,
-            target=stop,
-        )
-        best = min(best, val)
-        if stop is not None and best <= stop:
-            break
-    return best
-
-
 def _grid_argmax(els: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
     """Index of the grid element g maximizing a^T g b = <a b^T, g>_F, from
     one product of the flattened grid with the flattened outer product. It
@@ -232,31 +200,56 @@ def _grid_argmax(els: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
     return int(np.argmax(els.reshape(len(els), -1) @ np.outer(a, b).ravel()))
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_n . v_n for every row of ``u`` (N, d), ``v`` a row or (N, d). The
+    stacked product sums each row as the dot product of two vectors does,
+    so a row's value does not depend on the stack it sits in."""
+    return (u[:, None, :] @ v[..., :, None])[:, 0, 0]
+
+
 def _gap(a: np.ndarray, b: np.ndarray):
-    """g -> ||a - g b||."""
-    return lambda g: float(np.linalg.norm(a - g @ b))
+    """Stack g (N, d, d) -> ||a - g_n b|| for every n."""
+    def f(g):
+        r = a - g @ b
+        return np.sqrt(_row_dots(r, r))
+    return f
 
 
-def _group_min(ctx: Context, f, a: np.ndarray, b: np.ndarray, *, rounds: int,
-               sweeps: int, stop: float | None = None, cutoff: bool = False) -> float:
-    """min over the group of f(g), f(g) = ||a - g b|| or -a^T g b, both
-    smallest where a^T g b is largest: exact over a finite group's elements
-    (f at the ``_grid_argmax`` index); over a catalog action, the default
-    grid, then ``_catalog_refine`` with ``rounds``, ``sweeps`` and ``stop``.
-    With ``cutoff`` a grid value above max(0.01, twice the grid cell's
-    diagonal) is returned unrefined: a true zero of the distance can sit
-    anywhere in a cell (unit vectors give a Lipschitz constant of about 1
-    per parameter), so refinement cannot bring it into the pass region.
+def _group_min(ctx: Context, f, a: np.ndarray, b: np.ndarray, *,
+               stop: float | None = None) -> float:
+    """min over the group of f(g), f(g) = ||a - g b|| or -a^T g b, for f
+    mapping a stack of elements to its values.
+
+    Both f are smallest where phi = a^T g b is largest, since
+    ||a - g b||^2 = ||a||^2 + ||b||^2 - 2 phi for orthogonal g. Over a
+    finite group the minimum is exact: f is formed for every element whose
+    computed phi lies within 2 d^2 sqrt(d) eps |a| |b| of the largest, so
+    elements whose images of b tie to roundoff are all compared. A computed
+    phi sums d^2 rounded products of magnitudes adding up to at most
+    sqrt(d) |a| |b|, so two of them are off by at most half that band
+    against each other; the other half is margin for the elements' own
+    departure from orthogonality. Over a catalog action the
+    ``_grid_argmax`` element of the default grid starts the Newton ascent
+    of phi (``_newton_ascent``), and the result is the smaller f of the grid
+    element and the ascent's end. ``stop`` is a value of the distance f;
+    reaching it ends the ascent. An ascent that does not converge raises
+    AmbiguityError.
     """
     if isinstance(ctx, FiniteGroupData):
-        return f(ctx.elements[_grid_argmax(ctx.elements, a, b)])
+        els, d = ctx.elements, ctx.dimension
+        phi = els.reshape(len(els), -1) @ np.outer(a, b).ravel()
+        band = 2.0 * d * d * num.EPS * math.sqrt(d * (a @ a) * (b @ b))
+        return float(f(els[phi >= phi.max() - band]).min())
     params, els = ctx.grid()
     i = _grid_argmax(els, a, b)
-    best = f(els[i])
-    if cutoff and best > max(0.01, 2.0 * float(np.linalg.norm(ctx.grid_spacings()))):
-        return best
-    return min(best, _catalog_refine(ctx, f, a, b, params[i], rounds=rounds,
-                                     sweeps=sweeps, stop=stop))
+    phi_stop = None if stop is None else 0.5 * (a @ a + b @ b - stop * stop)
+    # gtol bounds the gradient of ||a - g b||^2, which is -2 grad phi.
+    g, _, converged = _newton_ascent(ctx, a[None], b[None], ctx.element(params[i])[None],
+                                     gtol=0.5e-12, ftol=1e-16, maxiter=300, stop=phi_stop)
+    if not converged[0]:
+        raise AmbiguityError(
+            f"{ctx.id}: the Newton ascent from grid element {i} did not converge")
+    return float(f(np.stack([els[i], g[0]])).min())
 
 
 def quotient_distance(a: QuotientPoint, b: QuotientPoint) -> float:
@@ -266,7 +259,7 @@ def quotient_distance(a: QuotientPoint, b: QuotientPoint) -> float:
     if a.context is not b.context:
         raise ValidationError("quotient_distance: points live in different contexts")
     x, y = a.representative, b.representative
-    return _group_min(a.context, _gap(x, y), x, y, rounds=3, sweeps=8)
+    return _group_min(a.context, _gap(x, y), x, y)
 
 
 def sphere_quotient_distance(a, b, context: Context) -> float:
@@ -274,6 +267,7 @@ def sphere_quotient_distance(a, b, context: Context) -> float:
 
     Inputs must be unit vectors. This is the intrinsic distance on SV/G.
     """
+    check_context(context, "sphere_quotient_distance")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = context.dimension
@@ -283,7 +277,7 @@ def sphere_quotient_distance(a, b, context: Context) -> float:
                 f"sphere_quotient_distance: point has shape {v.shape}, context dimension is {d}")
         if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:  # false for NaN too
             raise ValidationError("sphere_quotient_distance requires unit vectors")
-    best = -_group_min(context, lambda g: -float(a @ (g @ b)), a, b, rounds=1, sweeps=6)
+    best = -_group_min(context, lambda g: -_row_dots(g @ b, a), a, b)
     return float(math.acos(min(1.0, max(-1.0, best))))
 
 
@@ -297,6 +291,7 @@ def has_boundary(ctx: Context) -> bool:
     prefilter reads ||g - I||_F^2 as ||g||_F^2 - 2 tr g + d, which needs no
     stack of differences. Catalog actions carry the verdict as metadata.
     """
+    check_context(ctx, "has_boundary")
     if isinstance(ctx, CatalogAction):
         return ctx.metadata.has_boundary
     d = ctx.dimension
@@ -326,8 +321,13 @@ def sample_generic_point(ctx: Context, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_sampling(sample_count: int, seed: int) -> None:
-    """Raises ValidationError for a negative seed, which numpy rejects, or
-    for no samples, over which every sampled check passes vacuously."""
+    """Raises ValidationError for a count or seed that is not an integer (a
+    bool included; numpy integers pass), a negative seed, which numpy
+    rejects, or no samples, over which every sampled check passes
+    vacuously."""
+    for what, value in (("sample count", sample_count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"the {what} must be an integer, got {value!r}")
     if seed < 0:
         raise ValidationError(f"the seed must be non-negative, got {seed}")
     if sample_count < 1:
@@ -343,6 +343,7 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
     (tolerance boundary); anything larger is a clean failure.
     """
     check_sampling(sample_count, seed)
+    check_context(ctx, "orbit_equivalence_test")
     candidate = np.asarray(candidate, dtype=float)
     d = ctx.dimension
     if candidate.shape != (d, d):
@@ -353,8 +354,7 @@ def orbit_equivalence_test(ctx: Context, candidate: np.ndarray, sample_count: in
     for _ in range(sample_count):
         x = sample_generic_point(ctx, rng)
         y = candidate @ x
-        dist = _group_min(ctx, _gap(y, x), y, x, rounds=4, sweeps=8,
-                          stop=ORBIT_MEMBERSHIP_TOL * 0.05, cutoff=True)
+        dist = _group_min(ctx, _gap(y, x), y, x, stop=ORBIT_MEMBERSHIP_TOL * 0.05)
         if dist <= ORBIT_MEMBERSHIP_TOL:
             continue
         if dist <= ORBIT_GUARD * ORBIT_MEMBERSHIP_TOL:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from orbit_isom import orbit_geometry
 from orbit_isom.fixtures import fixture_document
 from orbit_isom.repr_model import enumerate_group, parse_spec
 from orbit_isom.verification import _AnalysisMemo
@@ -94,3 +95,13 @@ def with_kernel_edit(result, *, parts=None, center_circle_index=None):
         first = dataclasses.replace(equiv.factors[0], center_circle_index=center_circle_index)
         equiv = dataclasses.replace(equiv, factors=(first,) + equiv.factors[1:])
     return dataclasses.replace(result, kernel=kernel, equiv=equiv)
+
+
+def stall_newton_ascent(monkeypatch, *, converged):
+    """Make every Newton ascent return its start element, with the given
+    ``converged`` flag."""
+    def stalled(action, a, b, g0, **_):
+        g0 = np.array(g0, dtype=float)
+        return g0, np.einsum("ni,nij,nj->n", a, g0, b), np.full(len(g0), converged)
+
+    monkeypatch.setattr(orbit_geometry, "_newton_ascent", stalled)

@@ -20,6 +20,7 @@ from conftest import (
     rot2,
     signed_permutations,
     spec_of,
+    stall_newton_ascent,
     with_kernel_edit,
 )
 from orbit_isom import _numerics as num
@@ -32,7 +33,8 @@ from orbit_isom.catalog import (
     get_action,
     trivial_action,
 )
-from orbit_isom.errors import InternalCheckError, KernelAmbiguityError, ValidationError
+from orbit_isom.errors import (AmbiguityError, InternalCheckError, KernelAmbiguityError,
+                               ValidationError)
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document, fixture_spec
 from orbit_isom.isom_quotient import (
     center_of_group,
@@ -234,6 +236,26 @@ def test_a_negative_seed_or_no_samples_is_rejected(source, kwargs):
     with pytest.raises(ValidationError) as err:
         quotient_isometry_group(source, **kwargs)
     assert err.value.stage == "parse"
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": 2.5}, {"seed": True}, {"sample_count": 2.5},
+                                    {"sample_count": False}, {"sample_count": "3"}])
+@pytest.mark.parametrize("source", ["c5", "catalog:hopf-u1-r4"])
+def test_a_non_integer_seed_or_sample_count_is_rejected(source, kwargs):
+    if not source.startswith("catalog:"):
+        source = fixture_spec(source)
+    with pytest.raises(ValidationError, match="must be an integer") as err:
+        quotient_isometry_group(source, **kwargs)
+    assert err.value.stage == "parse"
+
+
+@pytest.mark.parametrize("source", ["c5", "catalog:hopf-u1-r4"])
+def test_numpy_integer_sampling_is_accepted(source):
+    if not source.startswith("catalog:"):
+        source = fixture_spec(source)
+    want = quotient_isometry_group(source, seed=3, sample_count=5).report
+    got = quotient_isometry_group(source, seed=np.int64(3), sample_count=np.int32(5)).report
+    assert got == want
 
 
 HOPF_DOC = {"dimension": 4, "kind": "catalog:hopf-u1-r4"}
@@ -548,6 +570,15 @@ def test_a_boundary_free_kernel_may_have_a_finite_center():
     assert (rep["kernel"]["finiteOrder"], rep["kernel"]["circleDirections"]) == (2, 0)
     assert rep["formulaApplied"] == "proposition-4.1b"
     assert rep["notes"]["quotientDescription"] == "Sp(2)/{±I}"
+
+
+def test_an_unconverged_ascent_in_the_kernel_search_names_its_stage(monkeypatch):
+    # SU(2) on H^2 decides its -I block by an orbit test, whose distances
+    # run the Newton ascent; one that does not converge is refused.
+    stall_newton_ascent(monkeypatch, converged=False)
+    with pytest.raises(AmbiguityError, match="did not converge") as err:
+        quotient_isometry_group(_left_unit_quaternions(2, has_boundary=False))
+    assert err.value.stage == "kernel"
 
 
 def test_a_circle_on_c3_quotients_u3_by_its_center():

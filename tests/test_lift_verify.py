@@ -7,6 +7,7 @@ from orbit_isom import _numerics as num
 from orbit_isom.catalog import get_action
 from orbit_isom.commutant import sample_equivariant_isometry
 from orbit_isom.errors import ValidationError
+from orbit_isom.fixtures import fixture_document
 from orbit_isom.lift_verify import (
     descend_check,
     hopf_map,
@@ -18,6 +19,7 @@ from orbit_isom.lift_verify import (
     rotation_to_quat,
     verify_hopf_metric,
 )
+from orbit_isom.repr_model import parse_spec
 
 
 def random_rotation(rng):
@@ -186,20 +188,23 @@ def test_non_lift_demo_text():
         non_lift_demo("hopf-u1-r4")
 
 
-@pytest.mark.parametrize("sample_count, seed", [(0, 0), (10, -1)])
+@pytest.mark.parametrize("sample_count, seed", [
+    (0, 0), (10, -1), (2.5, 0), (10, 1.0), (True, 0), (10, True)])
 def test_lift_rotation_rejects_bad_sampling(sample_count, seed):
     # no samples would report a residual of 0.0, a vacuous pass
     with pytest.raises(ValidationError):
         lift_rotation(np.eye(3), sample_count=sample_count, seed=seed)
 
 
-@pytest.mark.parametrize("sample_count, seed", [(0, 0), (3, -1)])
+@pytest.mark.parametrize("sample_count, seed", [
+    (0, 0), (3, -1), (2.5, 0), (10, 1.0), (True, 0), (10, True)])
 def test_descend_check_rejects_bad_sampling(sample_count, seed):
     with pytest.raises(ValidationError):
         descend_check(np.eye(4), get_action("hopf-u1-r4"), sample_count, seed)
 
 
-@pytest.mark.parametrize("sample_count, seed", [(0, 0), (10, -1)])
+@pytest.mark.parametrize("sample_count, seed", [
+    (0, 0), (10, -1), (2.5, 0), (10, 1.0), (True, 0), (10, True)])
 def test_verify_hopf_metric_rejects_bad_sampling(sample_count, seed):
     with pytest.raises(ValidationError):
         verify_hopf_metric(sample_count, seed)
@@ -214,6 +219,12 @@ def test_orthogonality_residual_is_infinite_off_the_finite_matrices():
 def test_lift_rotation_rejects_nan():
     with pytest.raises(ValidationError, match="orthogonal"):
         lift_rotation(np.full((3, 3), np.nan))
+
+
+def test_descend_check_rejects_a_wrong_context():
+    spec = parse_spec(fixture_document("q8"))
+    with pytest.raises(ValidationError, match="descend_check expects a finite group"):
+        descend_check(np.eye(4), spec, 5, 0)
 
 
 @pytest.mark.parametrize("x_iso", [np.eye(3), np.eye(5), np.eye(4)[:, :3]],

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of
+from conftest import (cyclic_weights, in_random_basis, rot2, signed_permutations, spec_of,
+                      stall_newton_ascent)
 from orbit_isom import _numerics as num
 from orbit_isom import orbit_geometry
 from orbit_isom.catalog import get_action, trivial_action
-from orbit_isom.errors import KernelAmbiguityError, ValidationError
+from orbit_isom.errors import AmbiguityError, KernelAmbiguityError, ValidationError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.orbit_geometry import (
     QuotientPoint,
@@ -126,24 +127,33 @@ def _tensor_distance(x, y):
     return math.sqrt(max(x @ x + y @ y - 2.0 * float(sx @ sy), 0.0))
 
 
-def _record_refinements(monkeypatch):
-    """Log each Newton ascent's ``converged`` flag and count fallback calls
-    after it."""
+def _record_convergence(monkeypatch):
+    """Log each Newton ascent's ``converged`` flags."""
     log = []
-    ascend, descend = orbit_geometry._newton_ascent, orbit_geometry.num.coordinate_descent
+    ascend = orbit_geometry._newton_ascent
 
     def recording_ascent(*args, **kwargs):
-        p, phi, converged = ascend(*args, **kwargs)
-        log.extend([bool(c), 0] for c in converged)
-        return p, phi, converged
-
-    def counting_descent(*args, **kwargs):
-        log[-1][1] += 1
-        return descend(*args, **kwargs)
+        g, phi, converged = ascend(*args, **kwargs)
+        log.extend(bool(c) for c in converged)
+        return g, phi, converged
 
     monkeypatch.setattr(orbit_geometry, "_newton_ascent", recording_ascent)
-    monkeypatch.setattr(orbit_geometry.num, "coordinate_descent", counting_descent)
     return log
+
+
+def _singular_points(action_id, rng):
+    """Points on every singular stratum: r5 with its R^2 or its R^3 block
+    zero, r6 with a rank-1 or an equal-singular-value 2x3 coordinate
+    matrix; for hopf, a point on one complex line of C^2."""
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    y = rng.standard_normal(5)
+    return {
+        "hopf-u1-r4": [np.concatenate([y[:2], np.zeros(2)]), np.concatenate([np.zeros(2), y[3:]])],
+        "so2xso3-r5": [np.concatenate([np.zeros(2), y[2:]]), np.concatenate([y[:2], np.zeros(3)])],
+        "so2-tensor-so3-r6": [(u @ np.diag([1.3, 0.0]) @ v.T).ravel(),
+                              (u @ np.diag([0.7, 0.7]) @ v.T).ravel()],
+    }[action_id]
 
 
 @pytest.mark.parametrize("action_id,closed_form", [
@@ -153,39 +163,38 @@ def _record_refinements(monkeypatch):
 ])
 def test_catalog_distance_matches_closed_form(action_id, closed_form, monkeypatch):
     # nonzero distances: an inexact gradient stops the refinement short of
-    # the minimum and leaves the value too large
+    # the minimum and leaves the value too large. Singular points pair with
+    # random ones and with each other; there the maximizer of a^T g b can be
+    # a whole subgroup.
     action = get_action(action_id)
-    log = _record_refinements(monkeypatch)
+    log = _record_convergence(monkeypatch)
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        x, y = rng.standard_normal((2, action.dimension))
+    pairs = list(rng.standard_normal((10, 2, action.dimension)))
+    for _ in range(3):
+        s, t = _singular_points(action_id, rng)
+        pairs += [(s, rng.standard_normal(action.dimension)),
+                  (rng.standard_normal(action.dimension), t), (s, 2.0 * t)]
+    for x, y in pairs:
         d = quotient_distance(QuotientPoint(x, action), QuotientPoint(y, action))
         want = closed_form(x, y)
         assert want > 0.1
         assert abs(d - want) < 1e-9
-    # one Newton ascent per distance; the golden-section fallback follows
-    # exactly the ascents that did not converge
-    assert len(log) == 10
-    for converged, fallback_calls in log:
-        assert (fallback_calls > 0) == (not converged)
+    # one Newton ascent per distance, and every one converged
+    assert log == [True] * len(pairs)
 
 
-def test_unconverged_refinement_falls_back_to_golden_sections(monkeypatch):
-    # The stub returns its start element, unconverged.
-    def stalled(action, a, b, g0, **_):
-        g0 = np.array(g0, dtype=float)
-        return g0, np.einsum("ni,nij,nj->n", a, g0, b), np.zeros(len(g0), dtype=bool)
-
-    monkeypatch.setattr(orbit_geometry, "_newton_ascent", stalled)
-    log = _record_refinements(monkeypatch)
+def test_an_unconverged_ascent_is_ambiguous(monkeypatch):
+    # There is no second refinement: a distance that the ascent did not
+    # resolve is refused, not returned from the grid.
+    stall_newton_ascent(monkeypatch, converged=False)
     action = get_action("hopf-u1-r4")
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        x, y = rng.standard_normal((2, action.dimension))
-        d = quotient_distance(QuotientPoint(x, action), QuotientPoint(y, action))
-        assert abs(d - _hopf_distance(x, y)) < 1e-9
-    assert len(log) == 5
-    assert all(not converged and fallback_calls > 0 for converged, fallback_calls in log)
+    x, y = np.random.default_rng(13).standard_normal((2, action.dimension))
+    with pytest.raises(AmbiguityError, match="hopf-u1-r4: the Newton ascent from grid element"):
+        quotient_distance(QuotientPoint(x, action), QuotientPoint(y, action))
+    with pytest.raises(AmbiguityError, match="did not converge"):
+        sphere_quotient_distance(x / np.linalg.norm(x), y / np.linalg.norm(y), action)
+    with pytest.raises(AmbiguityError, match="did not converge"):
+        orbit_equivalence_test(action, np.eye(4)[[1, 0, 3, 2]], 3, 0)
 
 
 def _sector_pair(index):
@@ -329,6 +338,31 @@ def test_orbit_equivalence_guard_band(memo):
 def test_orbit_equivalence_rejects_nan():
     with pytest.raises(ValidationError, match="orthogonal"):
         orbit_equivalence_test(get_action("hopf-u1-r4"), np.full((4, 4), np.nan), 3, 0)
+
+
+@pytest.mark.parametrize("sample_count, seed", [(2.5, 0), (3, 1.0), (True, 0), (3, True)])
+def test_orbit_equivalence_rejects_non_integer_sampling(sample_count, seed):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        orbit_equivalence_test(get_action("hopf-u1-r4"), np.eye(4), sample_count, seed)
+
+
+_ENTRY_POINTS = {
+    "QuotientPoint": lambda ctx: QuotientPoint(np.zeros(4), ctx),
+    "sphere_quotient_distance": lambda ctx: sphere_quotient_distance(
+        np.eye(4)[0], np.eye(4)[1], ctx),
+    "orbit_equivalence_test": lambda ctx: orbit_equivalence_test(ctx, np.eye(4), 3, 0),
+    "has_boundary": has_boundary,
+}
+
+
+@pytest.mark.parametrize("ctx", [parse_spec(fixture_document("q8")), "catalog:hopf-u1-r4", None],
+                         ids=["spec", "catalog-id", "none"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_a_wrong_context_is_rejected(entry, ctx):
+    # A representation spec has a dimension but no elements or grid: it
+    # must be analyzed into a context first.
+    with pytest.raises(ValidationError, match=f"{entry} expects a finite group or catalog action"):
+        _ENTRY_POINTS[entry](ctx)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -522,7 +556,8 @@ def test_sector_climb_refines_cold_and_returns_a_refined_pair(monkeypatch):
     assert abs(math.acos(dot[0]) - est) <= 1e-12
 
 
-@pytest.mark.parametrize("sample_count, seed", [(0, 0), (10, -1)])
+@pytest.mark.parametrize("sample_count, seed", [
+    (0, 0), (10, -1), (2.5, 0), (10, 1.0), (True, 0), (10, True)])
 def test_sector_estimate_rejects_bad_sampling(sample_count, seed):
     with pytest.raises(ValidationError):
         sector_angle_estimate(get_action("so2xso3-r5"), sample_count, seed)
@@ -580,17 +615,36 @@ def test_has_boundary_agrees_with_the_full_rank_test(name):
 _FINITE_CONTEXTS = [name for name in FIXTURE_NAMES if name != "trivial-r3"] + ["B4"]
 
 
+def _near_fixed_pairs(group, rng):
+    """Pairs (x, m x) for up to five nonidentity elements m with a fixed
+    subspace, x within 1e-6 to 1e-12 of it and |x| in [0.1, 10]: the
+    distance is 0, and a^T g b cannot tell m from the identity there."""
+    d = group.dimension
+    fixing = [(m, fixed) for m in group.elements
+              for fixed in [num.nullspace(m - np.eye(d))[0]] if 0 < fixed.shape[1] < d]
+    pairs = []
+    for k in rng.permutation(len(fixing))[:5]:
+        m, fixed = fixing[k]
+        for offset in (1e-6, 1e-8, 1e-10, 1e-12):
+            x = fixed @ rng.standard_normal(fixed.shape[1])
+            x *= 10.0 ** rng.uniform(-1.0, 1.0) / np.linalg.norm(x)
+            x += offset * num.random_unit_vector(rng, d)
+            pairs.append((x, m @ x))
+    return pairs
+
+
 @pytest.mark.parametrize("name", _FINITE_CONTEXTS)
 def test_finite_distances_are_the_brute_force_extrema(name, memo):
-    # The finite route takes one element from a scan of a^T g b; the
-    # distances must be the extrema over all elements, formed one by one.
+    # The distances must be the extrema over all elements, formed one by
+    # one, for random pairs and for pairs near a fixed subspace, where the
+    # elements' values of a^T g b tie to roundoff.
     if name == "B4":
         group = enumerate_group(spec_of(signed_permutations(4), 4))
     else:
         group = memo.analysis(name).context
     rng = np.random.default_rng(23)
-    for _ in range(50):
-        x, y = rng.standard_normal((2, group.dimension))
+    pairs = list(rng.standard_normal((50, 2, group.dimension))) + _near_fixed_pairs(group, rng)
+    for x, y in pairs:
         want = min(float(np.linalg.norm(x - g @ y)) for g in group.elements)
         got = quotient_distance(QuotientPoint(x, group), QuotientPoint(y, group))
         assert abs(got - want) <= 1e-14
