@@ -165,9 +165,9 @@ def golden_minimize(f, lo: float, hi: float, *, xtol: float = 1e-11, max_iter: i
 
 
 def coordinate_descent(f, params: np.ndarray, spans: np.ndarray, *,
-                       passes: int = 6, xtol: float = 1e-12,
+                       xtol: float = 1e-12,
                        target: float | None = None) -> tuple[np.ndarray, float]:
-    """Cyclic per-coordinate golden-section descent.
+    """Cyclic per-coordinate golden-section descent, at most six cycles.
 
     ``spans`` are per-axis initial bracket half-widths (grid spacings).
     Brackets shrink toward each accepted move; stops early once a sweep
@@ -176,7 +176,7 @@ def coordinate_descent(f, params: np.ndarray, spans: np.ndarray, *,
     p = np.array(params, dtype=float)
     spans = np.array(spans, dtype=float)
     best = f(p)
-    for _ in range(passes):
+    for _ in range(6):
         improved = False
         for i in range(p.size):
             def slice_f(x, i=i):

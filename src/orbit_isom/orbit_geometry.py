@@ -220,26 +220,18 @@ def _group_min(ctx: Context, f, a: np.ndarray, b: np.ndarray, *,
     """min over the group of f(g), f(g) = ||a - g b|| or -a^T g b, for f
     mapping a stack of elements to its values.
 
-    Both f are smallest where phi = a^T g b is largest, since
-    ||a - g b||^2 = ||a||^2 + ||b||^2 - 2 phi for orthogonal g. Over a
-    finite group the minimum is exact: f is formed for every element whose
-    computed phi lies within 2 d^2 sqrt(d) eps |a| |b| of the largest, so
-    elements whose images of b tie to roundoff are all compared. A computed
-    phi sums d^2 rounded products of magnitudes adding up to at most
-    sqrt(d) |a| |b|, so two of them are off by at most half that band
-    against each other; the other half is margin for the elements' own
-    departure from orthogonality. Over a catalog action the
-    ``_grid_argmax`` element of the default grid starts the Newton ascent
+    Over a finite group f is formed for every element, so the minimum is
+    exact over the elements as enumerated, orthogonal or not. Over a
+    catalog action, where both f are smallest where phi = a^T g b is
+    largest (||a - g b||^2 = ||a||^2 + ||b||^2 - 2 phi for orthogonal g),
+    the ``_grid_argmax`` element of the default grid starts the Newton ascent
     of phi (``_newton_ascent``), and the result is the smaller f of the grid
     element and the ascent's end. ``stop`` is a value of the distance f;
     reaching it ends the ascent. An ascent that does not converge raises
     AmbiguityError.
     """
     if isinstance(ctx, FiniteGroupData):
-        els, d = ctx.elements, ctx.dimension
-        phi = els.reshape(len(els), -1) @ np.outer(a, b).ravel()
-        band = 2.0 * d * d * num.EPS * math.sqrt(d * (a @ a) * (b @ b))
-        return float(f(els[phi >= phi.max() - band]).min())
+        return float(f(ctx.elements).min())
     params, els = ctx.grid()
     i = _grid_argmax(els, a, b)
     phi_stop = None if stop is None else 0.5 * (a @ a + b @ b - stop * stop)
