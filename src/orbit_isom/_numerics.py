@@ -3,12 +3,18 @@
 Rank decisions use singular-value thresholding at 100*eps*||A|| with a guard
 band: a singular value inside (threshold, 100*threshold] aborts instead of
 guessing. Every exponential is of a skew matrix, in the real spectral form of
-``skew_exp`` (Gallier & Xu, "Computing exponentials of skew-symmetric
+``expm`` (Gallier & Xu, "Computing exponentials of skew-symmetric
 matrices and logarithms of orthogonal matrices", 2002).
+
+``one_blas_thread`` runs the block it guards with OpenBLAS on one thread.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -113,22 +119,83 @@ def rotation_terms(w: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     together; sin(w t) / w is t where w = 0. (np.sinc, whose argument is
     rescaled by pi, would cost up to 1.8e-15 at w t = 14.)"""
     wt = w * t
-    sinc = np.divide(np.sin(wt), w, out=np.broadcast_to(t, wt.shape).copy(), where=w > 0)
+    sinc = np.empty(wt.shape)
+    sinc[...] = t
+    np.divide(np.sin(wt), w, out=sinc, where=w > 0)
     return np.cos(wt), sinc
 
 
-def skew_exp(s: np.ndarray, q: np.ndarray, omega: np.ndarray, t=1.0) -> np.ndarray:
-    """exp(t S) = Q cos(Omega t) Q^T + S Q (sin(Omega t) / Omega) Q^T from
-    ``skew_spectrum(S)``, for a skew S or a stack of them with one t each."""
-    cos, sinc = rotation_terms(omega[..., None, :], np.asarray(t, dtype=float)[..., None, None])
-    qt = q.swapaxes(-1, -2)
-    return (q * cos) @ qt + s @ ((q * sinc) @ qt)
-
-
 def expm(a: np.ndarray) -> np.ndarray:
-    """exp(A) of a skew matrix A, in the spectral form of ``skew_exp``."""
+    """exp(A) = Q cos(Omega) Q^T + A Q (sin(Omega) / Omega) Q^T for a skew
+    matrix A or a stack of them, from ``skew_spectrum(A)``."""
     a = np.asarray(a, dtype=float)
-    return skew_exp(a, *skew_spectrum(a))
+    q, omega = skew_spectrum(a)
+    cos, sinc = rotation_terms(omega[..., None, :], 1.0)
+    qt = q.swapaxes(-1, -2)
+    return (q * cos) @ qt + a @ ((q * sinc) @ qt)
+
+
+# (getter, setter) symbol names of an OpenBLAS thread count: numpy's and
+# scipy's wheels prefix them with scipy_ (numpy's ILP64 build also appends
+# 64_), a system library does not.
+_THREAD_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "") for suffix in ("64_", ""))
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list = []
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS library mapped
+    into the process, found through /proc/self/maps on first use; empty
+    where there is none or no such file."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+@contextmanager
+def one_blas_thread():
+    """Runs the block with every OpenBLAS library on one thread.
+
+    The program's products are small, and a second OpenBLAS thread buys no
+    speed on them: it spins between calls and doubles the CPU time. The
+    outermost entry reads each library's thread count and sets it to one,
+    and the outermost exit puts the counts back, on an exception too. A
+    depth count under a lock makes nested entries, and entries from
+    several Python threads, one span: the last one out restores.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [(set_, n) for get, set_ in _openblas() if (n := get()) != 1]
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_, n in _blas_saved:
+                    set_(n)
 
 
 # golden_minimize and coordinate_descent have no caller in the package: the

@@ -16,7 +16,7 @@ eigenvalue w^2, w a frequency of X,
 
   exp(t X) = sum_w cos(w t) P_w + sin(w t) X P_w / w      (X P_0 = 0),
 
-the form of ``_numerics.skew_exp`` grouped by frequency; ``CatalogAction``
+the form of ``_numerics.expm`` grouped by frequency; ``CatalogAction``
 computes the P_w once. The circle of SO(2) is exp(t J); SO(3) is reached
 through the Euler angles Rz(alpha) Ry(beta) Rz(gamma). The parameters
 serve the grids and the quadrature only: the quotient-metric refinement,

@@ -17,6 +17,9 @@ of another density, for the unrefined Hopf metric check.
 Refined values always upper-bound the true distance, since they are minima
 over a finite subset of the group. One routine, ``_group_min``, serves both
 kinds of context, so the distances and the orbit test are one call each.
+``_group_min``, the sector estimator and ``_batched_max_dots`` run with
+OpenBLAS on one thread (``num.one_blas_thread``): their products are too
+small for a second thread to speed up, and it doubled their CPU time.
 
 The sector estimator screens its sampled pairs on the grid with a bound:
 the maximum over every SCREEN_STRIDE-th grid element is a lower bound on a
@@ -126,7 +129,7 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     eigendecomposition (the eigenvalues of the Hermitian iS are +-omega_k),
     in one table of cos(omega_k t) and sin(omega_k t) / omega_k over the
     _TRIALS fractions (``num.rotation_terms``, t where omega_k = 0), and
-    g exp(tS) is formed once, at the accepted t (``num.skew_exp``). A
+    g exp(tS) is formed once, at the accepted t, from that table's column. A
     row has converged when max |grad phi_i| <= ``gtol``, its relative gain
     <= ``ftol`` (against max(|phi_i|, 1)), or phi_i >= ``stop``; maxiter
     steps or a failed line search leave it unconverged. Rows step in
@@ -181,11 +184,14 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
         flat = ok & (phi_q - phi_0 <= ftol * np.maximum(np.abs(phi_q), 1.0))
         converged[rows[flat]] = True
         retired = flat | ~ok
+        i = np.arange(len(rows))
+        qt = q.swapaxes(1, 2)
+        rot = (q * cos[i, first, None]) @ qt + sk @ ((q * sinc[i, first, None]) @ qt)
         if ok.all():
-            g = g @ num.skew_exp(sk, q, omega, _TRIALS[first])
+            g = g @ rot
             u = (a[:, None, :] @ g)[:, 0]
         else:
-            g[ok] = g[ok] @ num.skew_exp(sk[ok], q[ok], omega[ok], _TRIALS[first[ok]])
+            g[ok] = g[ok] @ rot[ok]
             u[ok] = (a[ok, None, :] @ g[ok])[:, 0]
         phi, grad, hess = _dot_derivatives(u, b, jets)
     out_g[rows], out_phi[rows] = g, phi
@@ -230,18 +236,19 @@ def _group_min(ctx: Context, f, a: np.ndarray, b: np.ndarray, *,
     reaching it ends the ascent. An ascent that does not converge raises
     AmbiguityError.
     """
-    if isinstance(ctx, FiniteGroupData):
-        return float(f(ctx.elements).min())
-    params, els = ctx.grid()
-    i = _grid_argmax(els, a, b)
-    phi_stop = None if stop is None else 0.5 * (a @ a + b @ b - stop * stop)
-    # gtol bounds the gradient of ||a - g b||^2, which is -2 grad phi.
-    g, _, converged = _newton_ascent(ctx, a[None], b[None], ctx.element(params[i])[None],
-                                     gtol=0.5e-12, ftol=1e-16, maxiter=300, stop=phi_stop)
-    if not converged[0]:
-        raise AmbiguityError(
-            f"{ctx.id}: the Newton ascent from grid element {i} did not converge")
-    return float(f(np.stack([els[i], g[0]])).min())
+    with num.one_blas_thread():
+        if isinstance(ctx, FiniteGroupData):
+            return float(f(ctx.elements).min())
+        params, els = ctx.grid()
+        i = _grid_argmax(els, a, b)
+        phi_stop = None if stop is None else 0.5 * (a @ a + b @ b - stop * stop)
+        # gtol bounds the gradient of ||a - g b||^2, which is -2 grad phi.
+        g, _, converged = _newton_ascent(ctx, a[None], b[None], ctx.element(params[i])[None],
+                                         gtol=0.5e-12, ftol=1e-16, maxiter=300, stop=phi_stop)
+        if not converged[0]:
+            raise AmbiguityError(
+                f"{ctx.id}: the Newton ascent from grid element {i} did not converge")
+        return float(f(np.stack([els[i], g[0]])).min())
 
 
 def quotient_distance(a: QuotientPoint, b: QuotientPoint) -> float:
@@ -305,6 +312,7 @@ def sample_generic_point(ctx: Context, rng: np.random.Generator) -> np.ndarray:
     dimension with GENERIC_MARGIN to spare, away from singular strata.
     Gives up after 1000 rejected draws.
     """
+    check_context(ctx, "sample_generic_point")
     for _ in range(1000):
         x = num.random_unit_vector(rng, ctx.dimension)
         if ctx.is_generic(x):
@@ -379,7 +387,8 @@ def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarra
                       density: int | None = None) -> np.ndarray:
     """max over the grid of ``density`` elements (DEFAULT_DENSITY if None)
     of a_p^T g_n b_p for every pair p, unrefined."""
-    return _grid_maxima(action.grid(density)[1], a_pts, b_pts)
+    with num.one_blas_thread():
+        return _grid_maxima(action.grid(density)[1], a_pts, b_pts)
 
 
 # Sector screening: the maximum over every SCREEN_STRIDE-th grid element
@@ -458,62 +467,66 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
     can end its climb on a lower ridge.
     """
     check_sampling(sample_count, seed)
+    if not isinstance(action, CatalogAction):
+        raise ValidationError(
+            f"sector_angle_estimate expects a catalog action, got {type(action).__name__}")
     if action.cohomogeneity != 2:
         raise ValidationError(
             f"sector_angle_estimate requires cohomogeneity 2, "
             f"{action.id} has {action.cohomogeneity}"
         )
-    d = action.dimension
-    pairs = num.random_unit_rows(np.random.default_rng([seed]), (sample_count, 2, d))
-    a_pts, b_pts = pairs[:, 0], pairs[:, 1]
+    with num.one_blas_thread():
+        d = action.dimension
+        pairs = num.random_unit_rows(np.random.default_rng([seed]), (sample_count, 2, d))
+        a_pts, b_pts = pairs[:, 0], pairs[:, 1]
 
-    top = _screen_pairs(action, a_pts, b_pts)
+        top = _screen_pairs(action, a_pts, b_pts)
 
-    # Every reported or compared value is a fully converged refinement from
-    # the grid argmax: an under-resolved group maximum (or one from a stale
-    # basin) inflates the arccos, and one inflated value poisons the
-    # acceptance baseline for every later honest improvement.
-    dots, found = _refined_sphere_dots(action, a_pts[top], b_pts[top])
-    vals = _arccos(dots)
-    i = int(np.argmax(vals))
-    a, b = a_pts[top[i]], b_pts[top[i]]
-    current, g_best = float(vals[i]), found[i]
+        # Every reported or compared value is a fully converged refinement from
+        # the grid argmax: an under-resolved group maximum (or one from a stale
+        # basin) inflates the arccos, and one inflated value poisons the
+        # acceptance baseline for every later honest improvement.
+        dots, found = _refined_sphere_dots(action, a_pts[top], b_pts[top])
+        vals = _arccos(dots)
+        i = int(np.argmax(vals))
+        a, b = a_pts[top[i]], b_pts[top[i]]
+        current, g_best = float(vals[i]), found[i]
 
-    # Each batch tries the step and five halvings of it; a gain at the full
-    # step doubles the step, a batch without one halves it.
-    fractions = 0.5 ** np.arange(6)[:, None]
-    step = 0.3
-    budget = 1200
-    while step >= 1e-4 and budget > 0:
-        for which in (0, 1):
-            point, other = (a, b) if which == 0 else (b, a)
-            # The envelope gradient, projected onto the sphere's tangent
-            # space at the point; it is zero only where a = +-g* b.
-            grad = g_best @ other if which == 0 else g_best.T @ other
-            grad -= (point @ grad) * point
-            cands = point - step * fractions * (grad / (np.linalg.norm(grad) or 1.0))
-            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-            others = np.broadcast_to(other, cands.shape)
-            # Margin above the refinement noise, or the climb walks on noise
-            # forever; gains under it are irrelevant at the accuracy the
-            # estimate targets. The ascent only raises the dot, so one that
-            # reaches the bar's cosine is rejected whatever it would
-            # converge to, and stops there.
-            bar = math.cos(current + 1e-5)
-            dots, found = _refined_sphere_dots(
-                action, *((cands, others) if which == 0 else (others, cands)), stop=bar)
-            budget -= len(cands)
-            vals = _arccos(dots)
-            hits = np.flatnonzero((vals > current + 1e-5) & (dots < bar))
-            if not hits.size:
-                step *= 0.5
-                continue
-            h = int(hits[0])
-            if which == 0:
-                a = cands[h]
-            else:
-                b = cands[h]
-            current, g_best = float(vals[h]), found[h]
-            if h == 0:
-                step *= 2.0
-    return current
+        # Each batch tries the step and five halvings of it; a gain at the full
+        # step doubles the step, a batch without one halves it.
+        fractions = 0.5 ** np.arange(6)[:, None]
+        step = 0.3
+        budget = 1200
+        while step >= 1e-4 and budget > 0:
+            for which in (0, 1):
+                point, other = (a, b) if which == 0 else (b, a)
+                # The envelope gradient, projected onto the sphere's tangent
+                # space at the point; it is zero only where a = +-g* b.
+                grad = g_best @ other if which == 0 else g_best.T @ other
+                grad -= (point @ grad) * point
+                cands = point - step * fractions * (grad / (np.linalg.norm(grad) or 1.0))
+                cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+                others = np.broadcast_to(other, cands.shape)
+                # Margin above the refinement noise, or the climb walks on noise
+                # forever; gains under it are irrelevant at the accuracy the
+                # estimate targets. The ascent only raises the dot, so one that
+                # reaches the bar's cosine is rejected whatever it would
+                # converge to, and stops there.
+                bar = math.cos(current + 1e-5)
+                dots, found = _refined_sphere_dots(
+                    action, *((cands, others) if which == 0 else (others, cands)), stop=bar)
+                budget -= len(cands)
+                vals = _arccos(dots)
+                hits = np.flatnonzero((vals > current + 1e-5) & (dots < bar))
+                if not hits.size:
+                    step *= 0.5
+                    continue
+                h = int(hits[0])
+                if which == 0:
+                    a = cands[h]
+                else:
+                    b = cands[h]
+                current, g_best = float(vals[h]), found[h]
+                if h == 0:
+                    step *= 2.0
+        return current

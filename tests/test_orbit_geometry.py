@@ -352,6 +352,7 @@ _ENTRY_POINTS = {
         np.eye(4)[0], np.eye(4)[1], ctx),
     "orbit_equivalence_test": lambda ctx: orbit_equivalence_test(ctx, np.eye(4), 3, 0),
     "has_boundary": has_boundary,
+    "sample_generic_point": lambda ctx: sample_generic_point(ctx, np.random.default_rng(0)),
 }
 
 
@@ -363,6 +364,16 @@ def test_a_wrong_context_is_rejected(entry, ctx):
     # must be analyzed into a context first.
     with pytest.raises(ValidationError, match=f"{entry} expects a finite group or catalog action"):
         _ENTRY_POINTS[entry](ctx)
+
+
+@pytest.mark.parametrize("ctx", [parse_spec(fixture_document("q8")), "catalog:so2xso3-r5",
+                                 cyclic_group(4), None],
+                         ids=["spec", "catalog-id", "finite-group", "none"])
+def test_sector_estimate_rejects_a_context_that_is_not_a_catalog_action(ctx):
+    # The estimate climbs over a grid and a Lie algebra, which only a
+    # catalog action has; an enumerated finite group is refused as well.
+    with pytest.raises(ValidationError, match="sector_angle_estimate expects a catalog action"):
+        sector_angle_estimate(ctx, 10, 0)
 
 
 @pytest.mark.parametrize("a, b", [
