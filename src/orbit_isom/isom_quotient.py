@@ -59,6 +59,9 @@ CENTRAL_TOL = 1e-8
 COMMUTATOR_TOL = 1e-9
 # Elements whose commutators with a generator are formed at once.
 _CENTER_BLOCK = 1024
+# The center screen's weight matrix comes from a constant seed, not the
+# user's: it decides which elements get the exact commutator test.
+_SCREEN_SEED = 5
 
 FORMULA_BOUNDARY_FREE = "proposition-4.1b"
 FORMULA_SEARCH = "central-kernel-search"
@@ -100,23 +103,43 @@ def center_of_group(group: FiniteGroupData) -> np.ndarray:
     ||(zgz^-1 - g) z||_max exceeds DEDUP_GUARD * DEDUP_TOL / d. A commutator
     between the two bounds raises KernelAmbiguityError; past d = 100 the
     band is empty.
+
+    A screen spares most elements the commutator. For a fixed W with
+    ||W||_F = 1, <W, zg - gz> = <W g^T - g^T W, z>, so one product of the
+    flat element stack with W g^T - g^T W gives <W, [z, g]> for every
+    element still in question. As |<W, C>| <= ||W||_1 ||C||_max, an
+    element with |<W, [z, g]>| > ||W||_1 band, plus the rounding of both
+    sides, has a commutator provably past the band: it is neither central
+    nor ambiguous. Only the other elements get the exact test, so the
+    screen changes no verdict and no error.
     """
-    band = max(DEDUP_GUARD * DEDUP_TOL / max(group.dimension, 1), COMMUTATOR_TOL)
-    central = group.elements
+    d = group.dimension
+    band = max(DEDUP_GUARD * DEDUP_TOL / max(d, 1), COMMUTATOR_TOL)
+    w = np.random.default_rng(_SCREEN_SEED).standard_normal((d, d))
+    w /= np.linalg.norm(w)
+    # Past this, |<W, C>| / ||W||_1 exceeds band plus the rounding of the
+    # computed commutator (3 d eps per entry); the rounding of the score
+    # itself is at most 5 d^(5/2) eps for orthogonal z and g.
+    limit = np.abs(w).sum() * band + 8.0 * d**3 * np.finfo(float).eps
+    flat = group.elements.reshape(group.order, d * d)
+    central = np.arange(group.order)
     for g in group.generators:
-        # in blocks, so that the commutators stay in cache
-        blocks = np.split(central, range(_CENTER_BLOCK, len(central), _CENTER_BLOCK))
-        comm = np.concatenate([
-            num.banded_row_max((z @ g - g @ z).reshape(len(z), -1), COMMUTATOR_TOL, band)
-            for z in blocks])
+        screen = (w @ g.T - g.T @ w).ravel()
+        rows = flat if len(central) == group.order else flat[central]
+        maybe = central[np.abs(rows @ screen) <= limit]
+        comm = np.empty(len(maybe))
+        for i in range(0, len(maybe), _CENTER_BLOCK):  # in blocks, to stay in cache
+            z = group.elements[maybe[i:i + _CENTER_BLOCK]]
+            comm[i:i + len(z)] = num.banded_row_max(
+                (z @ g - g @ z).reshape(len(z), -1), COMMUTATOR_TOL, band)
         ambiguous = (comm > COMMUTATOR_TOL) & (comm <= band)
         if np.any(ambiguous):
             raise KernelAmbiguityError(
                 f"commutator with a generator of max norm {comm[ambiguous].min():.3e}, "
                 f"inside ({COMMUTATOR_TOL:.0e}, {band:.3e}]: neither central nor "
                 "separated from the center")
-        central = central[comm <= COMMUTATOR_TOL]
-    return central
+        central = maybe[comm <= COMMUTATOR_TOL]
+    return group.elements[central]
 
 
 def center_in_component(center_elements, equiv: EquivariantIsometryGroup):

@@ -287,8 +287,11 @@ def has_boundary(ctx: Context) -> bool:
     fixed subspace has dimension exactly dim V - 1. Only elements with
     ||g - I||_F^2 near 4 get the rank test: rank(g - I) = 1 makes an
     orthogonal g a reflection, and a reflection has ||g - I||_F = 2. The
-    prefilter reads ||g - I||_F^2 as ||g||_F^2 - 2 tr g + d, which needs no
-    stack of differences. Catalog actions carry the verdict as metadata.
+    prefilter reads ||g - I||_F^2 as 2 d - 2 tr g, which holds for
+    orthogonal g and errs by at most d DEDUP_TOL for an enumerated element,
+    far inside its 1e-3; every trace comes from one product of the flat
+    element stack with the flattened identity. Catalog actions carry the
+    verdict as metadata.
     """
     check_context(ctx, "has_boundary")
     if isinstance(ctx, CatalogAction):
@@ -298,7 +301,7 @@ def has_boundary(ctx: Context) -> bool:
         return False
     els = ctx.elements
     flat = els.reshape(len(els), d * d)
-    squared = np.einsum("ni,ni->n", flat, flat) - 2.0 * np.trace(els, axis1=1, axis2=2) + d
+    squared = 2.0 * (d - flat @ np.eye(d).ravel())
     diffs = els[np.abs(squared - 4.0) <= 1e-3] - np.eye(d)
     svals = np.linalg.svd(diffs, compute_uv=False)
     ranks = (svals > 1e-7).sum(axis=1)

@@ -5,23 +5,24 @@ A representation is given by orthogonal generator matrices acting on R^d (or
 by a catalog id for the built-in continuous actions). Finite groups are
 enumerated by Dimino's algorithm: <g_1 ... g_i> is built as a union of right
 cosets of <g_1 ... g_(i-1)>, and while that subgroup is still trivial the
-generator's powers are taken by doubling. Deduplication goes through a
-sorted projection-key index: each matrix is keyed by its inner product with
-a fixed unit matrix, candidates are the stored matrices whose keys lie within
-d times the guard band, and a candidate matches within 1e-8 in max norm. Two
-elements closer than 10x the match tolerance abort the run. A batch of
-matrices is keyed and sorted once; the lookup against the stored elements,
-the search for repeats within the batch and the insertion of the new ones
-all reuse that sort, and the new keys join the stored ones in one merge.
-Orthogonality drift is checked on each batch's new elements as they arrive.
+generator's powers are taken by doubling. Cosets are equal or disjoint, so
+only the head of a coset, a product of a representative with a generator,
+is looked up, and a new head's coset is stored whole. Lookups go through a
+projection-key index: each matrix is keyed by its inner product with a
+fixed unit matrix, candidates are the stored matrices whose keys lie within
+d times the guard band, and a candidate matches within 1e-8 in max norm. The
+keys of each stored block form a sorted run, and runs merge geometrically.
+At the end one sort of all the keys checks that no two elements lie closer
+than 10x the match tolerance, which would abort the run, and then serves as
+the group's index. Orthogonality drift is bounded per coset from the drift
+of its head and of the subgroup; only a coset whose bound exceeds the match
+tolerance gets its elements' Gram matrices.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
 import numpy as np
 
 from . import _numerics as num
@@ -192,14 +193,12 @@ def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist <= DEDUP_TOL
 
 
-class _Batch(NamedTuple):
-    """A stack of matrices prepared for the index: its rows, flattened, and
-    the sort of their keys, which lookup, first occurrence and insertion all
-    reuse."""
-
-    flat: np.ndarray       # (n, d*d)
-    order: np.ndarray      # argsort of the keys
-    ascending: np.ndarray  # the keys in that order
+def _merged(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One sorted run of (keys, stored indices) from several: numpy's stable
+    sort of floats, a timsort, merges ascending runs in one pass each."""
+    keys = np.concatenate([run[0] for run in runs])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate([run[1] for run in runs])[order]
 
 
 class _KeyIndex:
@@ -211,34 +210,36 @@ class _KeyIndex:
     d * DEDUP_GUARD * DEDUP_TOL of its own, which includes every stored
     matrix inside the guard band: W decides which matrices get compared,
     never a verdict. (||W||_1 reaches d only when all entries of W have one
-    magnitude, so the window also absorbs the roundoff of the keys.) The
-    stored matrices must be pairwise farther apart than the guard band, so a
-    lookup matches at most one.
+    magnitude, so the window also absorbs the roundoff of the keys.)
+    Matrices are stored as flat (d*d) rows, which is how ``_same`` compares
+    them.
 
-    A stack is keyed and sorted once (``batch``). Lookup searches the stored
-    keys with the ascending keys as needles, first occurrence scans windows
-    of the ascending keys, and ``add`` merges the new keys, already
-    ascending, into the stored ones. The sort need not be stable: which
-    pairs fall in a window, and so every verdict, does not depend on the
-    order of tied keys. Matrices are stored as flat (d*d) rows, which is
-    how ``_same`` compares them.
+    ``append`` (or ``commit``, for a stack formed in place in the ``spare``
+    rows) stores a stack without looking it up: the caller vouches that it
+    is new, and ``seal`` checks that. The keys of each stored stack form
+    one sorted run, and the newest run is merged into the one before it
+    while that one is less than twice as long. Each run is then at least
+    twice the next, so N stored rows make at most log2(N) + 1 runs, and a
+    store re-sorts only the runs that its run outgrows, not every stored
+    key. ``lookup`` searches each run.
+    ``seal`` merges the runs into one, the single sort of all N keys, which
+    then serves as the index, and checks from it that the stored matrices
+    are pairwise farther apart than the guard band: every pair of keys
+    within the window is compared, and a pair inside the band or within
+    DEDUP_TOL raises DedupAmbiguityError. Which pairs fall in a window, and
+    so every verdict, does not depend on the order of tied keys.
     """
 
-    def __init__(self, mats: np.ndarray, capacity: int = 0) -> None:
-        """Index the (n, d, d) stack ``mats``, which must hold no duplicates,
-        with room for ``capacity`` rows before the buffer grows."""
-        d = self._dim = mats.shape[1]
-        w = np.random.default_rng(_KEY_SEED).standard_normal(d * d)
+    def __init__(self, dim: int, capacity: int = 0) -> None:
+        """An empty index of dim x dim matrices with room for ``capacity``
+        rows before the buffer grows."""
+        w = np.random.default_rng(_KEY_SEED).standard_normal(dim * dim)
+        self._dim = dim
         self._w = w / np.linalg.norm(w)
-        self._radius = d * DEDUP_GUARD * DEDUP_TOL
+        self._radius = dim * DEDUP_GUARD * DEDUP_TOL
         self._size = 0
-        self._flat = np.empty((max(capacity, len(mats)), d * d))
-        self._keys = np.empty(0)  # ascending
-        self._order = np.empty(0, dtype=np.intp)  # stored index of each key
-        batch = self.batch(mats)
-        if not np.all(self.first_occurrences(batch)):
-            raise DedupAmbiguityError("duplicate element in the input list")
-        self.add(batch, np.ones(len(mats), dtype=bool))
+        self._flat = np.empty((capacity, dim * dim))
+        self._runs: list[tuple[np.ndarray, np.ndarray]] = []  # (ascending keys, stored index)
 
     def __len__(self) -> int:
         return self._size
@@ -247,63 +248,109 @@ class _KeyIndex:
     def elements(self) -> np.ndarray:
         return self._flat[:self._size].reshape(self._size, self._dim, self._dim)
 
-    def batch(self, mats: np.ndarray) -> _Batch:
-        """Key and sort an (n, d, d) stack."""
-        flat = mats.reshape(len(mats), self._w.size)
-        keys = flat @ self._w
-        order = np.argsort(keys)
-        return _Batch(flat, order, keys[order])
+    def keys(self, flat: np.ndarray) -> np.ndarray:
+        """Keys of an (n, d*d) stack."""
+        return flat @ self._w
 
-    def lookup(self, batch: _Batch) -> np.ndarray:
-        """Stored index matching each matrix of the batch, or -1."""
-        lo = np.searchsorted(self._keys, batch.ascending - self._radius, "left")
-        hi = np.searchsorted(self._keys, batch.ascending + self._radius, "right")
-        rows, cols = _window_pairs(lo, hi)
-        rows = batch.order[rows]
-        stored = self._order[cols]
-        same = _same(batch.flat.take(rows, axis=0), self._flat.take(stored, axis=0))
-        found = np.full(len(batch.flat), -1)
-        found[rows[same]] = stored[same]
-        return found
-
-    def first_occurrences(self, batch: _Batch) -> np.ndarray:
-        """Mask of the matrices of the batch that match no earlier one."""
-        n = len(batch.flat)
-        if n == 1:
-            return np.ones(1, dtype=bool)
-        hi = np.searchsorted(batch.ascending, batch.ascending + self._radius, "right")
-        rows, cols = _window_pairs(np.arange(1, n + 1), hi)
-        a, b = batch.order[rows], batch.order[cols]
-        first = np.ones(n, dtype=bool)
-        same = _same(batch.flat.take(a, axis=0), batch.flat.take(b, axis=0))
-        first[np.maximum(a, b)[same]] = False
-        return first
-
-    def add(self, batch: _Batch, new: np.ndarray) -> None:
-        """Append the matrices of the batch selected by the mask ``new``, in
-        batch order; they must match no stored one and no other one added."""
-        rows = batch.flat[new]
-        size = self._size + len(rows)
+    def spare(self, n: int) -> np.ndarray:
+        """The n buffer rows past the stored ones, as a writable (n, d*d)
+        view in which a stack can be formed and then stored by ``commit``;
+        grows the buffer if needed."""
+        size = self._size + n
         if size > len(self._flat):
             grown = np.empty((max(size, 2 * len(self._flat)), self._flat.shape[1]))
             grown[:self._size] = self._flat[:self._size]
             self._flat = grown
-        self._flat[self._size:size] = rows
-        in_order = new[batch.order]
-        keys = np.concatenate([self._keys, batch.ascending[in_order]])
-        # the stored index of each new matrix, in key order
-        stored = (self._size - 1 + np.cumsum(new))[batch.order[in_order]]
-        # Two ascending runs: numpy's stable sort of floats, a timsort,
-        # merges them in one pass.
-        merge = np.argsort(keys, kind="stable")
-        self._keys = keys[merge]
-        self._order = np.concatenate([self._order, stored])[merge]
-        self._size = size
+        return self._flat[self._size:size]
 
-    def trim(self) -> None:
-        """Release the buffer rows past the stored ones."""
+    def commit(self, n: int, keys: np.ndarray | None = None,
+               order: np.ndarray | None = None) -> None:
+        """Store the first n spare rows; their keys and the argsort of those
+        are formed here unless the caller has them."""
+        rows = self.spare(n)
+        if keys is None:
+            keys = self.keys(rows)
+        if order is None:
+            order = np.argsort(keys)
+        runs = self._runs
+        runs.append((keys[order], self._size + order))
+        self._size += n
+        while len(runs) > 1 and len(runs[-2][0]) < 2 * len(runs[-1][0]):
+            runs[-2:] = [_merged(runs[-2:])]
+
+    def append(self, flat: np.ndarray) -> None:
+        """Store the rows of an (n, d*d) stack in order."""
+        self.spare(len(flat))[:] = flat
+        self.commit(len(flat))
+
+    def lookup(self, mats: np.ndarray) -> np.ndarray:
+        """Stored index matching each matrix of an (n, d, d) stack, or -1."""
+        flat = mats.reshape(len(mats), self._w.size)
+        keys = self.keys(flat)
+        below, above = keys - self._radius, keys + self._radius
+        rows, stored = [], []
+        for ascending, run_stored in self._runs:
+            lo = np.searchsorted(ascending, below, "left")
+            hi = np.searchsorted(ascending, above, "right")
+            hit = np.flatnonzero(hi > lo)
+            if len(hit):
+                run_rows, cols = _window_pairs(lo[hit], hi[hit])
+                rows.append(hit[run_rows])
+                stored.append(run_stored[cols])
+        found = np.full(len(flat), -1)
+        if rows:
+            rows, stored = np.concatenate(rows), np.concatenate(stored)
+            same = _same(flat.take(rows, axis=0), self._flat.take(stored, axis=0))
+            found[rows[same]] = stored[same]
+        return found
+
+    def first_blocks(self, flat: np.ndarray, keys: np.ndarray, order: np.ndarray,
+                     size: int) -> np.ndarray:
+        """Mask of the blocks of ``size`` rows of an (n, d*d) stack, given its
+        keys and their argsort, whose first row matches no row of an earlier
+        block."""
+        first = np.ones(len(flat) // size, dtype=bool)
+        if len(first) == 1:
+            return first
+        ascending = keys[order]
+        heads = keys[::size]
+        lo = np.searchsorted(ascending, heads - self._radius, "left")
+        hi = np.searchsorted(ascending, heads + self._radius, "right")
+        blocks, cols = _window_pairs(lo, hi)
+        rows = order[cols]
+        earlier = rows // size < blocks
+        if not np.any(earlier):
+            return first
+        blocks, rows = blocks[earlier], rows[earlier]
+        same = _same(flat.take(blocks * size, axis=0), flat.take(rows, axis=0))
+        first[blocks[same]] = False
+        return first
+
+    def seal(self) -> None:
+        """Merge the runs into one, release the buffer rows past the stored
+        ones, and raise DedupAmbiguityError unless the stored matrices are
+        pairwise farther apart than the guard band."""
         if len(self._flat) > self._size:
             self._flat = self._flat[:self._size].copy()
+        if len(self._runs) > 1:
+            self._runs = [_merged(self._runs)]
+        if not self._runs:
+            return
+        ascending, stored = self._runs[0]
+        # The keys ascend: once no pair ``gap`` apart lies within the
+        # window, no pair farther apart does.
+        pairs = []
+        for gap in range(1, len(ascending)):
+            close = np.flatnonzero(ascending[gap:] - ascending[:-gap] <= self._radius)
+            if not len(close):
+                break
+            pairs.append((stored[close], stored[close + gap]))
+        if pairs:
+            a, b = (np.concatenate(side) for side in zip(*pairs))
+            if np.any(_same(self._flat.take(a, axis=0), self._flat.take(b, axis=0))):
+                raise DedupAmbiguityError(
+                    f"two elements within {DEDUP_TOL:.0e} of each other in max norm: "
+                    "a repeated element, or in an enumeration two overlapping cosets")
 
 
 @dataclass
@@ -347,7 +394,7 @@ class FiniteGroupData:
     def lookup(self, mats: np.ndarray) -> np.ndarray:
         """Index of the stored element matching each matrix of an (n, d, d)
         stack within dedup tolerance, or -1."""
-        return self._index.lookup(self._index.batch(np.asarray(mats, dtype=float)))
+        return self._index.lookup(np.asarray(mats, dtype=float))
 
     def find(self, mat: np.ndarray) -> int | None:
         """Index of the stored element matching ``mat`` within dedup
@@ -360,10 +407,12 @@ class FiniteGroupData:
                       identity_index: int | None = None) -> "FiniteGroupData":
         """Index a list of matrices known to form a group (e.g. a restricted
         copy of an enumerated group)."""
-        index = _KeyIndex(np.asarray(elements, dtype=float))
+        mats = np.asarray(elements, dtype=float)
+        index = _KeyIndex(mats.shape[1], len(mats))
+        index.append(mats.reshape(len(mats), -1))
+        index.seal()
         if identity_index is None:
-            eye = np.eye(index.elements.shape[1])
-            identity_index = int(index.lookup(index.batch(eye[None]))[0])
+            identity_index = int(index.lookup(np.eye(mats.shape[1])[None])[0])
             if identity_index < 0:
                 raise ValidationError("element list does not contain the identity")
         return cls(
@@ -382,52 +431,89 @@ def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape(n, d, len(right), d).transpose(0, 2, 1, 3)
 
 
+def _drift(blocks: np.ndarray) -> np.ndarray:
+    """The largest drift(A) = ||A^T A - I||_max in each block of an
+    (n, m, d, d) stack."""
+    n, m, d, _ = blocks.shape
+    mats = blocks.reshape(n * m, d, d)
+    # A contiguous transpose sends A^T A down numpy's gemm path, which is
+    # several times faster on small matrices than its syrk path.
+    gram = np.matmul(mats.transpose(0, 2, 1).copy(), mats)
+    return np.abs(gram - np.eye(d)).reshape(n, -1).max(axis=1)
+
+
 def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
     """Dimino closure of the generators: <g_1 ... g_i> is built as a union of
     right cosets H r of H = <g_1 ... g_(i-1)>.
 
     While H is trivial, the powers P = (1, g, ..., g^(m-1)) of g = g_i grow
-    by doubling: the block P g^m is admitted, with g^m = g^(m-1) g, until a
-    block holds a known element. Once H is not trivial, the coset
-    representatives, the identity first, are worked off in FIFO batches. The
-    products of a batch with g_1 ... g_i, in (representative, generator)
-    order, are looked up together, and each product r that is not found
-    brings its block H r, in the order of H. The blocks are looked up,
-    deduplicated among themselves with the first occurrence kept, and
-    appended; r becomes a representative iff the head of its block, the
-    identity times r, is new. Cosets are equal or disjoint, so this is
-    exactly the element-by-element order of sequential Dimino: element
-    indices depend only on the spec, and the identity is at index 0. Raises
-    GroupSizeCapError iff the order exceeds groupSizeCap and
-    DedupAmbiguityError when a matrix lands in the guard band of a stored
-    element or of another matrix of its batch.
+    by doubling: the block P g^m is formed, with g^m = g^(m-1) g, and its
+    elements that match no stored one are stored, until a block holds a
+    known element. Once H is not trivial, the coset representatives, the
+    identity first, are worked off in FIFO batches. The products of a batch
+    with g_1 ... g_i, in (representative, generator) order, are looked up
+    together, and each product r that is not found is a candidate head.
+    Only heads are looked up: cosets are equal or disjoint, so H r is new
+    iff r matches no stored element and no element of the block H r' of an
+    earlier candidate r' of its batch. Then its block H r, in the order of
+    H, is stored whole, no other element of it looked up, and r becomes a
+    representative. This is exactly the element-by-element order of
+    sequential Dimino: element indices depend only on the spec, and the
+    identity is at index 0. At the end, one sort of all the keys checks
+    that no two stored elements lie within the guard band of each other.
+
+    Orthogonality drift, drift(A) = ||A^T A - I||_max, is bounded per block
+    instead of formed per element. For A = h r, A^T A - I = r^T (h^T h - I) r
+    + (r^T r - I), and ||r^T E r||_max <= ||E||_2 max_i ||r_i||^2 <=
+    d ||E||_max (1 + drift(r)) over the columns r_i of r, so
+
+        drift(h r) <= drift(r) + (1 + drift(r)) d drift(H) + c d^2 eps,
+
+    where c d^2 eps, c = 8, covers the rounding of the product h r, which
+    is at most 2 d^(3/2) eps in the Gram matrix, and of the Gram matrices
+    themselves, d eps each. drift(r) is formed exactly for each head r and
+    each step g^m, and drift(H) is the largest bound over the elements h
+    ranges over. Only a block whose bound exceeds DEDUP_TOL gets its exact
+    Gram matrices, and their largest drift, plus the rounding term, becomes
+    its bound. Every element over DEDUP_TOL is in such a block, so the
+    check raises exactly when some element drifts past DEDUP_TOL and quotes
+    the largest exact drift.
+
+    Raises GroupSizeCapError iff the order exceeds groupSizeCap,
+    DedupAmbiguityError when a head lands in the guard band of a stored
+    element or of an earlier block of its batch, or two stored elements
+    lie within the guard band of each other (for d <= 10 the head lookup
+    rules this out), and ValidationError for the drift.
     """
     if spec.kind != "finite":
         raise ValidationError("enumerate_group requires kind=finite")
     gens = np.array(spec.generators)
     d = spec.dimension
-    eye = np.eye(d)
-    index = _KeyIndex(eye[None], min(spec.group_size_cap, _RESERVE_BYTES // (8 * d * d)))
-    drift = 0.0
+    index = _KeyIndex(d, min(spec.group_size_cap, _RESERVE_BYTES // (8 * d * d)))
+    index.append(np.eye(d).reshape(1, d * d))
+    rounding = 8.0 * d * d * np.finfo(float).eps
+    bound = 0.0  # bounds the drift of every stored element
+    drift = 0.0  # the largest exact drift formed
 
-    def admit(mats: np.ndarray) -> np.ndarray:
-        """Store the matrices of an (n, d, d) stack that match no stored one
-        and no earlier one of the stack, in stack order; returns that mask."""
-        nonlocal drift
-        batch = index.batch(mats)
-        new = (index.lookup(batch) < 0) & index.first_occurrences(batch)
-        size = len(index)
-        if size + np.count_nonzero(new) > spec.group_size_cap:
+    def store(n: int, m: int, right: np.ndarray, left_bound: float,
+              keys: np.ndarray | None = None, order: np.ndarray | None = None) -> None:
+        """Store n blocks of m matrices formed in the spare rows of the
+        index, block j holding products h right[j] with drift(h) <=
+        left_bound."""
+        nonlocal bound, drift
+        if len(index) + n * m > spec.group_size_cap:
             raise GroupSizeCapError(
                 f"group closure exceeded groupSizeCap={spec.group_size_cap}"
             )
-        index.add(batch, new)
-        added = index.elements[size:]
-        # A contiguous transpose sends A^T A down numpy's gemm path, which is
-        # several times faster on small matrices than its syrk path.
-        gram = np.matmul(added.transpose(0, 2, 1).copy(), added)
-        drift = max(drift, np.abs(gram - eye).max(initial=0.0))
-        return new
+        r = _drift(right[:, None])
+        block_bound = r + (1.0 + r) * d * left_bound + rounding
+        over = block_bound > DEDUP_TOL
+        if np.any(over):
+            exact = _drift(index.spare(n * m).reshape(n, m, d, d)[over])
+            drift = max(drift, exact.max())
+            block_bound[over] = exact + rounding
+        bound = max(bound, block_bound.max())
+        index.commit(n * m, keys, order)
 
     def powers(g: np.ndarray) -> None:
         while True:
@@ -435,26 +521,46 @@ def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
             low = index.elements[:m]  # g^0 ... g^(m-1)
             step = low[-1] @ g
             for start in range(0, m, _BATCH):
-                block = _products(low[start:start + _BATCH], step[None])
-                if not admit(block.reshape(-1, d, d)).all():
+                block = (low[start:start + _BATCH].reshape(-1, d) @ step).reshape(-1, d, d)
+                new = index.lookup(block) < 0
+                count = np.count_nonzero(new)
+                if count:
+                    index.spare(count)[:] = block[new].reshape(count, d * d)
+                    store(1, count, step[None], bound)
+                if count < len(new):
                     return
 
     def cosets(chain: np.ndarray) -> None:
         h = len(index)
+        subgroup_bound = bound
         reps = [0]  # stored index of each representative
         head = 0
         while head < len(reps):
             batch_reps = reps[head:head + max(1, _BATCH // (h * len(chain)))]
             head += len(batch_reps)
             prods = _products(index.elements[batch_reps], chain).reshape(-1, d, d)
-            cands = prods[index.lookup(index.batch(prods)) < 0]
+            cands = prods[index.lookup(prods) < 0]
             per_batch = max(1, _BATCH // h)
             for start in range(0, len(cands), per_batch):
+                heads = cands[start:start + per_batch]
+                if start:  # the chunks before may have stored some of these cosets
+                    heads = heads[index.lookup(heads) < 0]
+                    if not len(heads):
+                        continue
+                # the blocks H r, formed in place: row (j, a) holds h_a r_j
+                rows = index.spare(len(heads) * h)
+                np.matmul(index.elements[:h].reshape(h * d, d), heads,
+                          out=rows.reshape(len(heads), h * d, d))
+                keys = index.keys(rows)
+                order = np.argsort(keys)
+                new = index.first_blocks(rows, keys, order, h)
+                if not np.all(new):
+                    kept = np.repeat(new, h)
+                    rows[:np.count_nonzero(kept)] = rows[kept]
+                    keys, order, heads = keys[kept], None, heads[new]
                 size = len(index)
-                blocks = _products(index.elements[:h], cands[start:start + per_batch])
-                new = admit(blocks.swapaxes(0, 1).reshape(-1, d, d))
-                stored = size - 1 + np.cumsum(new)
-                reps.extend(stored[::h][new[::h]].tolist())
+                store(len(heads), h, heads, subgroup_bound, keys, order)
+                reps.extend(range(size, len(index), h))
 
     for i, g in enumerate(gens):
         if len(index) == 1:
@@ -462,11 +568,11 @@ def enumerate_group(spec: RepresentationSpec) -> FiniteGroupData:
         else:
             cosets(gens[:i + 1])
 
+    index.seal()
     if drift > DEDUP_TOL:
         raise ValidationError(
             f"enumerated element drifted from orthogonality: {drift:.3e} > {DEDUP_TOL:.0e}"
         )
-    index.trim()
     return FiniteGroupData(
         elements=index.elements,
         identity_index=0,

@@ -201,7 +201,10 @@ CENTER_CASES = {
     **{f"{name}@random-basis": in_random_basis(
         parse_spec(fixture_document(name)).generators, 7) for name in FIXTURE_NAMES},
     "B4@random-basis": in_random_basis(signed_permutations(4), 3),
+    "B5@random-basis": in_random_basis(signed_permutations(5), 4),
     "C24@random-basis": in_random_basis([cyclic_weights(24, (1, 2, 3))], 5),
+    # abelian: every element is central, so every one must pass the screen
+    "C120@random-basis": in_random_basis([cyclic_weights(120, (1, 2, 3))], 6),
 }
 
 
@@ -219,6 +222,24 @@ def test_a_commutator_in_the_guard_band_is_ambiguous():
     f = np.diag([1.0, -1.0])
     group = FiniteGroupData.from_elements(
         [np.eye(2), -np.eye(2), f, -f], generators=[f @ rot2(1e-8)])
+    with pytest.raises(KernelAmbiguityError, match=r"2\.000e-08"):
+        center_of_group(group)
+
+
+def test_a_commutator_aligned_with_the_screen_is_still_tested():
+    # z = diag(1, -1, 1, -1) and a generator g = z + E with [z, g] = c
+    # sign(W) wherever z's signs differ: ||[z, g]||_max = c lies in the
+    # guard band (1e-9, 2.5e-8], yet <W, [z, g]> exceeds the band, so only
+    # a screen that scales the band by ||W||_1 keeps z for the exact test
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    z = np.diag(signs)
+    w = np.random.default_rng(isom_quotient._SCREEN_SEED).standard_normal((4, 4))
+    w /= np.linalg.norm(w)
+    gap = signs[:, None] - signs[None, :]
+    c = 2e-8
+    edit = np.divide(c * np.sign(w), gap, out=np.zeros((4, 4)), where=gap != 0)
+    assert np.sum(w * (z @ edit - edit @ z)) > 2.5e-8
+    group = FiniteGroupData.from_elements([np.eye(4), z], generators=[z + edit])
     with pytest.raises(KernelAmbiguityError, match=r"2\.000e-08"):
         center_of_group(group)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,22 @@ def test_dedup_ambiguity_band():
         enumerate_group(spec_of([rot2(theta), rot2(theta + 3e-8)], 2))
 
 
+def test_dedup_ambiguity_between_a_generator_and_a_coset_element():
+    # D4 = <swap, flip> stores swap flip inside the coset {I, swap} flip,
+    # and a head is never compared with the rest of its coset; a third
+    # generator 3e-8 from swap flip is a head, looked up and ambiguous
+    swap, flip = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([-1.0, 1.0])
+    near = swap @ flip @ rot2(3e-8)
+    with pytest.raises(DedupAmbiguityError, match=r"3\.000e-08"):
+        enumerate_group(spec_of([swap, flip, near], 2))
+
+
+def test_from_elements_rejects_a_repeated_element():
+    a = np.diag([1.0, -1.0])
+    with pytest.raises(DedupAmbiguityError, match="repeated element"):
+        FiniteGroupData.from_elements([np.eye(2), a, a.copy()])
+
+
 def test_dedup_ambiguity_between_a_product_and_a_stored_element():
     # g = R(2 pi / 3 + 1e-8): the product g^2 g = R(2 pi + 3e-8) lands 3e-8
     # from the stored identity, inside (tol, 10*tol]
@@ -212,13 +229,24 @@ def naive_coset_closure(generators):
 BFS_MATCH_BOUND = 32 * np.finfo(float).eps
 
 
+# Past this order the BFS closure, which compares every product with every
+# stored element, takes seconds; closure under the generators stands in.
+BFS_MAX_ORDER = 400
+
+
 def assert_matches_the_naive_closures(group, generators):
     """Same words in the same order as the naive coset closure, and the same
     set as the naive BFS closure: each BFS element matches exactly one
-    enumerated element."""
+    enumerated element. Past BFS_MAX_ORDER, the elements are closed under
+    right multiplication by the generators instead: with the identity they
+    then hold the group, and ``seal`` has checked that they are distinct."""
     naive = naive_coset_closure(generators)
     assert group.elements.shape == naive.shape
     assert np.abs(group.elements - naive).max() <= 4 * np.finfo(float).eps
+    if group.order > BFS_MAX_ORDER:
+        for g in generators:
+            assert np.all(group.lookup(group.elements @ g) >= 0)
+        return
     bfs = naive_closure(generators)
     assert len(bfs) == group.order
     dist = np.abs(bfs[:, None] - group.elements[None]).max(axis=(2, 3))
@@ -231,6 +259,7 @@ CLOSURE_CASES = {
     **{f"C{n}": [cyclic_weights(n, (1, 2))] for n in (2, 5, 12, 24)},
     "B3": signed_permutations(3),
     "B4": signed_permutations(4),
+    "B5": signed_permutations(5),
 }
 
 
@@ -251,6 +280,39 @@ def test_cyclic_enumeration_matches_the_naive_closures(n):
     group = enumerate_group(spec)
     assert group.order == n
     assert_matches_the_naive_closures(group, spec.generators)
+
+
+def test_candidates_of_one_batch_that_share_a_coset(monkeypatch):
+    # B3 = <s, c, c^2, f>: in the last stage, the products of one batch of
+    # representatives with s, c and the redundant c^2 include several heads
+    # of one new coset, and only the first may bring it
+    s, c, f = signed_permutations(3)
+    generators = in_random_basis([s, c, c @ c, f], 8)
+    dropped = []
+    first_blocks = repr_model._KeyIndex.first_blocks
+
+    def spy(self, *args):
+        first = first_blocks(self, *args)
+        dropped.append(np.count_nonzero(~first))
+        return first
+
+    monkeypatch.setattr(repr_model._KeyIndex, "first_blocks", spy)
+    spec = spec_of(generators, 3)
+    group = enumerate_group(spec)
+    assert group.order == 48 and sum(dropped) > 0
+    assert_matches_the_naive_closures(group, spec.generators)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64])
+def test_enumeration_does_not_depend_on_the_batch_size(batch, monkeypatch):
+    # small batches split the candidates of one batch of representatives
+    # into several chunks, whose heads are then looked up again
+    spec = spec_of(in_random_basis(signed_permutations(4), 9), 4)
+    reference = enumerate_group(spec)
+    monkeypatch.setattr(repr_model, "_BATCH", batch)
+    group = enumerate_group(spec)
+    assert group.elements.shape == reference.elements.shape
+    assert np.abs(group.elements - reference.elements).max() <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("redundant", ["power", "repeat", "identity"])
@@ -283,6 +345,65 @@ def test_enumeration_leaves_no_index_slack(reserve, monkeypatch):
         group = enumerate_group(spec)
         assert group.elements.nbytes == group.order * 8 * spec.dimension**2
         assert group.elements.base.nbytes == group.elements.nbytes
+
+
+def test_the_drift_of_an_involution_is_quoted():
+    # g^T g - I has off-diagonal entries 5e-7: inside the spec's tolerance,
+    # so g parses, but past DEDUP_TOL once enumerated
+    g = np.array([[1.0, 5e-7], [0.0, -1.0]])
+    with pytest.raises(ValidationError, match=r"drifted from orthogonality: 5\.000e-07"):
+        enumerate_group(spec_of([g], 2, tolerance=1e-6))
+
+
+def _exact_drift(elements):
+    gram = np.matmul(elements.transpose(0, 2, 1), elements)
+    return np.abs(gram - np.eye(elements.shape[1])).max()
+
+
+def _skewed_b3(eps):
+    """B3 in a random basis conjugated by the non-orthogonal P = I + eps N:
+    still a group of order 48, whose elements drift by about 4 eps."""
+    p = np.eye(3) + eps * np.random.default_rng(0).standard_normal((3, 3))
+    return [p @ g @ np.linalg.inv(p) for g in in_random_basis(signed_permutations(3), 2)]
+
+
+def _record_drift_blocks(monkeypatch):
+    """The block size of every drift evaluation: heads and steps come one
+    matrix to a block, the exact check of a coset all its matrices."""
+    sizes = []
+    drift = repr_model._drift
+
+    def spy(blocks):
+        sizes.append(blocks.shape[1])
+        return drift(blocks)
+
+    monkeypatch.setattr(repr_model, "_drift", spy)
+    return sizes
+
+
+def test_an_orthogonal_group_stays_under_the_drift_bound(monkeypatch):
+    sizes = _record_drift_blocks(monkeypatch)
+    assert enumerate_group(spec_of(_skewed_b3(0.0), 3)).order == 48
+    assert max(sizes) == 1
+
+
+def test_a_coset_over_the_drift_bound_gets_the_exact_check(monkeypatch):
+    # every element drifts by about 4e-9, so a coset's bound, at least
+    # (1 + d) times that, exceeds DEDUP_TOL while no element does
+    spec = spec_of(_skewed_b3(1e-9), 3, tolerance=1e-6)
+    assert _exact_drift(naive_coset_closure(spec.generators)) < DEDUP_TOL
+    sizes = _record_drift_blocks(monkeypatch)
+    assert enumerate_group(spec).order == 48
+    assert max(sizes) > 1
+
+
+def test_the_drift_check_quotes_the_largest_exact_drift():
+    spec = spec_of(_skewed_b3(5e-9), 3, tolerance=1e-6)
+    worst = _exact_drift(naive_coset_closure(spec.generators))
+    with pytest.raises(ValidationError, match="drifted from orthogonality") as err:
+        enumerate_group(spec)
+    quoted = float(re.search(r"orthogonality: (\S+) >", str(err.value)).group(1))
+    assert quoted == pytest.approx(worst, rel=1e-3)
 
 
 def test_dedup_identifies_drifted_copy():
