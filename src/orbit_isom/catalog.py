@@ -126,6 +126,8 @@ class CatalogAction:
     def __post_init__(self):
         gens = tuple(np.array(x, dtype=float) for x in self.generators)
         k = len(gens)
+        if k == 0:
+            raise ValidationError(f"{self.id}: an action needs at least one generator")
         if k != len(self.axes):
             raise ValidationError(f"{self.id}: {k} generators for {len(self.axes)} axes")
         d = gens[0].shape[0]

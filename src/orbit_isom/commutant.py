@@ -12,11 +12,10 @@ solved for it. A component's type and multiplicity follow from its
 restricted commutant E = P C P alone. E is M_n(R), M_n(C) or M_n(H) with
 the transpose as its *-involution, so with c = dim E and k = dim Skew(E)
 the difference t = dim Sym(E) - dim Skew(E) = c - 2k is the
-Frobenius-Schur indicator sum (1/|G|) sum_g trace(P g^2 P):
-
-    t > 0  -> Real         n = t            check c = n^2
-    t = 0  -> Complex      n = isqrt(c/2)   check c = 2 n^2
-    t < 0  -> Quaternionic n = -t/2         check c = 4 n^2
+Frobenius-Schur indicator sum (1/|G|) sum_g trace(P g^2 P). Its sign picks
+the type's record in ``SCHUR_TYPES``, the one table of every number that
+depends on the type alone, and n = isqrt(c / weight), checked by
+c = weight n^2 and t = indicator n.
 
 All of these are integer comparisons; the group average itself is the
 second route, which the verification suite compares with t. The identity
@@ -42,7 +41,47 @@ REAL = "Real"
 COMPLEX = "Complex"
 QUATERNIONIC = "Quaternionic"
 
-_FACTOR_PREFIX = {REAL: "SO", COMPLEX: "U", QUATERNIONIC: "Sp"}
+
+@dataclass(frozen=True)
+class SchurType:
+    """One Frobenius-Schur type of an isotypic component W = V_i^(n): its
+    restricted commutant is M_n(K), K = R, C or H, and the component's
+    factor of the equivariant isometry group is SO(n), U(n) or Sp(n)."""
+
+    name: str                # Real | Complex | Quaternionic
+    prefix: str              # SO | U | Sp
+    weight: int              # dim_R K
+    indicator: int           # Frobenius-Schur indicator of one copy of V_i
+    irreducible_class: str   # what Isom(V/G)_0 can be when W is irreducible
+
+    def factor_name(self, n: int) -> str:
+        return f"{self.prefix}({n})"
+
+    def dim(self, n: int) -> int:
+        """dim Skew(M_n(K)) = (c - t) / 2."""
+        return (self.weight * n * n - self.indicator * n) // 2
+
+    def rank(self, n: int) -> int:
+        return n // 2 if self.weight == 1 else n
+
+    def has_circle(self, n: int) -> bool:
+        """Whether the factor has a center circle: U(n) and SO(2)."""
+        return self.weight == 2 or self.dim(n) == 1
+
+    def contains_minus_i(self, n: int) -> bool:
+        """Whether -I lies in the factor: in all but SO(odd n)."""
+        return self.weight > 1 or n % 2 == 0
+
+    def minus_i_discrete(self, n: int) -> bool:
+        """Whether -I lies in the factor off its circle: Sp(n), SO(2k >= 4)."""
+        return self.contains_minus_i(n) and not self.has_circle(n)
+
+
+SCHUR_TYPES = {t.name: t for t in (
+    SchurType(REAL, "SO", 1, 1, "finite-group"),
+    SchurType(COMPLEX, "U", 2, 0, "trivial-or-U1"),
+    SchurType(QUATERNIONIC, "Sp", 4, -2, "trivial-or-Sp1-or-SO3"),
+)}
 
 
 def _sylvester_rows(mat: np.ndarray) -> np.ndarray:
@@ -175,18 +214,13 @@ def classify_component(subspace: ComponentSubspace, commutant: np.ndarray) -> Is
     skew = _skew_subbasis(block)
     c, k, m = block.shape[0], skew.shape[0], subspace.dimension
     t = c - 2 * k
-    if t > 0:
-        schur, n, want = REAL, t, t * t
-    elif t == 0:
-        n = math.isqrt(c // 2)
-        schur, want = COMPLEX, 2 * n * n
-    else:
-        n = -t // 2
-        schur, want = QUATERNIONIC, 4 * n * n
-    if c != want or n < 1 or m % n != 0:
+    kind = SCHUR_TYPES[REAL if t > 0 else COMPLEX if t == 0 else QUATERNIONIC]
+    schur, n = kind.name, math.isqrt(c // kind.weight)
+    if c != kind.weight * n * n or t != kind.indicator * n or n < 1 or m % n != 0:
         raise TypeInconsistencyError(
             f"restricted commutant of dim {c} with {k} skew elements (t = {t}) "
-            f"reads {schur}({n}), which needs dim {want} and n dividing {m}"
+            f"reads {schur}({n}), which needs dim {kind.weight * n * n}, "
+            f"t = {kind.indicator * n} and n dividing {m}"
         )
     if (schur == COMPLEX) != (subspace.circle is not None):
         raise TypeInconsistencyError(
@@ -196,40 +230,27 @@ def classify_component(subspace: ComponentSubspace, commutant: np.ndarray) -> Is
                              multiplicity=n, schur_type=schur, skew_basis=skew)
 
 
-def _skew_dim_formula(schur_type: str, n: int) -> int:
-    if schur_type == REAL:
-        return n * (n - 1) // 2
-    if schur_type == COMPLEX:
-        return n * n
-    return n * (2 * n + 1)
-
-
-def _factor_rank(schur_type: str, n: int) -> int:
-    return n // 2 if schur_type == REAL else n
-
-
 @dataclass(frozen=True)
 class Factor:
     """One classical factor SO(n)/U(n)/Sp(n) acting on one component."""
 
     schur_type: str
     multiplicity: int
-    component_index: int
     lie_start: int
     lie_stop: int
     center_circle_index: int | None  # global lie-basis index of the central circle
 
     @property
     def name(self) -> str:
-        return f"{_FACTOR_PREFIX[self.schur_type]}({self.multiplicity})"
+        return SCHUR_TYPES[self.schur_type].factor_name(self.multiplicity)
 
     @property
     def dim(self) -> int:
-        return _skew_dim_formula(self.schur_type, self.multiplicity)
+        return SCHUR_TYPES[self.schur_type].dim(self.multiplicity)
 
     @property
     def rank(self) -> int:
-        return _factor_rank(self.schur_type, self.multiplicity)
+        return SCHUR_TYPES[self.schur_type].rank(self.multiplicity)
 
 
 @dataclass(frozen=True)
@@ -281,12 +302,11 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
     for idx, comp in enumerate(components):
         skew = comp.skew_basis
         k = skew.shape[0]
-        center_index = None
+        kind = SCHUR_TYPES[comp.schur_type]
+        center_index = cursor if kind.has_circle(comp.multiplicity) else None
         ordered = skew
-        if comp.schur_type == REAL and comp.multiplicity == 2:
-            # so(2) is 1-dimensional: the factor is its own central circle.
-            center_index = cursor
-        elif comp.schur_type == COMPLEX:
+        # so(2) is its own circle; a Complex component's is its scalar J.
+        if comp.circle is not None:
             # Sign convention for determinism: first significant entry positive.
             flat = comp.circle.ravel()
             j = comp.circle * np.sign(flat[np.argmax(np.abs(flat) > 1e-8)])
@@ -297,12 +317,10 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
                     f"component {idx}: central complement dim {rest.shape[0]}"
                 )
             ordered = np.concatenate([j[None], rest])
-            center_index = cursor
 
         factors.append(Factor(
             schur_type=comp.schur_type,
             multiplicity=comp.multiplicity,
-            component_index=idx,
             lie_start=cursor,
             lie_stop=cursor + k,
             center_circle_index=center_index,

@@ -20,7 +20,6 @@ it holds no whole factor.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .catalog import DEFAULT_DENSITY, LIE_RANK_FLOOR, CatalogAction, get_action
 from .commutant import (
     COMPLEX,
     QUATERNIONIC,
-    REAL,
+    SCHUR_TYPES,
     EquivariantIsometryGroup,
     classify_component,
     commutant_basis,
@@ -147,10 +146,10 @@ def center_in_component(center_elements, equiv: EquivariantIsometryGroup):
 
     By Schur's lemma a central z is eps I on a Real or Quaternionic
     component W, eps = tr(B^T z B) / dim W = ±1, and a unit complex scalar,
-    which U(n) contains, on a Complex one. Sp(n) contains -I and SO(n) does
-    iff n is even, so z is in prod H_i unless eps = -1 on a Real component
-    of odd multiplicity. That z keeps each component and is ±I on it is
-    checked at CENTRAL_TOL.
+    which U(n) contains, on a Complex one. So z is in prod H_i unless
+    eps = -1 on a component whose factor does not contain -I, SO(n) for odd
+    n. That z keeps each component and is ±I on it is checked at
+    CENTRAL_TOL.
     """
     z = np.asarray(center_elements, dtype=float)
     restricted = [np.einsum("ji,kjl,lm->kim", c.basis, z, c.basis)
@@ -169,7 +168,7 @@ def center_in_component(center_elements, equiv: EquivariantIsometryGroup):
         if off > CENTRAL_TOL:
             raise InternalCheckError(
                 f"central element is off ±I on a {comp.schur_type} component by {off:.3e}")
-        if comp.schur_type == REAL and comp.multiplicity % 2:
+        if not SCHUR_TYPES[comp.schur_type].contains_minus_i(comp.multiplicity):
             kept &= eps > 0
     return list(z[kept])
 
@@ -208,14 +207,10 @@ class KernelDescription:
                 if part in (CIRCLE, WHOLE) and f.center_circle_index is not None]
 
 
-def _discrete_center_candidate(factor, equiv: EquivariantIsometryGroup,
-                               dim: int) -> np.ndarray | None:
-    # -I_block is central in Sp(n) always and in SO(n) for even n >= 4;
-    # for U(n) and SO(2) it sits on the center circle, tested separately.
-    n = factor.multiplicity
-    if factor.schur_type == QUATERNIONIC or (
-            factor.schur_type == REAL and n >= 4 and n % 2 == 0):
-        comp = equiv.components[factor.component_index]
+def _discrete_center_candidate(comp, dim: int) -> np.ndarray | None:
+    """The -I block of a component where it lies off its factor's circle;
+    on U(n) and SO(2) it sits on the circle, tested separately."""
+    if SCHUR_TYPES[comp.schur_type].minus_i_discrete(comp.multiplicity):
         return np.eye(dim) - 2.0 * comp.projector
     return None
 
@@ -293,7 +288,7 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
         center = center_of_group(ctx)
         finite_part = tuple(center_in_component(center, equiv))
         # A -I block commutes with G and lies in H_0: in the kernel iff in G.
-        blocks = [_discrete_center_candidate(f, equiv, d) for f in equiv.factors]
+        blocks = [_discrete_center_candidate(c, d) for c in equiv.components]
         parts = tuple(None if z is None or ctx.find(z) is None else MINUS_I for z in blocks)
         return KernelDescription(finite_part, parts, len(finite_part) == len(center))
 
@@ -305,9 +300,9 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
     finite_part = [np.eye(d)]
     explained: list[int] = []  # lie-basis indices of whole factors and circles
 
-    for factor in equiv.factors:
+    for factor, comp in zip(equiv.factors, equiv.components):
         circle = factor.center_circle_index
-        z = _discrete_center_candidate(factor, equiv, d)
+        z = _discrete_center_candidate(comp, d)
         part = None
         # an SO(1) factor has no Lie slice and is never in the kernel
         if factor.dim and _in_kernel_algebra(
@@ -364,10 +359,6 @@ def _assert_boundary_free_kernel(kernel: KernelDescription, action: CatalogActio
                 "quotient having no boundary")
 
 
-_FACTOR_NAME_RE = re.compile(r"^(SO|U|Sp)\((\d+)\)$")
-_CENTRAL_ANNOTATIONS = ("", "/{±I}", "/center", "/whole-factor")
-
-
 def _annotated_name(factor, part) -> str:
     """The factor's name over what of it the kernel holds; a whole factor
     with a center circle is annotated as its center."""
@@ -377,17 +368,20 @@ def _annotated_name(factor, part) -> str:
 
 
 def verify_theorem_B(report: dict) -> str:
-    """Structural validation: every factor is SO/U/Sp and every kernel
-    annotation quotients by a central subgroup only."""
+    """Structural validation: every factor is named SO(n), U(n) or Sp(n)
+    for its own Schur type and multiplicity n, and its annotation names a
+    central subgroup that factor has: {±I} where -I lies off the center
+    circles, center where there is a circle, whole-factor on a factor of
+    positive dimension without one."""
     for entry in report["compactFactors"]:
-        name = entry["name"]
-        base, sep, rest = name.partition("/")
-        annotation = sep + rest if sep else ""
-        if not _FACTOR_NAME_RE.match(base):
+        kind, n = SCHUR_TYPES.get(entry["type"]), entry["multiplicity"]
+        if kind is None or n < 1:
             return "fail"
-        if annotation not in _CENTRAL_ANNOTATIONS:
-            return "fail"
-        if entry["type"] not in (REAL, COMPLEX, QUATERNIONIC):
+        annotations = {"": True, f"/{MINUS_I}": kind.minus_i_discrete(n),
+                       f"/{CIRCLE}": kind.has_circle(n),
+                       f"/{WHOLE}": kind.dim(n) > 0 and not kind.has_circle(n)}
+        if not any(ok and entry["name"] == kind.factor_name(n) + a
+                   for a, ok in annotations.items()):
             return "fail"
     return "pass"
 
@@ -405,11 +399,7 @@ def classify_irreducible(report: dict) -> str:
     entry = report["compactFactors"][0]
     if entry["multiplicity"] != 1:
         return "not-irreducible"
-    return {
-        REAL: "finite-group",
-        COMPLEX: "trivial-or-U1",
-        QUATERNIONIC: "trivial-or-Sp1-or-SO3",
-    }[entry["type"]]
+    return SCHUR_TYPES[entry["type"]].irreducible_class
 
 
 def _quotient_description(factors, kernel: KernelDescription,
@@ -437,7 +427,6 @@ class AnalysisResult:
     source: str
     split: TrivialSplit | None
     context: object                     # reduced FiniteGroupData or CatalogAction
-    ambient_group: FiniteGroupData | None
     equiv: EquivariantIsometryGroup | None
     kernel: KernelDescription
     boundary: bool
@@ -566,7 +555,6 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
     """
     _stage("parse", check_sampling, sample_count, seed)
     label, spec, action = _stage("parse", _resolve_source, source)
-    group = None
     if action is None:
         group = _stage("enumerate", enumerate_group, spec)
         split = _stage("trivial-split", fixed_subspace, group.generators,
@@ -577,7 +565,7 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
                 euclidean_dim=split.fixed_dim, equiv=None, kernel=kernel,
                 boundary=False, seed=seed, sample_count=sample_count, catalog=None)
             return AnalysisResult(
-                source=label, split=split, context=None, ambient_group=group,
+                source=label, split=split, context=None,
                 equiv=None, kernel=kernel, boundary=False, report=report)
         ctx = _stage("restrict", restrict_group, group, split)
         gens = ctx.generators
@@ -605,7 +593,7 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
         euclidean_dim=split.fixed_dim, equiv=equiv, kernel=kernel, boundary=boundary,
         seed=seed, sample_count=sample_count, catalog=action)
     return AnalysisResult(
-        source=label, split=split, context=ctx, ambient_group=group,
+        source=label, split=split, context=ctx,
         equiv=equiv, kernel=kernel, boundary=boundary, report=report)
 
 

@@ -403,10 +403,11 @@ class FiniteGroupData:
         return None if idx < 0 else idx
 
     @classmethod
-    def from_elements(cls, elements, generators=(),
+    def from_elements(cls, elements, generators=None,
                       identity_index: int | None = None) -> "FiniteGroupData":
         """Index a list of matrices known to form a group (e.g. a restricted
-        copy of an enumerated group)."""
+        copy of an enumerated group), generated by ``generators``, or by all
+        of its elements when they are not given."""
         mats = np.asarray(elements, dtype=float)
         index = _KeyIndex(mats.shape[1], len(mats))
         index.append(mats.reshape(len(mats), -1))
@@ -418,7 +419,8 @@ class FiniteGroupData:
         return cls(
             elements=index.elements,
             identity_index=identity_index,
-            generators=tuple(np.asarray(g, dtype=float) for g in generators),
+            generators=tuple(np.asarray(g, dtype=float) for g in (
+                index.elements if generators is None else generators)),
             _index=index,
         )
 

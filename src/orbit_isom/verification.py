@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _numerics as num
 from .catalog import CATALOG, get_action, trivial_action
-from .commutant import commutant_basis, sample_equivariant_isometry
+from .commutant import SCHUR_TYPES, commutant_basis, sample_equivariant_isometry
 from .fixtures import FIXTURE_NAMES, fixture_document
 from .isom_quotient import (
     CIRCLE,
@@ -51,14 +51,6 @@ HOPF_BUDGET_SECONDS = 30.0
 SECTOR_BUDGET_SECONDS = 60.0
 CATALOG_LABELS = tuple(f"catalog:{action_id}" for action_id in CATALOG)
 CIRCLE_TEST_TIMES = (0.1, 0.37, 1.01)
-
-_SCHUR_WEIGHT = {"Real": 1, "Complex": 2, "Quaternionic": 4}
-_INDICATOR = {"Real": 1, "Complex": 0, "Quaternionic": -2}
-_SKEW_DIM = {
-    "Real": lambda n: n * (n - 1) // 2,
-    "Complex": lambda n: n * n,
-    "Quaternionic": lambda n: n * (2 * n + 1),
-}
 
 
 @dataclass(frozen=True)
@@ -288,8 +280,9 @@ def _finite_kernel_problems(name: str, memo: _AnalysisMemo) -> list[str]:
     moving = [k for k in kernel if not orbit_trivial(k)]
     if moving:
         problems.append(f"{name}: {len(moving)} kernel elements move an orbit")
-    for factor, part in zip(result.equiv.factors, result.kernel.parts):
-        z = _discrete_center_candidate(factor, result.equiv, ctx.dimension)
+    for factor, comp, part in zip(result.equiv.factors, result.equiv.components,
+                                  result.kernel.parts):
+        z = _discrete_center_candidate(comp, ctx.dimension)
         in_kernel = z is not None and _matched(z, kernel)
         if (part == MINUS_I) != in_kernel:
             problems.append(f"{name}: the kernel part of {factor.name} disagrees "
@@ -348,17 +341,13 @@ def _suite_descend(memo: _AnalysisMemo) -> SuiteResult:
 
 
 def _expected_commutant_dim(rep: dict) -> int:
-    return sum(_SCHUR_WEIGHT[f["type"]] * f["multiplicity"] ** 2
+    return sum(SCHUR_TYPES[f["type"]].weight * f["multiplicity"] ** 2
                for f in rep["compactFactors"])
 
 
 def _expected_skew_dim(rep: dict) -> int:
-    total = 0
-    for f in rep["compactFactors"]:
-        base = f["name"].split("/")[0]
-        n = int(base[base.index("(") + 1:base.index(")")])
-        total += _SKEW_DIM[f["type"]](n)
-    return total
+    return sum(SCHUR_TYPES[f["type"]].dim(f["multiplicity"])
+               for f in rep["compactFactors"])
 
 
 def indicator_sums(result) -> list[float]:
@@ -413,7 +402,7 @@ def _suite_structural(memo: _AnalysisMemo) -> SuiteResult:
             problems.append(f"{label}: reported equivariant dim inconsistent")
         comps = () if result.equiv is None else result.equiv.components
         for comp, s in zip(comps, indicator_sums(result)):
-            want = _INDICATOR[comp.schur_type] * comp.multiplicity
+            want = SCHUR_TYPES[comp.schur_type].indicator * comp.multiplicity
             if abs(s - want) > INDICATOR_TOL:
                 problems.append(
                     f"{label}: indicator sum {s!r} != {want} for "

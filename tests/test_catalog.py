@@ -155,6 +155,11 @@ def test_non_skew_generator_is_rejected(generator):
         _one_axis_action(generator)
 
 
+def test_an_action_without_generators_is_rejected():
+    with pytest.raises(ValidationError, match="at least one generator"):
+        CatalogAction(id="test", generators=(), axes=(), metadata=trivial_action(2).metadata)
+
+
 def test_unit_circle_generator_is_accepted():
     action = _one_axis_action(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert np.abs(action.element([0.4]) - rot2(0.4)).max() <= 1e-15

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import rot2
 from orbit_isom import _numerics as num
+from orbit_isom import commutant
 from orbit_isom.catalog import CATALOG
 from orbit_isom.commutant import (
     ComponentSubspace,
@@ -139,6 +141,87 @@ def test_the_hopf_circle_is_the_diagonal_complex_structure(memo):
     j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
     want = np.kron(np.eye(2), j2) / 2.0
     assert min(num.max_abs(comp.circle - want), num.max_abs(comp.circle + want)) <= 1e-14
+
+
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_QI = np.kron(np.eye(2), _J2)
+_QJ = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+# K = R, C, H as real matrices: left multiplication by 1 (and i, j, k) on K.
+_UNITS = {
+    "Real": [np.eye(1)],
+    "Complex": [np.eye(2), _J2],
+    "Quaternionic": [np.eye(4), _QI, _QJ, _QI @ _QJ],
+}
+
+
+def _span(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of a (k, N, N) stack."""
+    flat = stack.reshape(len(stack), -1)
+    _, s, vt = np.linalg.svd(flat, full_matrices=False)
+    return vt[s > 1e-10].reshape((-1,) + stack.shape[1:])
+
+
+def _null_space(columns: np.ndarray) -> np.ndarray:
+    """Rows spanning the null space of a matrix with no more columns than
+    rows."""
+    _, s, vt = np.linalg.svd(columns, full_matrices=False)
+    return vt[np.sum(s > 1e-10):]
+
+
+def _brackets(skew: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Columns vec([S_a, x]) over the basis S_a."""
+    return (skew @ x - x @ skew).reshape(len(skew), x.size).T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["Real", "Complex", "Quaternionic"])
+def test_the_schur_type_table_matches_the_explicit_algebra(name, n):
+    # E = M_n(K) inside M_{n dim K}(R), spanned by E_ab (x) u over the units
+    # u of K; its factor is the group exp Skew(E).
+    kind = commutant.SCHUR_TYPES[name]
+    cells = np.eye(n * n).reshape(n * n, n, n)
+    e = _span(np.array([np.kron(cell, u) for cell in cells for u in _UNITS[name]]))
+    skew = _span(e - e.transpose(0, 2, 1))
+    c, k, size = len(e), len(skew), e.shape[1]
+    assert kind.name == name
+    assert c == kind.weight * n * n
+    assert k == kind.dim(n)
+    assert c - 2 * k == kind.indicator * n
+
+    # The centralizer of a generic element of Skew(E) is a Cartan subalgebra.
+    x = np.tensordot(np.random.default_rng([n, c]).standard_normal(k), skew, axes=1)
+    assert len(_null_space(_brackets(skew, x))) == kind.rank(n)
+    center = _null_space(np.concatenate([_brackets(skew, a) for a in skew])
+                         if k else np.zeros((1, 0)))
+    assert (len(center) > 0) == kind.has_circle(n)
+
+    # -I lies in the factor when a generic x is invertible: exp(pi x / |x|)
+    # turns every plane of x by pi. Otherwise size is odd, and the factor,
+    # connected, lies in SO(size), which -I does not.
+    minus_i = -np.eye(size)
+    if np.linalg.svd(x, compute_uv=False).min() > 1e-8:
+        w, v = np.linalg.eigh(-x @ x)
+        y = np.pi * x @ (v / np.sqrt(w)) @ v.T
+        assert num.max_abs(y - np.tensordot(np.einsum("kij,ij->k", skew, y), skew, axes=1)) < 1e-10
+        assert num.max_abs(scipy.linalg.expm(y) - minus_i) < 1e-10
+        contains = True
+    else:
+        assert size % 2 == 1
+        contains = False
+    assert contains == kind.contains_minus_i(n)
+
+    # The center circle, where there is one, is exp(t J) with J^2 scalar,
+    # and passes through -I at t = pi / |J|.
+    on_circle = False
+    if len(center):
+        (coeff,) = center
+        j = np.tensordot(coeff, skew, axes=1)
+        w = np.linalg.eigvalsh(-j @ j)
+        assert w.max() - w.min() < 1e-10
+        assert num.max_abs(scipy.linalg.expm(np.pi * j / np.sqrt(w[0])) - minus_i) < 1e-10
+        on_circle = True
+    assert (contains and not on_circle) == kind.minus_i_discrete(n)
 
 
 def test_isotypic_split_bases_span_space(finite_group):

@@ -46,6 +46,7 @@ from orbit_isom.isom_quotient import (
 )
 from orbit_isom.orbit_geometry import orbit_equivalence_test, sample_generic_point
 from orbit_isom.repr_model import FiniteGroupData, enumerate_group, parse_spec
+from test_golden_reports import _golden_blocks
 
 # frozen expected reports: factors as (name, type, multiplicity), kernel as
 # (finiteOrder, circleDirections, containsCenterOfG)
@@ -363,6 +364,46 @@ def test_theorem_b_rejects_noncentral_annotation(memo):
     rep = json.loads(report_json(memo.analysis("q8").report))
     rep["compactFactors"][0]["name"] = "Sp(1)/weird"
     assert verify_theorem_B(rep) == "fail"
+
+
+def _with_factor(memo, name, schur_type, multiplicity):
+    rep = json.loads(report_json(memo.analysis("c5").report))
+    rep["compactFactors"] = [{"name": name, "type": schur_type, "multiplicity": multiplicity}]
+    return rep
+
+
+@pytest.mark.parametrize("name, schur_type, multiplicity", [
+    ("U(3)", "Real", 5),               # another type's prefix and another n
+    ("SO(3)/{±I}", "Real", 3),         # -I is not in SO(3)
+    ("Sp(1)/center", "Quaternionic", 1),  # Sp(1) has no center circle
+    ("U(2)/{±I}", "Complex", 2),       # -I lies on the circle of U(2)
+    ("SO(2)/whole-factor", "Real", 2),  # SO(2) is its own circle
+    ("SO(3)", "Octonionic", 3),
+    ("SO(0)", "Real", 0),
+    ("SO(3)/", "Real", 3),
+])
+def test_theorem_b_rejects_a_name_that_does_not_fit_its_factor(
+        memo, name, schur_type, multiplicity):
+    assert verify_theorem_B(_with_factor(memo, name, schur_type, multiplicity)) == "fail"
+
+
+@pytest.mark.parametrize("name, schur_type, multiplicity", [
+    ("SO(4)/{±I}", "Real", 4),
+    ("Sp(2)/{±I}", "Quaternionic", 2),
+    ("SO(2)/center", "Real", 2),
+    ("U(3)/center", "Complex", 3),
+    ("SO(3)/whole-factor", "Real", 3),
+    ("Sp(1)/whole-factor", "Quaternionic", 1),
+    ("SO(1)", "Real", 1),
+])
+def test_theorem_b_accepts_an_annotation_its_factor_has(memo, name, schur_type, multiplicity):
+    assert verify_theorem_B(_with_factor(memo, name, schur_type, multiplicity)) == "pass"
+
+
+def test_theorem_b_accepts_every_golden_report():
+    blocks = _golden_blocks().values()
+    assert len(blocks) == 22
+    assert all(verify_theorem_B(json.loads(block)) == "pass" for block in blocks)
 
 
 def test_report_json_round_trip(memo):

@@ -12,6 +12,8 @@ from orbit_isom import _numerics as num
 from orbit_isom import repr_model
 from orbit_isom.errors import DedupAmbiguityError, GroupSizeCapError, ValidationError
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
+from orbit_isom.isom_quotient import center_of_group
+from orbit_isom.lift_verify import descend_check
 from orbit_isom.repr_model import (
     DEDUP_TOL,
     FiniteGroupData,
@@ -125,6 +127,20 @@ def test_from_elements_rejects_a_repeated_element():
     a = np.diag([1.0, -1.0])
     with pytest.raises(DedupAmbiguityError, match="repeated element"):
         FiniteGroupData.from_elements([np.eye(2), a, a.copy()])
+
+
+def test_from_elements_without_generators_is_generated_by_its_elements(finite_group):
+    # With no generators listed, every element of D4 would pass as central.
+    d4 = finite_group("d4")
+    bare = FiniteGroupData.from_elements(d4.elements)
+    assert len(bare.generators) == d4.order
+    assert len(center_of_group(bare)) == len(center_of_group(d4)) == 2
+
+
+def test_from_elements_without_generators_rejects_a_non_equivariant_rotation(finite_group):
+    bare = FiniteGroupData.from_elements(finite_group("d4").elements)
+    with pytest.raises(ValidationError, match="requires an equivariant isometry"):
+        descend_check(rot2(0.3), bare, 100, 0)
 
 
 def test_dedup_ambiguity_between_a_product_and_a_stored_element():
