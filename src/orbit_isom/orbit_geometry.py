@@ -8,7 +8,9 @@ density m has chordal error O(1/m)), then one refinement, a damped Newton
 ascent of phi(g) = a^T g b over the group image, stepping g -> g exp(S)
 with S in its Lie algebra, with the exact gradient and Hessian of
 s -> a^T g exp(sum_j s_j A_j) b and a line search read off one
-eigendecomposition of S^2. An ascent that does not converge raises
+eigendecomposition of S^2; it ends without a step once the next step's
+predicted gain is under one ulp of ||a - g b||^2 / 2, which that step
+cannot move. An ascent that does not converge raises
 AmbiguityError; there is no second refinement to fall back on. Every grid
 pass is one product of the flattened grid with flattened outer products
 a b^T, since a^T g b = <a b^T, g>_F; a distance forms ||a - g b|| only at
@@ -24,7 +26,13 @@ small for a second thread to speed up, and it doubled their CPU time.
 The sector estimator screens its sampled pairs on the grid with a bound:
 the maximum over every SCREEN_STRIDE-th grid element is a lower bound on a
 pair's grid maximum, and only the pairs whose bound can still place them
-among the three smallest maxima get the full grid pass.
+among the three smallest maxima get the full grid pass. The climb from
+the best of them keeps every element it has refined. Before each batch of
+candidate moves it scores the candidates against those elements in one
+product, and a candidate that one of them lifts to the acceptance bar is a
+miss unrefined, since a^T g b <= max_G a^T g b; only the rest are refined.
+A row's refinement is bit for bit the same alone and in any batch, so
+refining a subset moves no row.
 
 Boundary detection for finite groups looks for a hyperplane reflection: an
 element whose fixed subspace has dimension exactly dim V - 1, equivalently
@@ -82,12 +90,19 @@ def check_context(ctx, what: str) -> None:
             f"{what} expects a finite group or catalog action, got {type(ctx).__name__}")
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_n . v_n for every row of ``u`` (N, d), ``v`` a row or (N, d). The
+    stacked product sums each row as the dot product of two vectors does,
+    so a row's value does not depend on the stack it sits in."""
+    return (u[:, None, :] @ v[..., :, None])[:, 0, 0]
+
+
 def _dot_jets(alg: np.ndarray, b: np.ndarray):
     """(A_j b, A_i A_j b) over the algebra basis ``alg`` (r, d, d) for every
     row of ``b`` (N, d): shapes (N, r, d) and (N, r, r, d). They depend on b
     alone, so an ascent computes them once."""
-    ab = np.einsum("jkl,nl->njk", alg, b)
-    return ab, np.einsum("ikl,njl->nijk", alg, ab)
+    ab = (alg @ b[:, None, :, None])[..., 0]
+    return ab, (alg[:, None] @ ab[:, None, :, :, None])[..., 0]
 
 
 def _dot_derivatives(u: np.ndarray, b: np.ndarray, jets):
@@ -99,7 +114,7 @@ def _dot_derivatives(u: np.ndarray, b: np.ndarray, jets):
     ab, aab = jets
     grad = (ab @ u[:, :, None])[:, :, 0]
     cross = (aab @ u[:, None, :, None])[..., 0]
-    return np.einsum("ni,ni->n", u, b), grad, 0.5 * (cross + cross.swapaxes(1, 2))
+    return _row_dots(u, b), grad, 0.5 * (cross + cross.swapaxes(1, 2))
 
 
 # Step fractions of the line search after t = 0: 1, 1/2, ... down to the
@@ -129,20 +144,31 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     eigendecomposition (the eigenvalues of the Hermitian iS are +-omega_k),
     in one table of cos(omega_k t) and sin(omega_k t) / omega_k over the
     _TRIALS fractions (``num.rotation_terms``, t where omega_k = 0), and
-    g exp(tS) is formed once, at the accepted t, from that table's column. A
-    row has converged when max |grad phi_i| <= ``gtol``, its relative gain
-    <= ``ftol`` (against max(|phi_i|, 1)), or phi_i >= ``stop``; maxiter
-    steps or a failed line search leave it unconverged. Rows step in
-    lockstep but stop on their own rule alone, so a row's result does not
-    depend on the other rows.
+    g exp(tS) is formed once, at the accepted t, from that table's column.
+
+    A row has converged when max |grad phi_i| <= ``gtol``, phi_i >=
+    ``stop``, or its Newton step's predicted gain grad . step / 2 is at most
+    one ulp of the half squared gap ||a_i - g b_i||^2 / 2 = (|a_i|^2 +
+    |b_i|^2) / 2 - phi_i, a step that cannot move the gap; these three end
+    it without a step. A step whose relative gain is <= ``ftol`` (against
+    max(|phi_i|, 1)) converges it after that step. maxiter steps or a
+    failed line search leave it unconverged. Near a zero gap the ulp rule
+    asks for a gain under about eps times the squared gap, so same-orbit
+    pairs converge on ``gtol``. Rows step in lockstep but stop on their own
+    rules alone, and every product is stacked per row, so a row's result is
+    bit for bit the one it has alone.
     """
-    g = np.array(g0, dtype=float)
+    # In C order: a copy of a broadcast g0 would keep its batch axis
+    # innermost, and the products would sum a row unlike a row alone.
+    g = np.array(g0, dtype=float, order="C")
     alg = action.algebra()
     alg_flat = alg.reshape(len(alg), g.shape[-1] ** 2)
     jets = _dot_jets(alg, b)
     u = (a[:, None, :] @ g)[:, 0]
     phi, grad, hess = _dot_derivatives(u, b, jets)
-    floor = HESSIAN_FLOOR * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    aa, bb = _row_dots(a, a), _row_dots(b, b)
+    floor = HESSIAN_FLOOR * np.sqrt(aa * bb)
+    half = 0.5 * (aa + bb)
     out_g, out_phi = np.empty_like(g), np.empty_like(phi)
     converged = np.zeros(len(g), dtype=bool)
     # Live rows are kept compacted; ``rows`` maps them back to the input,
@@ -150,23 +176,24 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     rows = np.arange(len(g))
     retired = np.zeros(len(g), dtype=bool)
     for it in range(maxiter + 1):
-        done = np.abs(grad).max(axis=1, initial=0.0) <= gtol
+        lam, vec = np.linalg.eigh(hess)
+        coef = (grad[:, None, :] @ vec)[:, 0] / np.maximum(np.abs(lam), floor[:, None])
+        step = (vec @ coef[:, :, None])[:, :, 0]
+        slope = _row_dots(grad, step)
+        done = ((np.abs(grad).max(axis=1, initial=0.0) <= gtol)
+                | (0.5 * slope <= num.EPS * (half - phi)))
         if stop is not None:
             done |= phi >= stop
         converged[rows[done]] = True
         live = ~(done | retired)
         if not live.all():
             out_g[rows[~live]], out_phi[rows[~live]] = g[~live], phi[~live]
-            rows, g, u, phi, grad, hess, a, b, floor = (
-                x[live] for x in (rows, g, u, phi, grad, hess, a, b, floor))
+            rows, g, u, phi, step, slope, a, b, floor, half = (
+                x[live] for x in (rows, g, u, phi, step, slope, a, b, floor, half))
             jets = tuple(x[live] for x in jets)
         if not rows.size or it == maxiter:
             break
-        lam, vec = np.linalg.eigh(hess)
-        coef = (grad[:, None, :] @ vec)[:, 0] / np.maximum(np.abs(lam), floor[:, None])
-        step = (vec @ coef[:, :, None])[:, :, 0]
-        slope = np.einsum("ij,ij->i", grad, step)
-        sk = (step @ alg_flat).reshape(g.shape)
+        sk = (step[:, None, :] @ alg_flat).reshape(g.shape)
         q, omega = num.skew_spectrum(sk)
         qb = (b[:, None, :] @ q)[:, 0]
         alpha = (u[:, None, :] @ q)[:, 0] * qb
@@ -204,13 +231,6 @@ def _grid_argmax(els: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
     also minimizes ||a - g b||, since ||a - g b||^2 = ||a||^2 + ||b||^2 - 2
     a^T g b for orthogonal g."""
     return int(np.argmax(els.reshape(len(els), -1) @ np.outer(a, b).ravel()))
-
-
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_n . v_n for every row of ``u`` (N, d), ``v`` a row or (N, d). The
-    stacked product sums each row as the dot product of two vectors does,
-    so a row's value does not depend on the stack it sits in."""
-    return (u[:, None, :] @ v[..., :, None])[:, 0, 0]
 
 
 def _gap(a: np.ndarray, b: np.ndarray):
@@ -423,16 +443,23 @@ def _screen_pairs(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray) -
     return order[np.argsort(_arccos(maxima))[::-1][:3]]
 
 
+def _scores(els: np.ndarray, a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
+    """a_p^T g b_p = <a_p b_p^T, g>_F for every pair p and element g of
+    ``els``, shape (pairs, elements): one stacked product per pair, so a
+    pair's scores do not depend on the other pairs."""
+    outer = (a_pts[:, :, None] * b_pts[:, None, :]).reshape(len(a_pts), 1, -1)
+    return (outer @ els.reshape(len(els), -1).T)[:, 0]
+
+
 def _refined_sphere_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
                          stop: float | None = None):
     """(refined max over g of a^T g b, maximizing elements) for every pair
     of rows of ``a_pts`` and ``b_pts``, refined together, each from its
     grid argmax. An ascent that reaches ``stop`` ends there, short of the
-    maximum.
+    maximum. A pair's result is bit for bit the one it has alone.
     """
     _, els = action.grid()
-    outer = (a_pts[:, :, None] * b_pts[:, None, :]).reshape(len(a_pts), -1)
-    dots = outer @ els.reshape(len(els), -1).T
+    dots = _scores(els, a_pts, b_pts)
     best = dots.argmax(axis=1)
     g0 = els[best]
     base = dots[np.arange(len(best)), best]
@@ -444,6 +471,15 @@ def _refined_sphere_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.nda
                                maxiter=150, stop=stop)
     better = phi >= base
     return np.where(better, phi, base), np.where(better[:, None, None], g, g0)
+
+
+def _unsettled(known: np.ndarray, a_pts: np.ndarray, b_pts: np.ndarray,
+               bar: float) -> np.ndarray:
+    """Indices of the pairs that no element of ``known`` lifts to ``bar``,
+    from one product of their outer products with the elements. Any other
+    pair has max over the group of a^T g b >= bar, so it cannot pass the
+    sector climb's bar."""
+    return np.flatnonzero(_scores(known, a_pts, b_pts).max(axis=1) < bar)
 
 
 def _arccos(dots):
@@ -465,7 +501,13 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
     maximizer g* is unique, f has the envelope gradient g* b in a and
     g*^T a in b (Danskin), so each step tries a few fractions of one step
     along it, a then b, as one batch of refinements, and keeps the longest
-    that gains. The result is the converged refinement of the last pair
+    that gains. The climb keeps every element it has refined, the three
+    pairs' maximizers and each candidate's end element, and refines only
+    the candidates that none of them lifts to the acceptance bar
+    (``_unsettled``): any other is a miss, because a^T g b bounds
+    max_G a^T g b from below. Each refinement is bit for bit the one the
+    row has alone, so the refined rows keep the values they have in the
+    whole batch, and ``budget`` counts every candidate. The result is the converged refinement of the last pair
     kept. It is not monotone in ``sample_count``: a better starting pair
     can end its climb on a lower ridge.
     """
@@ -494,6 +536,8 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
         i = int(np.argmax(vals))
         a, b = a_pts[top[i]], b_pts[top[i]]
         current, g_best = float(vals[i]), found[i]
+        # Every element refined so far; each lower-bounds f at any pair.
+        known = found
 
         # Each batch tries the step and five halvings of it; a gain at the full
         # step doubles the step, a batch without one halves it.
@@ -510,26 +554,30 @@ def sector_angle_estimate(action: CatalogAction, sample_count: int, seed: int) -
                 cands = point - step * fractions * (grad / (np.linalg.norm(grad) or 1.0))
                 cands /= np.linalg.norm(cands, axis=1, keepdims=True)
                 others = np.broadcast_to(other, cands.shape)
+                pair = (cands, others) if which == 0 else (others, cands)
                 # Margin above the refinement noise, or the climb walks on noise
                 # forever; gains under it are irrelevant at the accuracy the
                 # estimate targets. The ascent only raises the dot, so one that
                 # reaches the bar's cosine is rejected whatever it would
-                # converge to, and stops there.
+                # converge to, and stops there; a candidate that a known
+                # element already lifts to the bar is rejected unrefined.
                 bar = math.cos(current + 1e-5)
-                dots, found = _refined_sphere_dots(
-                    action, *((cands, others) if which == 0 else (others, cands)), stop=bar)
                 budget -= len(cands)
-                vals = _arccos(dots)
-                hits = np.flatnonzero((vals > current + 1e-5) & (dots < bar))
-                if not hits.size:
+                rest = _unsettled(known, *pair, bar)
+                if rest.size:
+                    dots, found = _refined_sphere_dots(action, *(x[rest] for x in pair), stop=bar)
+                    known = np.concatenate([known, found])
+                    vals = _arccos(dots)
+                    hits = np.flatnonzero((vals > current + 1e-5) & (dots < bar))
+                if not rest.size or not hits.size:
                     step *= 0.5
                     continue
                 h = int(hits[0])
                 if which == 0:
-                    a = cands[h]
+                    a = cands[rest[h]]
                 else:
-                    b = cands[h]
+                    b = cands[rest[h]]
                 current, g_best = float(vals[h]), found[h]
-                if h == 0:
+                if rest[h] == 0:
                     step *= 2.0
         return current

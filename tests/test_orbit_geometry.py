@@ -238,13 +238,33 @@ def test_a_row_refines_alike_alone_and_in_a_batch():
     others = np.broadcast_to(b, cands.shape)
     g0 = np.broadcast_to(g[0], (len(cands), 6, 6))
     options = dict(gtol=1e-8, ftol=1e-12, maxiter=150, stop=bar)
-    _, phi, converged = orbit_geometry._newton_ascent(action, cands, others, g0, **options)
+    els, phi, converged = orbit_geometry._newton_ascent(action, cands, others, g0, **options)
     assert converged.any() and (phi >= bar).any() and (phi < bar).any()
     for i in range(len(cands)):
-        _, phi_i, converged_i = orbit_geometry._newton_ascent(
+        g_i, phi_i, converged_i = orbit_geometry._newton_ascent(
             action, cands[i:i + 1], others[i:i + 1], g0[i:i + 1], **options)
         assert converged_i[0] == converged[i]
-        assert abs(phi_i[0] - phi[i]) <= 1e-13
+        assert phi_i[0] == phi[i]
+        assert np.array_equal(g_i[0], els[i])
+
+
+@pytest.mark.parametrize("action_id", ["so2xso3-r5", "so2-tensor-so3-r6"])
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_a_pair_refines_alike_alone_and_in_a_batch(action_id, size):
+    # The sector climb refines only the candidates no known element rules
+    # out, so a pair's grid start and refinement must be bit for bit the
+    # ones it has in the whole batch.
+    action = get_action(action_id)
+    pairs = num.random_unit_rows(np.random.default_rng(size), (7, 2, action.dimension))
+    a_pts, b_pts = pairs[:, 0], pairs[:, 1]
+    full, _ = orbit_geometry._refined_sphere_dots(action, a_pts, b_pts)
+    for stop in (None, float(np.median(full))):
+        dots, els = orbit_geometry._refined_sphere_dots(action, a_pts, b_pts, stop=stop)
+        for start in range(0, 7, size):
+            part = slice(start, start + size)
+            got = orbit_geometry._refined_sphere_dots(action, a_pts[part], b_pts[part], stop=stop)
+            assert np.array_equal(got[0], dots[part])
+            assert np.array_equal(got[1], els[part])
 
 
 @pytest.mark.parametrize("which", ["a", "b"])
@@ -272,6 +292,60 @@ def test_refined_max_dot_has_the_envelope_gradient(which):
     h = 3e-7
     difference = (f(h)[0][0] - f(-h)[0][0]) / (2.0 * h)
     assert abs(difference - grad @ v) <= 1e-6
+
+
+def _count_newton_steps(monkeypatch):
+    """Count ``num.skew_spectrum`` calls: one per Newton step of a batch."""
+    count = [0]
+    spectrum = num.skew_spectrum
+
+    def counting(s):
+        count[0] += 1
+        return spectrum(s)
+
+    monkeypatch.setattr(num, "skew_spectrum", counting)
+    return count
+
+
+def test_a_hopf_distance_takes_one_newton_step(monkeypatch):
+    # On the circle phi(t) is a sinusoid: one Newton step from the grid
+    # start leaves an error whose next step could not move the gap.
+    action = get_action("hopf-u1-r4")
+    steps = _count_newton_steps(monkeypatch)
+    for x, y in np.random.default_rng(17).standard_normal((20, 2, 4)):
+        steps[0] = 0
+        d = quotient_distance(QuotientPoint(x, action), QuotientPoint(y, action))
+        assert steps[0] == 1
+        assert abs(d - _hopf_distance(x, y)) <= 1e-12
+
+
+def test_an_ascent_ends_where_its_step_cannot_move_the_gap(monkeypatch):
+    # Row 0 starts where a distance ascent ended on the ulp rule: its
+    # gradient is still over that ascent's gtol, but the next step's
+    # predicted gain grad^2 / (2 |h|) is under one ulp of the half squared
+    # gap. Row 1 has gap 0 (a = b, g = I), where any gain exceeds that ulp.
+    # With gtol = 0 and no step allowed, only the ulp rule can converge a row.
+    action = get_action("hopf-u1-r4")
+    x, y = np.random.default_rng(17).standard_normal((2, 4))
+    _, els = action.grid()
+    g0 = els[orbit_geometry._grid_argmax(els, x, y)]
+    g1, _, converged = orbit_geometry._newton_ascent(action, x[None], y[None], g0[None],
+                                                     gtol=0.5e-12, ftol=1e-16, maxiter=300)
+    assert converged[0]
+    a, b = np.stack([x, y]), np.stack([y, y])
+    g = np.stack([g1[0], np.eye(4)])
+    phi, grad, hess = orbit_geometry._dot_derivatives(
+        (a[:, None, :] @ g)[:, 0], b, orbit_geometry._dot_jets(action.algebra(), b))
+    gain = 0.5 * grad[:, 0] ** 2 / np.abs(hess[:, 0, 0])
+    dots = orbit_geometry._row_dots
+    ulp = num.EPS * (0.5 * (dots(a, a) + dots(b, b)) - phi)
+    assert abs(grad[0, 0]) > 0.5e-12 and grad[1, 0] != 0.0 and ulp[1] == 0.0
+    assert 0.0 < gain[0] <= ulp[0]
+    steps = _count_newton_steps(monkeypatch)
+    out, _, converged = orbit_geometry._newton_ascent(action, a, b, g, gtol=0.0, ftol=0.0,
+                                                      maxiter=0)
+    assert converged.tolist() == [True, False]
+    assert np.array_equal(out, g) and steps[0] == 0
 
 
 def test_ascent_on_a_zero_dimensional_algebra_returns_its_start():
@@ -565,6 +639,44 @@ def test_sector_climb_refines_cold_and_returns_a_refined_pair(monkeypatch):
     a, b = rows[-1]
     dot, _ = refine(action, a[None], b[None])
     assert abs(math.acos(dot[0]) - est) <= 1e-12
+
+
+@pytest.mark.parametrize("action_id, most", [("so2xso3-r5", 40), ("so2-tensor-so3-r6", 45)])
+def test_sector_climb_refines_only_unsettled_candidates(action_id, most, monkeypatch):
+    # Refining every candidate took 171 rows on r5 and 135 on r6.
+    refine = orbit_geometry._refined_sphere_dots
+    rows = []
+
+    def counting_refine(action, a_pts, b_pts, **kwargs):
+        rows.append(len(a_pts))
+        return refine(action, a_pts, b_pts, **kwargs)
+
+    monkeypatch.setattr(orbit_geometry, "_refined_sphere_dots", counting_refine)
+    sector_angle_estimate(get_action(action_id), 5000, 0)
+    assert 0 < min(rows) and sum(rows) <= most
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("action_id", ["so2xso3-r5", "so2-tensor-so3-r6"])
+def test_candidates_ruled_out_unrefined_miss_when_refined(action_id, seed, monkeypatch):
+    # A candidate that a known element lifts to the bar must also miss when
+    # refined cold: the prefilter changes no hit or miss of the climb.
+    unsettled = orbit_geometry._unsettled
+    ruled_out = []
+
+    def recording(known, a_pts, b_pts, bar):
+        rest = unsettled(known, a_pts, b_pts, bar)
+        out = np.setdiff1d(np.arange(len(a_pts)), rest)
+        ruled_out.extend((a_pts[i].copy(), b_pts[i].copy(), bar) for i in out)
+        return rest
+
+    monkeypatch.setattr(orbit_geometry, "_unsettled", recording)
+    action = get_action(action_id)
+    sector_angle_estimate(action, 5000, seed)
+    assert ruled_out
+    for a, b, bar in ruled_out:
+        dot, _ = orbit_geometry._refined_sphere_dots(action, a[None], b[None], stop=bar)
+        assert dot[0] >= bar
 
 
 @pytest.mark.parametrize("sample_count, seed", [
