@@ -52,9 +52,6 @@ from .lift_verify import (
     lift_rotation,
     non_lift_demo,
     normalizer_check,
-    quat_mul,
-    quat_to_rotation,
-    rotation_to_quat,
     verify_hopf_metric,
 )
 from .orbit_geometry import (
@@ -130,13 +127,10 @@ __all__ = [
     "normalizer_check",
     "orbit_equivalence_test",
     "parse_spec",
-    "quat_mul",
-    "quat_to_rotation",
     "quotient_distance",
     "quotient_isometry_group",
     "report_json",
     "restrict_group",
-    "rotation_to_quat",
     "run_suites",
     "sample_equivariant_isometry",
     "sample_generic_point",

@@ -275,6 +275,16 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / n
 
 
+def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random element of SO(dim): the QR factor Q of a normal matrix,
+    signs fixed by R's diagonal, first column negated where det Q = -1."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
 def random_unit_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Unit vectors along the last axis of ``shape``, from one draw of normals.
 

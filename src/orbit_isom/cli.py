@@ -22,7 +22,7 @@ from .catalog import catalog_summary
 from .errors import AmbiguityError, InternalCheckError, ValidationError
 from .isom_quotient import (DEFAULT_SAMPLE_COUNT, _resolve_source, quotient_isometry_group,
                             report_json)
-from .lift_verify import lift_rotation, quat_to_rotation
+from .lift_verify import lift_rotation
 from .orbit_geometry import QuotientPoint, check_sampling, quotient_distance
 from .repr_model import enumerate_group
 from .verification import run_suites
@@ -35,8 +35,8 @@ class RunConfig:
     command: str
     input_path: str | None
     output_path: str
-    seed: int
-    sample_count: int
+    seed: int | None            # None for the commands that draw nothing
+    sample_count: int | None
     format: str
     only: str | None = None
 
@@ -153,7 +153,7 @@ def cmd_metric(config: RunConfig, point_a: str, point_b: str) -> int:
 def cmd_lift(config: RunConfig) -> int:
     try:
         rng = np.random.default_rng([config.seed])
-        r = quat_to_rotation(num.random_unit_vector(rng, 4))
+        r = num.random_rotation(rng, 3)
         witness = lift_rotation(r, sample_count=config.sample_count, seed=config.seed)
     except Exception as err:
         _print_error(err)
@@ -229,22 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True,
                            help="representation spec path or catalog:<id>")
         p.add_argument("--output", default="-", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (default 0, or {ENV_SEED})")
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
-                       help="sample count for randomized checks")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
-    common(sub.add_parser("analyze", help="run the full pipeline"),
-           needs_input=True)
+    analyze = sub.add_parser("analyze", help="run the full pipeline")
+    common(analyze, needs_input=True)
 
     metric = sub.add_parser("metric", help="quotient distance between two points")
     common(metric, needs_input=True)
     metric.add_argument("point_a", help="comma-separated coordinates")
     metric.add_argument("point_b", help="comma-separated coordinates")
 
-    common(sub.add_parser("lift", help="lift a random quotient-sphere rotation"),
-           needs_input=False)
+    lift = sub.add_parser("lift", help="lift a random quotient-sphere rotation")
+    common(lift, needs_input=False)
 
     catalog = sub.add_parser("catalog", help="list built-in continuous actions")
     common(catalog, needs_input=False)
@@ -253,15 +249,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(verify, needs_input=False)
     verify.add_argument("--only", default=None,
                         help="run only suites whose id contains this substring")
+
+    # metric and catalog draw nothing at random, so they take no seed
+    for p in (analyze, lift, verify):
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"RNG seed (default 0, or {ENV_SEED})")
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
+                       help="sample count for randomized checks")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = os.path.dirname(os.path.abspath(args.output))
+    seed = None
     try:
-        seed = args.seed if args.seed is not None else _default_seed()
-        check_sampling(args.samples, seed)
+        if hasattr(args, "seed"):
+            seed = args.seed if args.seed is not None else _default_seed()
+            check_sampling(args.samples, seed)
         if args.output != "-" and not os.path.isdir(out_dir):
             raise ValidationError(f"the output directory {out_dir} does not exist")
         if os.path.isdir(args.output):
@@ -274,7 +279,7 @@ def main(argv=None) -> int:
         input_path=getattr(args, "input", None),
         output_path=args.output,
         seed=seed,
-        sample_count=args.samples,
+        sample_count=getattr(args, "samples", None),
         format=args.format,
         only=getattr(args, "only", None),
     )

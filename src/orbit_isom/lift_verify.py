@@ -1,30 +1,31 @@
 """Constructive lifting on the Hopf quotient, plus descend/normalizer checks.
 
-R^4 is identified with the quaternions via x = x1 + x2 i + x3 j + x4 k and
-with C^2 via z = x1 + i x2, w = x3 + i x4. The circle action is left
-multiplication by unit complex numbers, and
+The circle acts on R^4 = C^2, z = x1 + i x2, w = x3 + i x4, by unit complex
+numbers. Its invariant quadratic forms h(x)_l = x^T M_l x,
 
-    h(z, w) = (Re(z conj(w)), Im(z conj(w)), (|z|^2 - |w|^2) / 2)
+    h(z, w) = (Re(z conj(w)), Im(z conj(w)), (|z|^2 - |w|^2) / 2),
 
-collapses each circle orbit to a point; the unit sphere maps onto the sphere
-of radius 1/2. Right quaternion multiplication commutes with the action, and
-h intertwines it with an SO(3) rotation, which gives an explicit section of
-the descent homomorphism: every rotation of the quotient sphere is induced
-by an equivariant isometry of R^4.
+map the unit sphere onto the sphere of radius 1/2, one point per orbit. A
+rotation exp(W) of it lifts to exp(A), A skew, when h(exp(A) x) = exp(W) h(x);
+differentiating gives the linear lifting conditions [M_l, A] = sum_m W_lm M_m.
+They are solved once over all of so(4), and their null space, the skew A
+fixing every invariant, is checked to be the action's circle (Lie(ker p)).
+Equivariance is an output: every lift is checked to commute with the action.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _numerics as num
+from . import orbit_geometry
 from .catalog import get_action
-from .errors import ValidationError
+from .errors import InternalCheckError, ValidationError
 from .orbit_geometry import (
     QuotientPoint,
-    _batched_max_dots,
     check_context,
     check_sampling,
     quotient_distance,
@@ -34,12 +35,16 @@ from .repr_model import FiniteGroupData
 
 HOPF_ACTION_ID = "hopf-u1-r4"
 
-# h = AXIS_SWAP applied to the (i,j,k)-coordinates of (1/2) conj(q) i q
-AXIS_SWAP = np.array([
-    [0.0, 0.0, 1.0],
-    [0.0, 1.0, 0.0],
-    [1.0, 0.0, 0.0],
-])
+# h(x)_l = x^T HOPF_FORMS[l] x
+HOPF_FORMS = 0.5 * np.array([
+    [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+], dtype=float)
+
+# SO3_BASIS[k] is the matrix of v -> e_k x v
+SO3_BASIS = np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]], [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                      [[0, -1, 0], [1, 0, 0], [0, 0, 0]]], dtype=float)
 
 
 def hopf_map(x: np.ndarray) -> np.ndarray:
@@ -48,97 +53,62 @@ def hopf_map(x: np.ndarray) -> np.ndarray:
     Accepts a single vector or an (n, 4) batch.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[-1] != 4:
+    if x.ndim not in (1, 2) or x.shape[-1] != 4:
         raise ValidationError("hopf_map expects vectors in R^4")
-    x1, x2, x3, x4 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    out = np.stack([
-        x1 * x3 + x2 * x4,
-        x2 * x3 - x1 * x4,
-        (x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4) / 2.0,
-    ], axis=1)
-    return out[0] if single else out
+    return np.einsum("l...j,...j->...l", x @ HOPF_FORMS, x)
 
 
-def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return np.array([
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    ])
+def lift_system() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, L, B): the basis E_j = e_p e_q^T - e_q e_p^T (p < q) of so(4), and
+    the lifting conditions L a = B[:, k] on A = sum_j a_j E_j for
+    W = SO3_BASIS[k]. Column j of L stacks [M_l, E_j] over l (48 rows), and
+    column k of B stacks sum_m (W_k)_lm M_m."""
+    so4 = np.zeros((6, 4, 4))
+    so4[(range(6), *np.triu_indices(4, 1))] = 1.0
+    so4 -= so4.transpose(0, 2, 1)
+    brackets = HOPF_FORMS[:, None] @ so4 - so4 @ HOPF_FORMS[:, None]
+    rhs = np.einsum("klm,mab->klab", SO3_BASIS, HOPF_FORMS)
+    return so4, brackets.transpose(0, 2, 3, 1).reshape(48, 6), rhs.reshape(3, 48).T
 
 
-def quat_to_rotation(u: np.ndarray) -> np.ndarray:
-    """Matrix of v -> u v conj(u) on the imaginary part, u = (w, x, y, z)."""
-    w, x, y, z = u
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+@functools.cache
+def lifted_algebra() -> np.ndarray:
+    """(3, 4, 4) skew A_k lifting SO3_BASIS[k], the least-norm solutions of
+    the lifting conditions. The least norm keeps them orthogonal to the null
+    space, the circle, so W -> A(W) preserves brackets and exp(A(W)) is the
+    double cover of exp(W). Raises InternalCheckError where the residual
+    exceeds 1e-12 or the null space is not the circle."""
+    so4, system, rhs = lift_system()
+    coeffs = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    if (residual := num.max_abs(system @ coeffs - rhs)) > 1e-12:
+        raise InternalCheckError(f"the lifting conditions leave a residual of {residual:.3e}")
+    null, _ = num.nullspace(system, what="Hopf lift system")
+    circle = np.einsum("ab,jab->j", get_action(HOPF_ACTION_ID).generators[0], so4)
+    gap = num.max_abs(null @ null.T - np.outer(circle, circle) / (circle @ circle))
+    if null.shape[1] != 1 or gap > 1e-12:
+        raise InternalCheckError(
+            "the skew matrices fixing every invariant are not the action's circle")
+    algebra = np.einsum("jk,jab->kab", coeffs, so4)
+    algebra.flags.writeable = False   # the cache hands this array to every caller
+    return algebra
 
 
-def rotation_to_quat(r: np.ndarray) -> np.ndarray:
-    """One of the two unit quaternions covering a rotation.
+def rotation_log(r: np.ndarray) -> np.ndarray:
+    """w with r = exp(sum_k w_k SO3_BASIS[k]) and ||w|| <= pi.
 
-    Branch chosen by the largest of trace and diagonal entries, which keeps
-    the extraction stable near trace = -1.
+    r's skew part is sin(t) [n]_x and its symmetric part cos(t) I +
+    (1 - cos(t)) n n^T; t is atan2 of the two, accurate at both ends. The
+    axis comes from the skew part while cos(t) > 0, and beyond that from
+    the largest column of n n^T, signed by the skew part.
     """
-    r = np.asarray(r, dtype=float)
-    t = r[0, 0] + r[1, 1] + r[2, 2]
-    pivots = (t, r[0, 0], r[1, 1], r[2, 2])
-    which = int(np.argmax(pivots))
-    if which == 0:
-        s = 2.0 * math.sqrt(1.0 + t)
-        q = np.array([
-            0.25 * s,
-            (r[2, 1] - r[1, 2]) / s,
-            (r[0, 2] - r[2, 0]) / s,
-            (r[1, 0] - r[0, 1]) / s,
-        ])
-    elif which == 1:
-        s = 2.0 * math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        q = np.array([
-            (r[2, 1] - r[1, 2]) / s,
-            0.25 * s,
-            (r[0, 1] + r[1, 0]) / s,
-            (r[0, 2] + r[2, 0]) / s,
-        ])
-    elif which == 2:
-        s = 2.0 * math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2])
-        q = np.array([
-            (r[0, 2] - r[2, 0]) / s,
-            (r[0, 1] + r[1, 0]) / s,
-            0.25 * s,
-            (r[1, 2] + r[2, 1]) / s,
-        ])
-    else:
-        s = 2.0 * math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1])
-        q = np.array([
-            (r[1, 0] - r[0, 1]) / s,
-            (r[0, 2] + r[2, 0]) / s,
-            (r[1, 2] + r[2, 1]) / s,
-            0.25 * s,
-        ])
-    return q / np.linalg.norm(q)
-
-
-def right_multiplication_matrix(u: np.ndarray) -> np.ndarray:
-    """4x4 matrix of q -> q u in the (1, i, j, k) coordinates."""
-    cols = [quat_mul(e, u) for e in np.eye(4)]
-    return np.stack(cols, axis=1)
-
-
-_CIRCLE_GENERATOR = np.array([
-    [0.0, -1.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-])
+    axial = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2.0
+    sin, cos = float(np.linalg.norm(axial)), (float(np.trace(r)) - 1.0) / 2.0
+    theta = math.atan2(sin, cos)
+    if cos > 0.0:
+        return axial * (theta / sin if sin > 0.0 else 1.0)
+    outer = (r + r.T) / 2.0 - cos * np.eye(3)
+    n = outer[:, np.argmax(np.diag(outer))]
+    return math.copysign(theta, n @ axial) * n / np.linalg.norm(n)
 
 
 @dataclass(frozen=True)
@@ -152,11 +122,9 @@ class LiftWitness:
 
 def lift_rotation(r: np.ndarray, *, sample_count: int = 100,
                   seed: int = 0) -> LiftWitness:
-    """Equivariant lift of a quotient-sphere rotation.
-
-    The lift is right multiplication by the unit quaternion covering
-    S R^T S (S the axis swap relating h to the quaternion frame map).
-    """
+    """Equivariant lift exp(A(log r)) of a quotient-sphere rotation; a lift
+    that is not orthogonal or does not commute with the action raises
+    InternalCheckError."""
     check_sampling(sample_count, seed)
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
@@ -167,12 +135,11 @@ def lift_rotation(r: np.ndarray, *, sample_count: int = 100,
         raise ValidationError(
             "orientation-reversing isometry: no equivariant lift sought here")
 
-    u = rotation_to_quat(AXIS_SWAP @ r.T @ AXIS_SWAP)
-    lift = right_multiplication_matrix(u)
+    lift = num.expm(np.tensordot(rotation_log(r), lifted_algebra(), axes=1))
     if num.orthogonality_residual(lift) > 1e-9:
-        raise ValidationError("constructed lift is not orthogonal")
-    if num.max_abs(lift @ _CIRCLE_GENERATOR - _CIRCLE_GENERATOR @ lift) > 1e-9:
-        raise ValidationError("constructed lift does not commute with the action")
+        raise InternalCheckError("constructed lift is not orthogonal")
+    if any(num.max_abs(lift @ g - g @ lift) > 1e-9 for g in get_action(HOPF_ACTION_ID).generators):
+        raise InternalCheckError("constructed lift does not commute with the action")
 
     xs = num.random_unit_rows(np.random.default_rng([seed]), (sample_count, 4))
     errs = np.linalg.norm(hopf_map(xs @ lift.T) - hopf_map(xs) @ r.T, axis=1)
@@ -193,7 +160,8 @@ def verify_hopf_metric(sample_count: int = 100, seed: int = 0, *,
     pairs = num.random_unit_rows(np.random.default_rng([seed]), (sample_count, 2, 4))
     a_pts, b_pts = pairs[:, 0], pairs[:, 1]
 
-    max_dots = _batched_max_dots(action, a_pts, b_pts, density)
+    with num.one_blas_thread():
+        max_dots = orbit_geometry._grid_maxima(action.grid(density)[1], a_pts, b_pts)
     quot = np.arccos(np.clip(max_dots, -1.0, 1.0))
 
     ha = hopf_map(a_pts)

@@ -14,12 +14,12 @@ cannot move. An ascent that does not converge raises
 AmbiguityError; there is no second refinement to fall back on. Every grid
 pass is one product of the flattened grid with flattened outer products
 a b^T, since a^T g b = <a b^T, g>_F; a distance forms ||a - g b|| only at
-the argmax and at the ascent's end. Only ``_batched_max_dots`` reads a grid
-of another density, for the unrefined Hopf metric check.
+the argmax and at the ascent's end. Only the unrefined Hopf metric check
+(``lift_verify.verify_hopf_metric``) reads a grid of another density.
 Refined values always upper-bound the true distance, since they are minima
 over a finite subset of the group. One routine, ``_group_min``, serves both
 kinds of context, so the distances and the orbit test are one call each.
-``_group_min``, the sector estimator and ``_batched_max_dots`` run with
+``_group_min``, the sector estimator and the Hopf metric check run with
 OpenBLAS on one thread (``num.one_blas_thread``): their products are too
 small for a second thread to speed up, and it doubled their CPU time.
 
@@ -406,14 +406,6 @@ def _grid_maxima(els: np.ndarray, a_pts: np.ndarray, b_pts: np.ndarray) -> np.nd
     return out
 
 
-def _batched_max_dots(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray,
-                      density: int | None = None) -> np.ndarray:
-    """max over the grid of ``density`` elements (DEFAULT_DENSITY if None)
-    of a_p^T g_n b_p for every pair p, unrefined."""
-    with num.one_blas_thread():
-        return _grid_maxima(action.grid(density)[1], a_pts, b_pts)
-
-
 # Sector screening: the maximum over every SCREEN_STRIDE-th grid element
 # bounds a pair's grid maximum from below, the grid maxima are completed
 # SCREEN_CHUNK pairs at a time, and SCREEN_MARGIN covers the roundoff
@@ -425,7 +417,7 @@ SCREEN_MARGIN = 1e-12
 
 def _screen_pairs(action: CatalogAction, a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
     """The three pairs with the largest arccos of their grid maximum
-    (``_batched_max_dots``), largest first, without forming every pair's.
+    (``_grid_maxima``), largest first, without forming every pair's.
 
     Pairs are completed in ascending order of their lower bound, and the
     rest are skipped once the next bound exceeds the third smallest grid

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rot2
+from orbit_isom import lift_verify
 from orbit_isom.cli import main
 from orbit_isom.isom_quotient import validate_report_schema
 
@@ -127,6 +128,16 @@ def test_lift_command(capsys):
     assert np.max(np.abs(lift.T @ lift - np.eye(4))) < 1e-9
 
 
+def test_a_failed_lift_check_exits_2(capsys, monkeypatch):
+    # a rotation of the (x1, x3) plane added to the lifted algebra breaks
+    # the lift's commutation with the circle
+    broken = lift_verify.lifted_algebra() + lift_verify.lift_system()[0][1]
+    monkeypatch.setattr(lift_verify, "lifted_algebra", lambda: broken)
+    code, out, err = run(capsys, "lift", "--seed", "3")
+    assert code == 2 and out == ""
+    assert err == "error: constructed lift does not commute with the action\n"
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0
@@ -175,6 +186,22 @@ def test_bad_env_seed(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "--input", C5)
     assert code == 1
     assert "ORBIT_ISOM_SEED" in err
+
+
+@pytest.mark.parametrize("argv", [("catalog",), ("metric", "--input", C5, "1,0", "0,1")])
+def test_catalog_and_metric_read_no_seed(capsys, monkeypatch, argv):
+    monkeypatch.setenv("ORBIT_ISOM_SEED", "xyz")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("command", [("catalog",), ("metric", "--input", C5, "1,0", "0,1")])
+@pytest.mark.parametrize("option", [("--seed", "5"), ("--samples", "7")])
+def test_catalog_and_metric_take_no_seed_or_samples(capsys, command, option):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, *option])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_analyze_round_trip_schema(capsys, tmp_path):

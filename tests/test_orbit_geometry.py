@@ -15,7 +15,7 @@ from orbit_isom.errors import AmbiguityError, KernelAmbiguityError, ValidationEr
 from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
 from orbit_isom.orbit_geometry import (
     QuotientPoint,
-    _batched_max_dots,
+    _grid_maxima,
     has_boundary,
     orbit_equivalence_test,
     quotient_distance,
@@ -530,7 +530,7 @@ def test_sector_screening_maximum_grows_with_nested_samples(seed):
     screened = []
     for n in (500, 1000, 2000):
         pairs = num.random_unit_rows(np.random.default_rng([seed]), (n, 2, action.dimension))
-        dots = _batched_max_dots(action, pairs[:, 0], pairs[:, 1])
+        dots = _grid_maxima(action.grid()[1], pairs[:, 0], pairs[:, 1])
         screened.append(np.arccos(np.clip(dots, -1.0, 1.0)).max())
     assert screened[0] <= screened[1] + 1e-12
     assert screened[1] <= screened[2] + 1e-12
@@ -548,7 +548,7 @@ def test_sector_estimate_within_its_accuracy_window(action_id, target, seed, n):
 
 def _full_ranking(action, a_pts, b_pts):
     """The screening's reference: every pair's grid maximum, ranked."""
-    dots = _batched_max_dots(action, a_pts, b_pts)
+    dots = _grid_maxima(action.grid()[1], a_pts, b_pts)
     return np.argsort(np.arccos(np.clip(dots, -1.0, 1.0)))[::-1][:3]
 
 
@@ -603,7 +603,7 @@ def test_batched_max_dots_match_the_per_pair_maximum(action, pairs, density):
     a_pts, b_pts = rng.standard_normal((2, pairs, action.dimension))
     _, els = action.grid(density)
     want = np.array([((els @ b) @ a).max() for a, b in zip(a_pts, b_pts)])
-    assert np.max(np.abs(_batched_max_dots(action, a_pts, b_pts, density) - want)) < 1e-13
+    assert np.max(np.abs(_grid_maxima(els, a_pts, b_pts) - want)) < 1e-13
 
 
 def test_sector_climb_refines_cold_and_returns_a_refined_pair(monkeypatch):
