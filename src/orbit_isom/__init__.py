@@ -50,7 +50,6 @@ from .lift_verify import (
     descend_check,
     hopf_map,
     lift_rotation,
-    non_lift_demo,
     normalizer_check,
     verify_hopf_metric,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "isotypic_split",
     "lift_rotation",
     "load_spec",
-    "non_lift_demo",
     "normalizer_check",
     "orbit_equivalence_test",
     "parse_spec",

@@ -100,7 +100,6 @@ class ParamAxis:
 class ActionMetadata:
     has_boundary: bool
     expected_sector_angle: float | None
-    singular_isotropy_note: str | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +315,6 @@ CATALOG: dict[str, CatalogAction] = {
         metadata=ActionMetadata(
             has_boundary=False,
             expected_sector_angle=None,
-            singular_isotropy_note=None,
         ),
     ),
     "so2xso3-r5": CatalogAction(
@@ -327,10 +325,6 @@ CATALOG: dict[str, CatalogAction] = {
         metadata=ActionMetadata(
             has_boundary=True,
             expected_sector_angle=math.pi / 2.0,
-            singular_isotropy_note=(
-                "boundary rays carry singular orbits isometric to a 2-sphere "
-                "and a circle; no ambient isometry can swap them"
-            ),
         ),
     ),
     "so2-tensor-so3-r6": CatalogAction(
@@ -341,10 +335,6 @@ CATALOG: dict[str, CatalogAction] = {
         metadata=ActionMetadata(
             has_boundary=True,
             expected_sector_angle=math.pi / 4.0,
-            singular_isotropy_note=(
-                "boundary rays have non-conjugate isotropy (a circle vs. a "
-                "circle extended by an order-2 element), so their orbits differ"
-            ),
         ),
     ),
 }
@@ -372,7 +362,6 @@ def catalog_summary() -> list[dict]:
             "boundary": md.has_boundary,
             "cohomogeneity": act.cohomogeneity,
             "expectedSectorAngle": md.expected_sector_angle,
-            "note": md.singular_isotropy_note,
         })
     return out
 
@@ -394,6 +383,5 @@ def trivial_action(dimension: int) -> CatalogAction:
         metadata=ActionMetadata(
             has_boundary=False,
             expected_sector_angle=math.pi if dimension == 2 else None,
-            singular_isotropy_note=None,
         ),
     )

@@ -4,8 +4,11 @@ Commands: analyze (full pipeline to a structure report), metric (quotient
 distance between two points), lift (sphere-rotation lift witness), catalog
 (list the built-in continuous actions), verify (acceptance suites).
 
-Exit codes: 0 success, 1 validation errors, 2 ambiguity or internal-check
-errors. Pipeline errors print the failing stage name.
+Each command takes the parsed arguments and returns its text (verify also
+its exit code); ``main`` validates the seed, the sample count and the
+output path, dispatches, and turns a typed error into one ``error[stage]:``
+line on stderr. Exit codes: 0 success, 1 validation errors (and failed
+suites), 2 ambiguity or internal-check errors.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +30,6 @@ from .repr_model import enumerate_group
 from .verification import run_suites
 
 ENV_SEED = "ORBIT_ISOM_SEED"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    output_path: str
-    seed: int | None            # None for the commands that draw nothing
-    sample_count: int | None
-    format: str
-    only: str | None = None
 
 
 def _default_seed() -> int:
@@ -59,20 +50,6 @@ def _emit(text: str, output_path: str) -> None:
     else:
         with open(output_path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _print_error(err: Exception) -> None:
-    stage = getattr(err, "stage", None)
-    prefix = f"error[{stage}]" if stage else "error"
-    print(f"{prefix}: {err}", file=sys.stderr)
-
-
-def _exit_code(err: Exception) -> int:
-    if isinstance(err, ValidationError):
-        return 1
-    if isinstance(err, (AmbiguityError, InternalCheckError)):
-        return 2
-    raise err
 
 
 def _render_report_text(report: dict) -> str:
@@ -102,18 +79,9 @@ def _render_report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    try:
-        result = quotient_isometry_group(
-            config.input_path, seed=config.seed, sample_count=config.sample_count)
-    except Exception as err:
-        _print_error(err)
-        return _exit_code(err)
-    if config.format == "json":
-        _emit(report_json(result.report), config.output_path)
-    else:
-        _emit(_render_report_text(result.report), config.output_path)
-    return 0
+def cmd_analyze(args) -> str:
+    report = quotient_isometry_group(args.input, seed=args.seed).report
+    return report_json(report) if args.format == "json" else _render_report_text(report)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -132,57 +100,40 @@ def _metric_context(input_path: str):
     return group, {"method": "exact-minimum-over-group", "groupOrder": group.order}
 
 
-def cmd_metric(config: RunConfig, point_a: str, point_b: str) -> int:
-    try:
-        context, meta = _metric_context(config.input_path)
-        a = _parse_point(point_a)
-        b = _parse_point(point_b)
-        dist = quotient_distance(QuotientPoint(a, context), QuotientPoint(b, context))
-    except Exception as err:
-        _print_error(err)
-        return _exit_code(err)
-    if config.format == "json":
-        payload = {"distance": dist, **meta}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), config.output_path)
-    else:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-        _emit(f"distance = {dist:.6f}  ({detail})", config.output_path)
-    return 0
+def cmd_metric(args) -> str:
+    context, meta = _metric_context(args.input)
+    a = _parse_point(args.point_a)
+    b = _parse_point(args.point_b)
+    dist = quotient_distance(QuotientPoint(a, context), QuotientPoint(b, context))
+    if args.format == "json":
+        return json.dumps({"distance": dist, **meta}, indent=2, sort_keys=True)
+    detail = ", ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+    return f"distance = {dist:.6f}  ({detail})"
 
 
-def cmd_lift(config: RunConfig) -> int:
-    try:
-        rng = np.random.default_rng([config.seed])
-        r = num.random_rotation(rng, 3)
-        witness = lift_rotation(r, sample_count=config.sample_count, seed=config.seed)
-    except Exception as err:
-        _print_error(err)
-        return _exit_code(err)
-    if config.format == "json":
-        payload = {
+def cmd_lift(args) -> str:
+    r = num.random_rotation(np.random.default_rng([args.seed]), 3)
+    witness = lift_rotation(r, sample_count=args.samples, seed=args.seed)
+    if args.format == "json":
+        return json.dumps({
             "quotientIsometry": witness.quotient_isometry.tolist(),
             "lift": witness.lift.tolist(),
             "residual": witness.residual,
-        }
-        _emit(json.dumps(payload, indent=2), config.output_path)
-    else:
-        lines = [f"lift residual over {config.sample_count} samples: "
-                 f"{witness.residual:.3e}"]
-        lines.append("quotient rotation (3x3):")
-        lines.extend("  " + "  ".join(f"{v: .6f}" for v in row)
-                     for row in witness.quotient_isometry)
-        lines.append("equivariant lift (4x4):")
-        lines.extend("  " + "  ".join(f"{v: .6f}" for v in row)
-                     for row in witness.lift)
-        _emit("\n".join(lines), config.output_path)
-    return 0
+        }, indent=2)
+    lines = [f"lift residual over {args.samples} samples: {witness.residual:.3e}"]
+    lines.append("quotient rotation (3x3):")
+    lines.extend("  " + "  ".join(f"{v: .6f}" for v in row)
+                 for row in witness.quotient_isometry)
+    lines.append("equivariant lift (4x4):")
+    lines.extend("  " + "  ".join(f"{v: .6f}" for v in row)
+                 for row in witness.lift)
+    return "\n".join(lines)
 
 
-def cmd_catalog(config: RunConfig) -> int:
+def cmd_catalog(args) -> str:
     entries = catalog_summary()
-    if config.format == "json":
-        _emit(json.dumps(entries, indent=2), config.output_path)
-        return 0
+    if args.format == "json":
+        return json.dumps(entries, indent=2)
     lines = []
     for e in entries:
         angle = ("none" if e["expectedSectorAngle"] is None
@@ -192,30 +143,28 @@ def cmd_catalog(config: RunConfig) -> int:
                      f"boundary {'yes' if e['boundary'] else 'no'}, "
                      f"cohomogeneity {e['cohomogeneity']}, "
                      f"sector angle {angle}")
-        if e["note"]:
-            lines.append(f"  {e['note']}")
-    _emit("\n".join(lines), config.output_path)
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_verify(config: RunConfig) -> int:
-    results = run_suites(config.only, seed=config.seed,
-                         sample_count=config.sample_count)
+def cmd_verify(args) -> tuple[str, int]:
+    """The suite table, and exit code 1 unless every suite passed."""
+    results = run_suites(args.only, seed=args.seed, sample_count=args.samples)
     if not results:
-        print(f"error: no suite id contains {config.only!r}", file=sys.stderr)
-        return 1
-    if config.format == "json":
+        raise ValidationError(f"no suite id contains {args.only!r}")
+    code = 0 if all(r.passed for r in results) else 1
+    if args.format == "json":
         payload = [{"suiteId": r.suite_id, "passed": r.passed, "details": r.details}
                    for r in results]
-        _emit(json.dumps(payload, indent=2), config.output_path)
-    else:
-        width = max(len(r.suite_id) for r in results)
-        lines = [f"{'PASS' if r.passed else 'FAIL'}  "
-                 f"{r.suite_id:<{width}}  {r.details}" for r in results]
-        n_pass = sum(r.passed for r in results)
-        lines.append(f"{n_pass}/{len(results)} suites passed")
-        _emit("\n".join(lines), config.output_path)
-    return 0 if all(r.passed for r in results) else 1
+        return json.dumps(payload, indent=2), code
+    width = max(len(r.suite_id) for r in results)
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  "
+             f"{r.suite_id:<{width}}  {r.details}" for r in results]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} suites passed")
+    return "\n".join(lines), code
+
+
+COMMANDS = {"analyze": cmd_analyze, "metric": cmd_metric, "lift": cmd_lift,
+            "catalog": cmd_catalog, "verify": cmd_verify}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,10 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--only", default=None,
                         help="run only suites whose id contains this substring")
 
-    # metric and catalog draw nothing at random, so they take no seed
+    # metric and catalog draw nothing at random, so they take no seed; the
+    # analysis tests orbits at the constant DEFAULT_SAMPLE_COUNT
     for p in (analyze, lift, verify):
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default 0, or {ENV_SEED})")
+    for p in (lift, verify):
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
                        help="sample count for randomized checks")
     return parser
@@ -262,33 +213,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = os.path.dirname(os.path.abspath(args.output))
-    seed = None
     try:
         if hasattr(args, "seed"):
-            seed = args.seed if args.seed is not None else _default_seed()
-            check_sampling(args.samples, seed)
+            if args.seed is None:
+                args.seed = _default_seed()
+            check_sampling(getattr(args, "samples", DEFAULT_SAMPLE_COUNT), args.seed)
         if args.output != "-" and not os.path.isdir(out_dir):
             raise ValidationError(f"the output directory {out_dir} does not exist")
         if os.path.isdir(args.output):
             raise ValidationError(f"the output path {args.output} is a directory")
-    except ValidationError as err:
-        _print_error(err)
-        return 1
-    config = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=args.output,
-        seed=seed,
-        sample_count=getattr(args, "samples", None),
-        format=args.format,
-        only=getattr(args, "only", None),
-    )
-    if args.command == "analyze":
-        return cmd_analyze(config)
-    if args.command == "metric":
-        return cmd_metric(config, args.point_a, args.point_b)
-    if args.command == "lift":
-        return cmd_lift(config)
-    if args.command == "catalog":
-        return cmd_catalog(config)
-    return cmd_verify(config)
+        result = COMMANDS[args.command](args)
+    except (ValidationError, AmbiguityError, InternalCheckError) as err:
+        stage = getattr(err, "stage", None)
+        print(f"error[{stage}]: {err}" if stage else f"error: {err}", file=sys.stderr)
+        return 1 if isinstance(err, ValidationError) else 2
+    text, code = result if isinstance(result, tuple) else (result, 0)
+    _emit(text, args.output)
+    return code

@@ -53,6 +53,8 @@ from .repr_model import (
     restrict_group,
 )
 
+# Samples per orbit test of a -I block in the catalog kernel search, the
+# report's notes.sampleCount.
 DEFAULT_SAMPLE_COUNT = 200
 CENTRAL_TOL = 1e-8
 COMMUTATOR_TOL = 1e-9
@@ -265,7 +267,6 @@ def _in_kernel_algebra(complement: np.ndarray, coeffs: np.ndarray) -> bool:
 
 
 def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
-                   sample_count: int = DEFAULT_SAMPLE_COUNT,
                    seed: int = DEFAULT_SEED) -> KernelDescription:
     """ker(p), computed for a finite G and for a catalog action.
 
@@ -281,7 +282,8 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
     whole factors plus those circles (anything else, such as a diagonal
     subtorus, aborts as ambiguous), and must hold every central direction
     of the action. Only the -I blocks of Sp(n) and even SO(n >= 4) factors
-    that are neither whole nor circle-in go to the orbit oracle.
+    that are neither whole nor circle-in go to the orbit oracle, at
+    DEFAULT_SAMPLE_COUNT samples.
     """
     d = ctx.dimension
     if isinstance(ctx, FiniteGroupData):
@@ -312,7 +314,7 @@ def compute_kernel(equiv: EquivariantIsometryGroup, ctx, *,
         elif circle is not None and _in_kernel_algebra(complement, eye[:, circle]):
             part = CIRCLE
             explained.append(circle)
-        elif z is not None and orbit_equivalence_test(ctx, z, sample_count, seed):
+        elif z is not None and orbit_equivalence_test(ctx, z, DEFAULT_SAMPLE_COUNT, seed):
             part = MINUS_I
             finite_part += [k @ z for k in finite_part]
         parts.append(part)
@@ -434,8 +436,7 @@ class AnalysisResult:
 
 
 def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
-                  boundary: bool, seed: int, sample_count: int,
-                  catalog: CatalogAction | None) -> dict:
+                  boundary: bool, seed: int, catalog: CatalogAction | None) -> dict:
     factors = () if equiv is None else equiv.factors
     compact = [{"name": _annotated_name(f, part), "type": f.schur_type,
                 "multiplicity": int(f.multiplicity)} for f, part in zip(factors, kernel.parts)]
@@ -478,7 +479,7 @@ def _build_report(*, euclidean_dim: int, equiv, kernel: KernelDescription,
         "method": "commutant-center split",
         "kernelMethod": _kernel_method_text(boundary, catalog is None),
         "rng": "numpy-pcg64",
-        "sampleCount": int(sample_count),
+        "sampleCount": DEFAULT_SAMPLE_COUNT,
         "equivariantGroupDim": 0 if equiv is None else int(equiv.dimension),
         "euclideanIsometryDim": int(euclidean_dim + euclidean_dim * (euclidean_dim - 1) // 2),
         "quotientDescription": _quotient_description(factors, kernel, euclidean_dim),
@@ -541,8 +542,7 @@ def _resolve_source(source):
     return spec.kind, None, action
 
 
-def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
-                            sample_count: int = DEFAULT_SAMPLE_COUNT) -> AnalysisResult:
+def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED) -> AnalysisResult:
     """Full pipeline: source -> Isom(V/G)_0 structure report.
 
     ``source`` may be a spec file path, a parsed spec/dict, a catalog id of
@@ -553,7 +553,7 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
     only those generators: the components are classified from the
     commutant, with no average over G.
     """
-    _stage("parse", check_sampling, sample_count, seed)
+    _stage("parse", check_sampling, DEFAULT_SAMPLE_COUNT, seed)
     label, spec, action = _stage("parse", _resolve_source, source)
     if action is None:
         group = _stage("enumerate", enumerate_group, spec)
@@ -563,7 +563,7 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
             kernel = KernelDescription((np.eye(0),), parts=(), contains_center_of_g=True)
             report = _build_report(
                 euclidean_dim=split.fixed_dim, equiv=None, kernel=kernel,
-                boundary=False, seed=seed, sample_count=sample_count, catalog=None)
+                boundary=False, seed=seed, catalog=None)
             return AnalysisResult(
                 source=label, split=split, context=None,
                 equiv=None, kernel=kernel, boundary=False, report=report)
@@ -585,13 +585,12 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED,
     equiv = _stage("equivariant-group", equivariant_isometry_group,
                    components, commutant, gens)
     boundary = _stage("boundary", has_boundary, ctx)
-    kernel = _stage("kernel", compute_kernel, equiv, ctx,
-                    sample_count=sample_count, seed=seed)
+    kernel = _stage("kernel", compute_kernel, equiv, ctx, seed=seed)
     if action is not None and not boundary:
         _stage("kernel-consistency", _assert_boundary_free_kernel, kernel, action, equiv)
     report = _build_report(
         euclidean_dim=split.fixed_dim, equiv=equiv, kernel=kernel, boundary=boundary,
-        seed=seed, sample_count=sample_count, catalog=action)
+        seed=seed, catalog=action)
     return AnalysisResult(
         source=label, split=split, context=ctx,
         equiv=equiv, kernel=kernel, boundary=boundary, report=report)
@@ -615,6 +614,11 @@ _KERNEL_SCHEMA = {
 }
 
 
+def _has_type(value, typ) -> bool:
+    """isinstance, except that a bool is no int and only a bool is a bool."""
+    return isinstance(value, typ) and isinstance(value, bool) == (typ is bool)
+
+
 def validate_report_schema(report: dict) -> None:
     """Raises ValidationError unless the report matches the JSON contract."""
     if not isinstance(report, dict):
@@ -622,19 +626,18 @@ def validate_report_schema(report: dict) -> None:
     for key, typ in _REPORT_SCHEMA.items():
         if key not in report:
             raise ValidationError(f"report is missing the key {key!r}")
-        if not isinstance(report[key], typ) or isinstance(report[key], bool) != (typ is bool):
+        if not _has_type(report[key], typ):
             raise ValidationError(f"report key {key!r} has the wrong type")
     for entry in report["compactFactors"]:
         if not isinstance(entry, dict):
             raise ValidationError("compactFactors entries must be objects")
         for key, typ in (("name", str), ("type", str), ("multiplicity", int)):
-            if key not in entry or not isinstance(entry[key], typ):
+            if key not in entry or not _has_type(entry[key], typ):
                 raise ValidationError(f"compactFactors entry key {key!r} invalid")
     for key, typ in _KERNEL_SCHEMA.items():
         if key not in report["kernel"]:
             raise ValidationError(f"kernel is missing the key {key!r}")
-        val = report["kernel"][key]
-        if not isinstance(val, typ) or isinstance(val, bool) != (typ is bool):
+        if not _has_type(report["kernel"][key], typ):
             raise ValidationError(f"kernel key {key!r} has the wrong type")
     if report["formulaApplied"] not in (FORMULA_BOUNDARY_FREE, FORMULA_SEARCH):
         raise ValidationError("formulaApplied has an unknown value")

@@ -1,5 +1,10 @@
 """Constructive lifting on the Hopf quotient, plus descend/normalizer checks.
 
+Only rotations, the identity component of Isom(S^2(1/2)), are lifted: an
+isometry outside the identity component need not lift, and telling whether
+one does needs the isotropy groups of the orbits it swaps, which nothing
+here computes.
+
 The circle acts on R^4 = C^2, z = x1 + i x2, w = x3 + i x4, by unit complex
 numbers. Its invariant quadratic forms h(x)_l = x^T M_l x,
 
@@ -29,7 +34,6 @@ from .orbit_geometry import (
     check_context,
     check_sampling,
     quotient_distance,
-    sector_angle_estimate,
 )
 from .repr_model import FiniteGroupData
 
@@ -215,36 +219,3 @@ def normalizer_check(group: FiniteGroupData, f: np.ndarray) -> bool:
         raise ValidationError("normalizer_check expects an orthogonal matrix")
     return bool(np.all(group.lookup(f @ group.elements @ f.T) >= 0))
 
-
-_SECTOR_ACTIONS = ("so2xso3-r5", "so2-tensor-so3-r6")
-
-
-def non_lift_demo(action_id: str, *, sample_count: int = 2000,
-                  seed: int = 0) -> str:
-    """Text demo: a quotient isometry that admits no equivariant lift.
-
-    The orbit space is a planar sector; reflecting it across the bisecting
-    ray is an isometry swapping the two boundary rays. The singular orbits
-    over the rays are non-isometric (metadata), so no ambient equivariant
-    isometry can induce the swap. The computed content is the sector angle;
-    the obstruction text is carried as catalog metadata.
-    """
-    if action_id not in _SECTOR_ACTIONS:
-        raise ValidationError(
-            f"non_lift_demo supports {', '.join(_SECTOR_ACTIONS)}; got {action_id!r}")
-    action = get_action(action_id)
-    md = action.metadata
-    angle = sector_angle_estimate(action, sample_count, seed)
-    lines = [
-        f"action: {action.id} (R^{action.dimension})",
-        f"sector angle estimate: {angle:.6f} rad "
-        f"(expected {md.expected_sector_angle:.6f}, {sample_count} samples)",
-        "the orbit space is a planar sector of this angle; the reflection",
-        "across its bisecting ray is an isometry of the quotient that swaps",
-        "the two boundary rays.",
-        f"obstruction: the singular orbits over the two rays are {md.singular_isotropy_note}, "
-        "so no equivariant isometry upstairs can swap them, and the",
-        "reflection does not lift. Only the identity component is covered",
-        "by equivariant isometries.",
-    ]
-    return "\n".join(lines)

@@ -407,7 +407,9 @@ class FiniteGroupData:
                       identity_index: int | None = None) -> "FiniteGroupData":
         """Index a list of matrices known to form a group (e.g. a restricted
         copy of an enumerated group), generated by ``generators``, or by all
-        of its elements when they are not given."""
+        of its elements when they are None. Given generators must be a
+        nonempty list of elements: the center and equivariance checks test
+        against them only."""
         mats = np.asarray(elements, dtype=float)
         index = _KeyIndex(mats.shape[1], len(mats))
         index.append(mats.reshape(len(mats), -1))
@@ -416,11 +418,18 @@ class FiniteGroupData:
             identity_index = int(index.lookup(np.eye(mats.shape[1])[None])[0])
             if identity_index < 0:
                 raise ValidationError("element list does not contain the identity")
+        if generators is None:
+            gens = index.elements
+        else:
+            gens = np.asarray(generators, dtype=float)
+            if len(gens) == 0:
+                raise ValidationError("an explicit generator list must not be empty")
+            if gens.shape[1:] != mats.shape[1:] or np.any(index.lookup(gens) < 0):
+                raise ValidationError("every generator must be one of the elements")
         return cls(
             elements=index.elements,
             identity_index=identity_index,
-            generators=tuple(np.asarray(g, dtype=float) for g in (
-                index.elements if generators is None else generators)),
+            generators=tuple(gens),
             _index=index,
         )
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rot2
-from orbit_isom import lift_verify
+from orbit_isom import cli, lift_verify, verification
 from orbit_isom.cli import main
 from orbit_isom.isom_quotient import validate_report_schema
 
@@ -141,8 +141,32 @@ def test_a_failed_lift_check_exits_2(capsys, monkeypatch):
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0
-    ids = [e["id"] for e in json.loads(out)]
-    assert ids == ["hopf-u1-r4", "so2-tensor-so3-r6", "so2xso3-r5"]
+    entries = json.loads(out)
+    assert [e["id"] for e in entries] == ["hopf-u1-r4", "so2-tensor-so3-r6", "so2xso3-r5"]
+    assert all("note" not in e for e in entries)
+
+
+def test_catalog_text_is_one_line_per_action(capsys):
+    code, out, _ = run(capsys, "catalog", "--format", "text")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "hopf-u1-r4", "so2-tensor-so3-r6", "so2xso3-r5"]
+
+
+def test_a_failed_suite_prints_its_table_and_exits_1(capsys, monkeypatch):
+    failing = verification.SuiteResult("5-broken", False, "details")
+    monkeypatch.setattr(verification, "_SUITES", (("5-broken", lambda memo: failing),))
+    code, out, err = run(capsys, "verify", "--format", "text")
+    assert (code, out, err) == (1, "FAIL  5-broken  details\n0/1 suites passed\n", "")
+
+
+def test_an_untyped_error_is_not_turned_into_an_exit_code(monkeypatch):
+    def crash(source, *, seed):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "quotient_isometry_group", crash)
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["analyze", "--input", C5])
 
 
 def test_verify_subset(capsys):
@@ -195,13 +219,18 @@ def test_catalog_and_metric_read_no_seed(capsys, monkeypatch, argv):
     assert code == 0 and out and err == ""
 
 
-@pytest.mark.parametrize("command", [("catalog",), ("metric", "--input", C5, "1,0", "0,1")])
-@pytest.mark.parametrize("option", [("--seed", "5"), ("--samples", "7")])
-def test_catalog_and_metric_take_no_seed_or_samples(capsys, command, option):
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--seed", "5"),
+    ("catalog", "--samples", "7"),
+    ("metric", "--input", C5, "1,0", "0,1", "--seed", "5"),
+    ("metric", "--input", C5, "1,0", "0,1", "--samples", "7"),
+    ("analyze", "--input", C5, "--samples", "7"),  # its orbit tests use a constant
+])
+def test_catalog_and_metric_take_no_seed_or_samples(capsys, argv):
     with pytest.raises(SystemExit) as exit_:
-        main([*command, *option])
+        main(list(argv))
     assert exit_.value.code == 2
-    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_analyze_round_trip_schema(capsys, tmp_path):
@@ -217,7 +246,7 @@ def test_analyze_round_trip_schema(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("analyze", "--input", C5, "--seed", "-1"),
     ("lift", "--seed", "-1"),
-    ("analyze", "--input", C5, "--samples", "0"),
+    ("lift", "--samples", "0"),
     ("verify", "--only", "6-", "--samples", "0"),
     ("analyze", "--input", C5, "--output", "/nonexistent/x.json"),
 ])

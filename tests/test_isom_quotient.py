@@ -250,33 +250,31 @@ def test_a_central_element_that_is_not_scalar_on_a_component_is_an_internal_erro
         isom_quotient.center_in_component([np.diag([1.0, -1.0])], memo.analysis("d4").equiv)
 
 
-@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"sample_count": 0}])
 @pytest.mark.parametrize("source", ["c5", "catalog:hopf-u1-r4"])
-def test_a_negative_seed_or_no_samples_is_rejected(source, kwargs):
+def test_a_negative_seed_is_rejected(source):
     if not source.startswith("catalog:"):
         source = fixture_spec(source)
     with pytest.raises(ValidationError) as err:
-        quotient_isometry_group(source, **kwargs)
+        quotient_isometry_group(source, seed=-1)
     assert err.value.stage == "parse"
 
 
-@pytest.mark.parametrize("kwargs", [{"seed": 2.5}, {"seed": True}, {"sample_count": 2.5},
-                                    {"sample_count": False}, {"sample_count": "3"}])
+@pytest.mark.parametrize("seed", [2.5, True])
 @pytest.mark.parametrize("source", ["c5", "catalog:hopf-u1-r4"])
-def test_a_non_integer_seed_or_sample_count_is_rejected(source, kwargs):
+def test_a_non_integer_seed_is_rejected(source, seed):
     if not source.startswith("catalog:"):
         source = fixture_spec(source)
     with pytest.raises(ValidationError, match="must be an integer") as err:
-        quotient_isometry_group(source, **kwargs)
+        quotient_isometry_group(source, seed=seed)
     assert err.value.stage == "parse"
 
 
 @pytest.mark.parametrize("source", ["c5", "catalog:hopf-u1-r4"])
-def test_numpy_integer_sampling_is_accepted(source):
+def test_a_numpy_integer_seed_is_accepted(source):
     if not source.startswith("catalog:"):
         source = fixture_spec(source)
-    want = quotient_isometry_group(source, seed=3, sample_count=5).report
-    got = quotient_isometry_group(source, seed=np.int64(3), sample_count=np.int32(5)).report
+    want = quotient_isometry_group(source, seed=3).report
+    got = quotient_isometry_group(source, seed=np.int64(3)).report
     assert got == want
 
 
@@ -351,6 +349,19 @@ def test_schema_rejects_wrong_type(memo):
     rep = dict(memo.analysis("c5").report)
     rep["rank"] = "one"
     with pytest.raises(ValidationError):
+        validate_report_schema(rep)
+
+
+@pytest.mark.parametrize("where", ["top", "kernel", "factor"])
+def test_schema_rejects_a_bool_for_an_int_everywhere(memo, where):
+    rep = json.loads(report_json(memo.analysis("c5").report))
+    if where == "top":
+        rep["rank"] = True
+    elif where == "kernel":
+        rep["kernel"]["finiteOrder"] = True
+    else:
+        rep["compactFactors"][0]["multiplicity"] = True
+    with pytest.raises(ValidationError, match="wrong type|invalid"):
         validate_report_schema(rep)
 
 
@@ -604,8 +615,7 @@ def _left_unit_quaternions(copies, *, has_boundary):
         generators=tuple(scipy.linalg.block_diag(*[x] * copies) for x in (l_i, l_j, l_i)),
         # the half-angle b in [0, pi/2] carries Haar density sin(2b)
         axes=(circle, ParamAxis(math.pi / 2.0, False, 0.5, 8), circle),
-        metadata=ActionMetadata(has_boundary=has_boundary, expected_sector_angle=None,
-                                singular_isotropy_note=None),
+        metadata=ActionMetadata(has_boundary=has_boundary, expected_sector_angle=None),
     )
 
 
@@ -650,8 +660,7 @@ def test_a_circle_on_c3_quotients_u3_by_its_center():
     action = CatalogAction(
         id="u1-diagonal-c3", generators=(scipy.linalg.block_diag(j, j, j),),
         axes=(ParamAxis(2.0 * math.pi, True, 1.0, 16),),
-        metadata=ActionMetadata(has_boundary=False, expected_sector_angle=None,
-                                singular_isotropy_note=None),
+        metadata=ActionMetadata(has_boundary=False, expected_sector_angle=None),
     )
     rep = quotient_isometry_group(action).report
     assert rep["compactFactors"] == [
@@ -671,8 +680,7 @@ def test_a_kernel_the_report_cannot_express_is_ambiguous():
     axis = ParamAxis(2.0 * math.pi, True, 1.0, 16)
     action = CatalogAction(
         id="t2-weights-c3", generators=(x1, x2), axes=(axis, axis),
-        metadata=ActionMetadata(has_boundary=True, expected_sector_angle=None,
-                                singular_isotropy_note=None),
+        metadata=ActionMetadata(has_boundary=True, expected_sector_angle=None),
     )
     with pytest.raises(KernelAmbiguityError, match="beyond whole factors") as err:
         quotient_isometry_group(action)

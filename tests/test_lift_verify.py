@@ -17,7 +17,6 @@ from orbit_isom.lift_verify import (
     lift_rotation,
     lift_system,
     lifted_algebra,
-    non_lift_demo,
     normalizer_check,
     rotation_log,
     verify_hopf_metric,
@@ -251,14 +250,6 @@ def test_normalizer_check_rejects_a_matrix_of_the_wrong_shape(finite_group, f):
 def test_verify_hopf_metric_rejects_a_density_below_1(density):
     with pytest.raises(ValidationError, match="density"):
         verify_hopf_metric(10, 0, density=density)
-
-
-def test_non_lift_demo_text():
-    text = non_lift_demo("so2xso3-r5", sample_count=500, seed=0)
-    assert "sector angle estimate" in text
-    assert "1.570" in text
-    with pytest.raises(ValidationError):
-        non_lift_demo("hopf-u1-r4")
 
 
 @pytest.mark.parametrize("sample_count, seed", [

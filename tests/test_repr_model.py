@@ -137,6 +137,15 @@ def test_from_elements_without_generators_is_generated_by_its_elements(finite_gr
     assert len(center_of_group(bare)) == len(center_of_group(d4)) == 2
 
 
+@pytest.mark.parametrize("generators", [(), [rot2(0.3)], [np.eye(3)]],
+                         ids=["empty", "not-an-element", "wrong-shape"])
+def test_from_elements_rejects_generators_that_do_not_generate_it(finite_group, generators):
+    # An empty list would leave every element of D4 central and let any
+    # rotation pass as equivariant.
+    with pytest.raises(ValidationError, match="generator"):
+        FiniteGroupData.from_elements(finite_group("d4").elements, generators=generators)
+
+
 def test_from_elements_without_generators_rejects_a_non_equivariant_rotation(finite_group):
     bare = FiniteGroupData.from_elements(finite_group("d4").elements)
     with pytest.raises(ValidationError, match="requires an equivariant isometry"):

@@ -4,7 +4,8 @@ import numpy as np
 
 from conftest import with_kernel_edit
 from orbit_isom import _numerics as num
-from orbit_isom.isom_quotient import WHOLE
+from orbit_isom.catalog import CATALOG, ActionMetadata
+from orbit_isom.isom_quotient import DEFAULT_SAMPLE_COUNT, WHOLE
 from orbit_isom.verification import (
     SUITE_IDS,
     _AnalysisMemo,
@@ -34,6 +35,20 @@ def test_results_carry_details(memo):
     assert result.passed
     assert result.details
     assert result.suite_id == "5-irreducible-trichotomy"
+
+
+def test_the_sector_suite_targets_the_declared_angles(monkeypatch):
+    action = CATALOG["so2xso3-r5"]
+    moved = dataclasses.replace(action, metadata=ActionMetadata(True, 1.0))
+    monkeypatch.setitem(CATALOG, "so2xso3-r5", moved)
+    (result,) = run_suites("4-", memo=_AnalysisMemo(seed=0, sample_count=200))
+    assert not result.passed
+    assert "so2xso3-r5: 1.5708 (want 1.0000)" in result.details
+
+
+def test_the_analysis_ignores_the_suites_sample_count():
+    report = _AnalysisMemo(seed=0, sample_count=7).analysis("catalog:so2xso3-r5").report
+    assert report["notes"]["sampleCount"] == DEFAULT_SAMPLE_COUNT
 
 
 def _finite_kernel_with(label, edit):
