@@ -16,7 +16,6 @@ from .commutant import (
     commutant_basis,
     commutant_center,
     equivariant_isometry_group,
-    exponential,
     isotypic_split,
     sample_equivariant_isometry,
 )
@@ -50,7 +49,6 @@ from .lift_verify import (
     descend_check,
     hopf_map,
     lift_rotation,
-    normalizer_check,
     verify_hopf_metric,
 )
 from .orbit_geometry import (
@@ -112,7 +110,6 @@ __all__ = [
     "descend_check",
     "enumerate_group",
     "equivariant_isometry_group",
-    "exponential",
     "fixed_subspace",
     "fixture_document",
     "fixture_json",
@@ -122,7 +119,6 @@ __all__ = [
     "isotypic_split",
     "lift_rotation",
     "load_spec",
-    "normalizer_check",
     "orbit_equivalence_test",
     "parse_spec",
     "quotient_distance",

@@ -5,9 +5,9 @@ distance between two points), lift (sphere-rotation lift witness), catalog
 (list the built-in continuous actions), verify (acceptance suites).
 
 Each command takes the parsed arguments and returns its text (verify also
-its exit code); ``main`` validates the seed, the sample count and the
-output path, dispatches, and turns a typed error into one ``error[stage]:``
-line on stderr. Exit codes: 0 success, 1 validation errors (and failed
+its exit code); ``main`` validates the seed and the output path,
+dispatches, and turns a typed error into one ``error[stage]:`` line on
+stderr. Exit codes: 0 success, 1 validation errors (and failed
 suites), 2 ambiguity or internal-check errors.
 """
 from __future__ import annotations
@@ -29,27 +29,17 @@ from .orbit_geometry import QuotientPoint, check_sampling, quotient_distance
 from .repr_model import enumerate_group
 from .verification import run_suites
 
-ENV_SEED = "ORBIT_ISOM_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENV_SEED} must be an integer, got {raw!r}")
-
-
 def _emit(text: str, output_path: str) -> None:
+    """Write ``text`` and a final newline: a file as UTF-8, stdout in its
+    own encoding, with backslash escapes for what it cannot encode (the
+    reports' ``±`` on an ASCII stream)."""
+    text = text if text.endswith("\n") else text + "\n"
     if output_path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        encoding = sys.stdout.encoding or "utf-8"
+        sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
     else:
-        with open(output_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        with open(output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _render_report_text(report: dict) -> str:
@@ -113,14 +103,14 @@ def cmd_metric(args) -> str:
 
 def cmd_lift(args) -> str:
     r = num.random_rotation(np.random.default_rng([args.seed]), 3)
-    witness = lift_rotation(r, sample_count=args.samples, seed=args.seed)
+    witness = lift_rotation(r, sample_count=DEFAULT_SAMPLE_COUNT, seed=args.seed)
     if args.format == "json":
         return json.dumps({
             "quotientIsometry": witness.quotient_isometry.tolist(),
             "lift": witness.lift.tolist(),
             "residual": witness.residual,
         }, indent=2)
-    lines = [f"lift residual over {args.samples} samples: {witness.residual:.3e}"]
+    lines = [f"lift residual over {DEFAULT_SAMPLE_COUNT} samples: {witness.residual:.3e}"]
     lines.append("quotient rotation (3x3):")
     lines.extend("  " + "  ".join(f"{v: .6f}" for v in row)
                  for row in witness.quotient_isometry)
@@ -148,7 +138,7 @@ def cmd_catalog(args) -> str:
 
 def cmd_verify(args) -> tuple[str, int]:
     """The suite table, and exit code 1 unless every suite passed."""
-    results = run_suites(args.only, seed=args.seed, sample_count=args.samples)
+    results = run_suites(args.only, seed=args.seed)
     if not results:
         raise ValidationError(f"no suite id contains {args.only!r}")
     code = 0 if all(r.passed for r in results) else 1
@@ -199,14 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--only", default=None,
                         help="run only suites whose id contains this substring")
 
-    # metric and catalog draw nothing at random, so they take no seed; the
-    # analysis tests orbits at the constant DEFAULT_SAMPLE_COUNT
+    # metric and catalog draw nothing at random, so they take no seed
     for p in (analyze, lift, verify):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (default 0, or {ENV_SEED})")
-    for p in (lift, verify):
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
-                       help="sample count for randomized checks")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     return parser
 
 
@@ -215,9 +200,7 @@ def main(argv=None) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.output))
     try:
         if hasattr(args, "seed"):
-            if args.seed is None:
-                args.seed = _default_seed()
-            check_sampling(getattr(args, "samples", DEFAULT_SAMPLE_COUNT), args.seed)
+            check_sampling(DEFAULT_SAMPLE_COUNT, args.seed)
         if args.output != "-" and not os.path.isdir(out_dir):
             raise ValidationError(f"the output directory {out_dir} does not exist")
         if os.path.isdir(args.output):

@@ -263,10 +263,6 @@ class EquivariantIsometryGroup:
     lie_basis: np.ndarray  # (K, d, d), orthonormal, exactly skew
     dimension: int
 
-    @property
-    def rank(self) -> int:
-        return sum(f.rank for f in self.factors)
-
     def factor_lie_basis(self, factor: Factor) -> np.ndarray:
         return self.lie_basis[factor.lie_start:factor.lie_stop]
 
@@ -344,16 +340,6 @@ def equivariant_isometry_group(components, commutant: np.ndarray,
     )
 
 
-def exponential(equiv: EquivariantIsometryGroup, coefficients) -> np.ndarray:
-    """exp of a coefficient combination of the Lie basis."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    d = equiv.lie_basis.shape[1]
-    if equiv.lie_basis.shape[0] == 0:
-        return np.eye(d)
-    a = np.tensordot(coefficients, equiv.lie_basis, axes=1)
-    return num.expm(a)
-
-
 def sample_equivariant_isometry(equiv: EquivariantIsometryGroup, t: float,
                                 seed: int) -> np.ndarray:
     """exp(t * A) for a seeded random unit-Frobenius-norm direction A in the
@@ -364,7 +350,7 @@ def sample_equivariant_isometry(equiv: EquivariantIsometryGroup, t: float,
         return np.eye(d)
     rng = np.random.default_rng([seed])
     coeff = num.random_unit_vector(rng, k)
-    x = exponential(equiv, t * coeff)
+    x = num.expm(np.tensordot(t * coeff, equiv.lie_basis, axes=1))
     resid = num.orthogonality_residual(x)
     if resid > 1e-9:
         raise InternalCheckError(f"sampled isometry lost orthogonality: {resid:.3e}")

@@ -1,4 +1,4 @@
-"""Constructive lifting on the Hopf quotient, plus descend/normalizer checks.
+"""Constructive lifting on the Hopf quotient, plus the descend check.
 
 Only rotations, the identity component of Isom(S^2(1/2)), are lifted: an
 isometry outside the identity component need not lift, and telling whether
@@ -35,7 +35,6 @@ from .orbit_geometry import (
     check_sampling,
     quotient_distance,
 )
-from .repr_model import FiniteGroupData
 
 HOPF_ACTION_ID = "hopf-u1-r4"
 
@@ -207,15 +206,3 @@ def descend_check(x_iso: np.ndarray, context, sample_count: int,
         after = quotient_distance(qa, qb)
         worst = max(worst, abs(after - before))
     return worst
-
-
-def normalizer_check(group: FiniteGroupData, f: np.ndarray) -> bool:
-    """Whether conjugation by f maps the group onto itself."""
-    f = np.asarray(f, dtype=float)
-    d = group.dimension
-    if f.shape != (d, d):
-        raise ValidationError(f"normalizer_check expects a {d}x{d} matrix, got shape {f.shape}")
-    if num.orthogonality_residual(f) > 1e-9:
-        raise ValidationError("normalizer_check expects an orthogonal matrix")
-    return bool(np.all(group.lookup(f @ group.elements @ f.T) >= 0))
-

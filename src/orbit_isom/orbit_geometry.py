@@ -168,6 +168,9 @@ def _newton_ascent(action: CatalogAction, a: np.ndarray, b: np.ndarray,
     phi, grad, hess = _dot_derivatives(u, b, jets)
     aa, bb = _row_dots(a, a), _row_dots(b, b)
     floor = HESSIAN_FLOOR * np.sqrt(aa * bb)
+    # A zero row's gradient and Hessian are zero too: any positive floor
+    # gives it the zero step it converges on, where 0 / 0 would be NaN.
+    floor[floor == 0.0] = 1.0
     half = 0.5 * (aa + bb)
     out_g, out_phi = np.empty_like(g), np.empty_like(phi)
     converged = np.zeros(len(g), dtype=bool)

@@ -409,8 +409,14 @@ class FiniteGroupData:
         copy of an enumerated group), generated by ``generators``, or by all
         of its elements when they are None. Given generators must be a
         nonempty list of elements: the center and equivariance checks test
-        against them only."""
-        mats = np.asarray(elements, dtype=float)
+        against them only. Anything but a nonempty (n, d, d) stack raises
+        ValidationError."""
+        try:
+            mats = np.asarray(elements, dtype=float)
+        except ValueError:  # ragged
+            mats = None
+        if mats is None or mats.ndim != 3 or not len(mats) or mats.shape[1] != mats.shape[2]:
+            raise ValidationError("the elements must be a nonempty stack of square matrices")
         index = _KeyIndex(mats.shape[1], len(mats))
         index.append(mats.reshape(len(mats), -1))
         index.seal()

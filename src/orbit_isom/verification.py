@@ -60,13 +60,10 @@ class SuiteResult:
 
 
 class _AnalysisMemo:
-    """One analysis per source per run; suites share the results. The
-    sample count is for the suites' own orbit tests; the analysis runs at
-    its constant DEFAULT_SAMPLE_COUNT."""
+    """One analysis per source per run; suites share the results."""
 
-    def __init__(self, seed: int, sample_count: int):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.sample_count = sample_count
         self._cache: dict = {}
 
     def analysis(self, label: str):
@@ -211,7 +208,7 @@ def _catalog_kernel_problems(label: str, memo: _AnalysisMemo) -> list[str]:
     rng = np.random.default_rng([memo.seed, 104729])
 
     def orbit_trivial(z):
-        return orbit_equivalence_test(ctx, z, memo.sample_count, memo.seed)
+        return orbit_equivalence_test(ctx, z, DEFAULT_SAMPLE_COUNT, memo.seed)
 
     problems = []
     for i in kernel.circle_indices(equiv.factors):
@@ -271,7 +268,7 @@ def _finite_kernel_problems(name: str, memo: _AnalysisMemo) -> list[str]:
             f"{name}: {len(extra)} kernel elements outside the in-component center")
 
     def orbit_trivial(z):
-        return orbit_equivalence_test(ctx, z, memo.sample_count, memo.seed)
+        return orbit_equivalence_test(ctx, z, DEFAULT_SAMPLE_COUNT, memo.seed)
 
     moving = [k for k in kernel if not orbit_trivial(k)]
     if moving:
@@ -445,15 +442,14 @@ SUITE_IDS = tuple(suite_id for suite_id, _ in _SUITES)
 
 
 def run_suites(only: str | None = None, *, seed: int = 0,
-               sample_count: int = DEFAULT_SAMPLE_COUNT,
                memo: _AnalysisMemo | None = None) -> list[SuiteResult]:
     """Run the acceptance suites whose id contains ``only`` (all if None).
 
-    ``memo`` lets repeated calls share cached analyses; seed and sample
-    count are taken from it when given.
+    ``memo`` lets repeated calls share cached analyses; the seed is taken
+    from it when given.
     """
     if memo is None:
-        memo = _AnalysisMemo(seed, sample_count)
+        memo = _AnalysisMemo(seed)
     results = []
     for suite_id, fn in _SUITES:
         if only is not None and only not in suite_id:

@@ -12,7 +12,7 @@ from orbit_isom.verification import _AnalysisMemo
 @pytest.fixture(scope="session")
 def memo():
     """Shared analysis cache so each source is analyzed once per session."""
-    return _AnalysisMemo(seed=0, sample_count=200)
+    return _AnalysisMemo(seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from orbit_isom.lift_verify import (
     lift_rotation,
     lift_system,
     lifted_algebra,
-    normalizer_check,
     rotation_log,
     verify_hopf_metric,
 )
@@ -229,21 +228,6 @@ def test_descend_rejects_non_equivariant(memo):
     bad = bad[[1, 0, 2, 3]]  # a permutation that does not commute with Q8
     with pytest.raises(ValidationError):
         descend_check(bad, result.context, 10, seed=0)
-
-
-def test_normalizer_check(finite_group):
-    d4 = finite_group("d4")
-    assert normalizer_check(d4, d4.elements[1])
-    assert not normalizer_check(d4, rot2_embedding(0.3))
-    c5 = finite_group("c5")
-    # rotations commute, so any rotation normalizes C5
-    assert normalizer_check(c5, rot2_embedding(0.3))
-
-
-@pytest.mark.parametrize("f", [np.eye(3), np.eye(2, 3), np.ones(4)], ids=["3x3", "2x3", "vector"])
-def test_normalizer_check_rejects_a_matrix_of_the_wrong_shape(finite_group, f):
-    with pytest.raises(ValidationError, match="2x2"):
-        normalizer_check(finite_group("c5"), f)
 
 
 @pytest.mark.parametrize("density", [0, -5])

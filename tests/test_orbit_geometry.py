@@ -104,6 +104,19 @@ def test_catalog_same_orbit_distance(action_id):
         assert d < 1e-9
 
 
+@pytest.mark.parametrize("action_id", ["hopf-u1-r4", "so2xso3-r5", "so2-tensor-so3-r6"])
+def test_a_zero_point_is_the_other_points_norm_away(action_id):
+    # The zero row's Newton step is 0 / 0 without the floor's guard, a
+    # RuntimeWarning the test settings turn into an error.
+    action = get_action(action_id)
+    zero = QuotientPoint(np.zeros(action.dimension), action)
+    for x in np.random.default_rng(11).standard_normal((3, action.dimension)):
+        other = QuotientPoint(x, action)
+        for d in (quotient_distance(zero, other), quotient_distance(other, zero)):
+            assert abs(d - np.linalg.norm(x)) <= 1e-12
+    assert quotient_distance(zero, zero) == 0.0
+
+
 def _hopf_distance(x, y):
     # R^4 = C^2 with the circle acting by e^{it}: |x - e^{it} y|^2 is
     # smallest when e^{it} <x, y>_C is real and positive.

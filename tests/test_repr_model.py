@@ -129,6 +129,14 @@ def test_from_elements_rejects_a_repeated_element():
         FiniteGroupData.from_elements([np.eye(2), a, a.copy()])
 
 
+@pytest.mark.parametrize("elements", [[], np.eye(3), [np.eye(2), np.eye(3)],
+                                      np.zeros((2, 2, 3))],
+                         ids=["empty", "one-matrix", "ragged", "not-square"])
+def test_from_elements_rejects_anything_but_a_stack_of_square_matrices(elements):
+    with pytest.raises(ValidationError, match="nonempty stack of square matrices"):
+        FiniteGroupData.from_elements(elements)
+
+
 def test_from_elements_without_generators_is_generated_by_its_elements(finite_group):
     # With no generators listed, every element of D4 would pass as central.
     d4 = finite_group("d4")

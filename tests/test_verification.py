@@ -5,7 +5,7 @@ import numpy as np
 from conftest import with_kernel_edit
 from orbit_isom import _numerics as num
 from orbit_isom.catalog import CATALOG, ActionMetadata
-from orbit_isom.isom_quotient import DEFAULT_SAMPLE_COUNT, WHOLE
+from orbit_isom.isom_quotient import WHOLE
 from orbit_isom.verification import (
     SUITE_IDS,
     _AnalysisMemo,
@@ -41,20 +41,15 @@ def test_the_sector_suite_targets_the_declared_angles(monkeypatch):
     action = CATALOG["so2xso3-r5"]
     moved = dataclasses.replace(action, metadata=ActionMetadata(True, 1.0))
     monkeypatch.setitem(CATALOG, "so2xso3-r5", moved)
-    (result,) = run_suites("4-", memo=_AnalysisMemo(seed=0, sample_count=200))
+    (result,) = run_suites("4-", memo=_AnalysisMemo(seed=0))
     assert not result.passed
     assert "so2xso3-r5: 1.5708 (want 1.0000)" in result.details
-
-
-def test_the_analysis_ignores_the_suites_sample_count():
-    report = _AnalysisMemo(seed=0, sample_count=7).analysis("catalog:so2xso3-r5").report
-    assert report["notes"]["sampleCount"] == DEFAULT_SAMPLE_COUNT
 
 
 def _finite_kernel_with(label, edit):
     """Suite 6's fixture check of ``label`` on a memo whose kernel has its
     finite part replaced by ``edit(finite_part)``."""
-    bad = _AnalysisMemo(seed=0, sample_count=200)
+    bad = _AnalysisMemo(seed=0)
     result = bad.analysis(label)
     kernel = dataclasses.replace(result.kernel,
                                  finite_part=tuple(edit(result.kernel.finite_part)))
@@ -70,7 +65,7 @@ def test_kernel_suite_fails_when_q8_loses_minus_identity():
 
 
 def test_kernel_suite_fails_when_q8_loses_the_part_of_its_factor():
-    bad = _AnalysisMemo(seed=0, sample_count=200)
+    bad = _AnalysisMemo(seed=0)
     bad._cache["q8"] = with_kernel_edit(bad.analysis("q8"), parts=(None,))
     assert _finite_kernel_problems("q8", bad) == [
         "q8: the kernel part of Sp(1) disagrees with the finite part"]
@@ -85,7 +80,7 @@ def test_kernel_suite_fails_when_c5_gains_a_noncentral_element():
 def _catalog_kernel_with(label, **edit):
     """Oracle cross-check of ``label`` on a memo whose analysis has the
     ``with_kernel_edit`` ``edit``."""
-    bad = _AnalysisMemo(seed=0, sample_count=200)
+    bad = _AnalysisMemo(seed=0)
     bad._cache[label] = with_kernel_edit(bad.analysis(label), **edit)
     return _catalog_kernel_problems(label, bad)
 
