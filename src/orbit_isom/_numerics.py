@@ -7,6 +7,12 @@ guessing. Every exponential is of a skew matrix, in the real spectral form of
 matrices and logarithms of orthogonal matrices", 2002).
 
 ``one_blas_thread`` runs the block it guards with OpenBLAS on one thread.
+It guards the finite-group analysis in
+``isom_quotient.quotient_isometry_group`` and the quotient-metric oracle:
+``orbit_geometry._group_min`` (every quotient and sphere distance, orbit
+test and descend check), ``orbit_geometry.sector_angle_estimate`` and
+``lift_verify.verify_hopf_metric``. A catalog analysis runs outside it,
+except for the orbit tests its kernel search makes.
 """
 from __future__ import annotations
 

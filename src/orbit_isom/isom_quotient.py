@@ -20,6 +20,7 @@ it holds no whole factor.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -552,9 +553,22 @@ def quotient_isometry_group(source, *, seed: int = DEFAULT_SEED) -> AnalysisResu
     The stages from ``commutant`` on are the same for both kinds and need
     only those generators: the components are classified from the
     commutant, with no average over G.
+
+    A finite source is analyzed with OpenBLAS on one thread
+    (``num.one_blas_thread``), as the oracle runs: its products are too
+    small for a second thread to speed up. A catalog source keeps the
+    caller's thread count for now: ``benchmark/run.py`` keeps every pass's
+    reports, so faster catalog passes raise its catalog-analyze peak RSS
+    past its 5 % bound.
     """
     _stage("parse", check_sampling, DEFAULT_SAMPLE_COUNT, seed)
     label, spec, action = _stage("parse", _resolve_source, source)
+    with num.one_blas_thread() if action is None else nullcontext():
+        return _analyze(label, spec, action, seed)
+
+
+def _analyze(label: str, spec, action: CatalogAction | None, seed: int) -> AnalysisResult:
+    """The stages of ``quotient_isometry_group`` after the parse."""
     if action is None:
         group = _stage("enumerate", enumerate_group, spec)
         split = _stage("trivial-split", fixed_subspace, group.generators,

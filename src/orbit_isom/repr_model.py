@@ -427,7 +427,10 @@ class FiniteGroupData:
         if generators is None:
             gens = index.elements
         else:
-            gens = np.asarray(generators, dtype=float)
+            try:
+                gens = np.asarray(generators, dtype=float)
+            except ValueError:  # ragged
+                raise ValidationError("every generator must be one of the elements") from None
             if len(gens) == 0:
                 raise ValidationError("an explicit generator list must not be empty")
             if gens.shape[1:] != mats.shape[1:] or np.any(index.lookup(gens) < 0):

@@ -1,7 +1,9 @@
-"""The oracle runs OpenBLAS on one thread and gives the caller's count back.
+"""The oracle and the finite-group analysis run OpenBLAS on one thread and
+give the caller's count back; a catalog analysis keeps the caller's count.
 
 The OpenBLAS get/set pair is replaced by a fake, so these tests read the
-same on any BLAS build, or none.
+same on any BLAS build, or none. The report comparisons at the end use the
+real libraries.
 """
 import sys
 import threading
@@ -11,9 +13,11 @@ import pytest
 
 from conftest import stall_newton_ascent
 from orbit_isom import _numerics as num
-from orbit_isom import lift_verify, orbit_geometry
+from orbit_isom import isom_quotient, lift_verify, orbit_geometry
 from orbit_isom.catalog import get_action
-from orbit_isom.errors import AmbiguityError
+from orbit_isom.errors import AmbiguityError, GroupSizeCapError
+from orbit_isom.fixtures import FIXTURE_NAMES, fixture_document
+from orbit_isom.isom_quotient import quotient_isometry_group, report_json
 from orbit_isom.orbit_geometry import (
     QuotientPoint,
     orbit_equivalence_test,
@@ -198,3 +202,72 @@ def test_outputs_do_not_depend_on_finding_a_library(monkeypatch):
     found = outputs()
     monkeypatch.setattr(num, "_openblas", lambda: ())
     assert outputs() == found
+
+
+# The stages quotient_isometry_group looks up by name; a finite analysis
+# with a moving part calls all of them, one without calls the first two
+# and the report.
+_STAGES = ("enumerate_group", "fixed_subspace", "restrict_group", "commutant_basis",
+           "isotypic_split", "classify_component", "equivariant_isometry_group",
+           "has_boundary", "compute_kernel", "_build_report")
+
+
+def _spy_stages(monkeypatch, blas):
+    """The thread count each stage saw, by stage name."""
+    seen = {}
+    for name in _STAGES:
+        stage = getattr(isom_quotient, name)
+
+        def spy(*args, name=name, stage=stage, **kwargs):
+            seen.setdefault(name, []).append(blas.count)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(isom_quotient, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["q8", "trivial-r3"])
+def test_a_finite_analysis_runs_its_stages_on_one_thread(name, blas, monkeypatch):
+    seen = _spy_stages(monkeypatch, blas)
+    quotient_isometry_group(fixture_document(name))
+    expected = set(_STAGES) if name == "q8" else {"enumerate_group", "fixed_subspace",
+                                                 "_build_report"}
+    assert set(seen) == expected
+    assert {c for counts in seen.values() for c in counts} == {1}
+    assert blas.count == CALLER_THREADS
+    assert blas.sets == [1, CALLER_THREADS]
+
+
+def test_the_count_is_restored_after_a_group_size_cap_error(blas):
+    doc = dict(fixture_document("q8"), groupSizeCap=2)
+    with pytest.raises(GroupSizeCapError):
+        quotient_isometry_group(doc)
+    assert blas.count == CALLER_THREADS
+    assert blas.sets == [1, CALLER_THREADS]
+
+
+def test_inside_a_callers_entry_the_analysis_sets_nothing(blas):
+    with num.one_blas_thread():
+        quotient_isometry_group(fixture_document("q8"))
+        assert blas.sets == [1]
+    assert blas.sets == [1, CALLER_THREADS]
+
+
+def test_a_catalog_analysis_keeps_the_callers_count(blas, monkeypatch):
+    seen = _spy_stages(monkeypatch, blas)
+    quotient_isometry_group("catalog:hopf-u1-r4")
+    assert "commutant_basis" in seen and "compute_kernel" in seen
+    assert {c for counts in seen.values() for c in counts} == {CALLER_THREADS}
+    assert blas.count == CALLER_THREADS
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_finite_report_does_not_depend_on_the_callers_threads(name, monkeypatch):
+    doc = fixture_document(name)
+    alone = report_json(quotient_isometry_group(doc).report)
+    with num.one_blas_thread():
+        inside = report_json(quotient_isometry_group(doc).report)
+    monkeypatch.setattr(num, "_openblas", lambda: ())
+    unswitched = report_json(quotient_isometry_group(doc).report)
+    assert inside == alone
+    assert unswitched == alone

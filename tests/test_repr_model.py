@@ -145,8 +145,8 @@ def test_from_elements_without_generators_is_generated_by_its_elements(finite_gr
     assert len(center_of_group(bare)) == len(center_of_group(d4)) == 2
 
 
-@pytest.mark.parametrize("generators", [(), [rot2(0.3)], [np.eye(3)]],
-                         ids=["empty", "not-an-element", "wrong-shape"])
+@pytest.mark.parametrize("generators", [(), [rot2(0.3)], [np.eye(3)], [np.eye(2), np.eye(3)]],
+                         ids=["empty", "not-an-element", "wrong-shape", "ragged"])
 def test_from_elements_rejects_generators_that_do_not_generate_it(finite_group, generators):
     # An empty list would leave every element of D4 central and let any
     # rotation pass as equivariant.
